@@ -50,9 +50,8 @@ from .analytics import (
     map_score_slope,
     median_split,
     nlg,
-    one_way_ancova,
-    one_way_anova,
     segment_intervals,
 )
+from .stats import one_way_ancova, one_way_anova
 from .pack import default_expert_map
 from .simulate import StudentProfile, bundled_profiles, simulate_cohort, simulate_session

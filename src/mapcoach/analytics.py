@@ -11,16 +11,6 @@ from typing import Mapping, Optional, Sequence
 
 from .annotate import ActionKind, AnnotatedEvent
 from .engine import ScaffoldDelivery, ScaffoldKind
-from .stats import (  # noqa: F401  (re-exported as this module's public surface)
-    DegenerateCovariate,
-    DegenerateVariance,
-    TestResult,
-    cohens_d,
-    one_way_ancova,
-    one_way_anova,
-    pooled_t,
-    t_two_sided_p,
-)
 
 
 class DegenerateDenominator(Exception):

@@ -145,9 +145,6 @@ class CausalMap:
     def get_link(self, source: str, target: str) -> Optional[CausalLink]:
         return self._links.get((source, target))
 
-    def out_links(self, source: str) -> list[CausalLink]:
-        return [l for l in self._links.values() if l.source == source]
-
     def sorted_links(self) -> list[CausalLink]:
         return [self._links[k] for k in sorted(self._links)]
 
@@ -197,11 +194,24 @@ def set_marking(cmap: CausalMap, source: str, target: str, marking: Marking) -> 
     return cmap.with_replaced_link(link.key, replace(link, marking=marking))
 
 
+@dataclass(frozen=True)
+class PathFacts:
+    """What the simple expert paths from one concept to another add up to."""
+
+    count: int  # number of simple paths
+    vote: int  # sum of path signs, +1 or -1 each
+    reached: frozenset[str]  # concepts the paths reach (every link target)
+    multi_signs: frozenset[int]  # signs of the paths with two or more links
+    links: tuple[CausalLink, ...]  # distinct links, in the order the walk first meets them
+
+
 class ExpertMap:
     """A causal map acting as ground truth, with page provenance per link.
 
     Every link must carry a source page; the derived page index maps each
-    page to the set of link pairs it supports.
+    page to the set of link pairs it supports.  Path facts (`paths`) and
+    quiz banks (`generate_quiz`) are computed on first use and memoised on
+    the instance, so its map must not change after construction.
     """
 
     def __init__(self, cmap: CausalMap):
@@ -213,6 +223,8 @@ class ExpertMap:
         for link in cmap.links.values():
             pages.setdefault(link.source_page, set()).add(link.key)
         self.pages: dict[str, set[tuple[str, str]]] = pages
+        self._paths: dict[tuple[str, str], PathFacts] = {}
+        self._quizzes: dict[QuizScope, tuple[QuizQuestion, ...]] = {}
 
     @property
     def concepts(self) -> Mapping[str, Concept]:
@@ -233,6 +245,26 @@ class ExpertMap:
         for c in self.map.concepts.values():
             out.setdefault(c.section, set()).add(c.id)
         return out
+
+    def paths(self, source: str, target: str) -> PathFacts:
+        """Facts about every simple expert path source -> target, from one
+        walk per pair."""
+        facts = self._paths.get((source, target))
+        if facts is None:
+            facts = self._paths[(source, target)] = _path_facts(self.map, source, target)
+        return facts
+
+    def shortcuts(self) -> list[CausalLink]:
+        """One link per net sign of the multi-link paths between each pair
+        with no direct expert link, ordered by (source, target, sign)."""
+        concepts = sorted(self.map.concepts)
+        return [
+            CausalLink(source=s, target=t, sign=Sign.INCREASE if sign > 0 else Sign.DECREASE)
+            for s in concepts
+            for t in concepts
+            if s != t and (s, t) not in self.map.links
+            for sign in sorted(self.paths(s, t).multi_signs)
+        ]
 
 
 # -- scoring ---------------------------------------------------------------
@@ -265,11 +297,8 @@ def classify_link(link: CausalLink, expert: ExpertMap) -> LinkClass:
         return LinkClass.INCORRECT
     if expert_link is not None:
         return LinkClass.INCORRECT
-    for path in _iter_simple_paths(expert.map, link.source, link.target):
-        if len(path) < 2:
-            continue
-        if _path_sign(path) == link.sign.factor:
-            return LinkClass.INCORRECT_SHORTCUT
+    if link.sign.factor in expert.paths(link.source, link.target).multi_signs:
+        return LinkClass.INCORRECT_SHORTCUT
     return LinkClass.INCORRECT
 
 
@@ -307,6 +336,27 @@ def _iter_simple_paths(
             path.pop()
 
     yield from walk(source)
+
+
+def _path_facts(cmap: CausalMap, source: str, target: str) -> PathFacts:
+    count = vote = 0
+    multi_signs: set[int] = set()
+    links: dict[tuple[str, str], CausalLink] = {}
+    for path in _iter_simple_paths(cmap, source, target):
+        sign = _path_sign(path)
+        count += 1
+        vote += sign
+        if len(path) >= 2:
+            multi_signs.add(sign)
+        for link in path:
+            links.setdefault(link.key, link)
+    return PathFacts(
+        count=count,
+        vote=vote,
+        reached=frozenset(link.target for link in links.values()),
+        multi_signs=frozenset(multi_signs),
+        links=tuple(links.values()),
+    )
 
 
 @dataclass(frozen=True)
@@ -412,14 +462,17 @@ class QuizResult:
 def generate_quiz(
     expert: ExpertMap,
     scope: QuizScope = QuizScope.everything(),
-    max_paths: int = DEFAULT_MAX_PATHS,
 ) -> list[QuizQuestion]:
     """One question per ordered concept pair with a determinate expert answer.
 
     A section-scoped quiz keeps only pairs whose connecting expert paths lie
     entirely inside the section's concepts.  Question order is lexicographic
-    by (source, target) so quizzes are reproducible.
+    by (source, target) so quizzes are reproducible.  The bank is memoised
+    per scope on the expert map; each call returns a fresh list.
     """
+    bank = expert._quizzes.get(scope)
+    if bank is not None:
+        return list(bank)
     if scope.kind == "section":
         sections = expert.sections()
         if scope.section not in sections:
@@ -429,20 +482,18 @@ def generate_quiz(
         allowed = set(expert.concepts)
     questions: list[QuizQuestion] = []
     for source, target in itertools.permutations(sorted(allowed), 2):
-        paths = list(_iter_simple_paths(expert.map, source, target))
-        if len(paths) > max_paths:
-            raise PathExplosion(f"more than {max_paths} paths from {source!r} to {target!r}")
-        if not paths:
+        facts = expert.paths(source, target)
+        if facts.count > DEFAULT_MAX_PATHS:
+            raise PathExplosion(
+                f"more than {DEFAULT_MAX_PATHS} paths from {source!r} to {target!r}"
+            )
+        if facts.vote == 0 or not facts.reached <= allowed:
             continue
-        if any(link.target not in allowed for path in paths for link in path):
-            continue
-        total = sum(_path_sign(p) for p in paths)
-        if total == 0:
-            continue
-        answer = QueryAnswer.TARGET_INCREASES if total > 0 else QueryAnswer.TARGET_DECREASES
+        answer = QueryAnswer.TARGET_INCREASES if facts.vote > 0 else QueryAnswer.TARGET_DECREASES
         questions.append(QuizQuestion(source=source, target=target, expert_answer=answer))
     if not questions:
         raise EmptyQuiz(f"no determinate concept pairs in scope {scope.display()}")
+    expert._quizzes[scope] = tuple(questions)
     return questions
 
 

@@ -104,8 +104,8 @@ def _engine_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest_file(path: Path, command: str, args: argparse.Namespace,
-                         outputs: list[str], started: float, seed=None):
+def _write_manifest(path: Path, command: str, args: argparse.Namespace,
+                    outputs: list[str], started: float, seed=None):
     manifest = {
         "tool": "mapcoach",
         "version": __version__,
@@ -117,11 +117,6 @@ def _write_manifest_file(path: Path, command: str, args: argparse.Namespace,
         "outputs": sorted(outputs),
     }
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
-                    outputs: list[str], started: float, seed=None):
-    _write_manifest_file(out_dir / "manifest.json", command, args, outputs, started, seed)
 
 
 def _load_expert(path) -> "ExpertMap":
@@ -167,7 +162,7 @@ def cmd_simulate(args) -> int:
     logio.save_map(expert.map, out_dir / "expert-map.json")
     logio.write_jsonl(outcome_rows, out_dir / "outcomes.jsonl")
     outputs += ["grouping.json", "expert-map.json", "outcomes.jsonl"]
-    _write_manifest(out_dir, "simulate", args, outputs, started, seed=args.seed)
+    _write_manifest(out_dir / "manifest.json", "simulate", args, outputs, started, seed=args.seed)
     print(f"simulated {len(cohort.sessions)} students into {out_dir}")
     return 0
 
@@ -221,7 +216,7 @@ def cmd_replay(args) -> int:
         logio.write_annotated(result.annotated, out_dir / "annotated" / f"{sid}.jsonl")
         logio.write_deliveries(result.deliveries, out_dir / "deliveries" / f"{sid}.jsonl")
         outputs += [f"annotated/{sid}.jsonl", f"deliveries/{sid}.jsonl"]
-    _write_manifest(out_dir, "replay", args, outputs, started)
+    _write_manifest(out_dir / "manifest.json", "replay", args, outputs, started)
     print(f"replayed {len(files)} event logs into {out_dir}")
     return 0
 
@@ -262,8 +257,8 @@ def cmd_mine(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(table)
-    _write_manifest_file(out.with_name(out.stem + ".manifest.json"),
-                         "mine", args, [out.name], started)
+    _write_manifest(out.with_name(out.stem + ".manifest.json"),
+                    "mine", args, [out.name], started)
     print(f"wrote {len(patterns)} patterns to {out}")
     return 0
 
@@ -329,7 +324,7 @@ def cmd_report(args) -> int:
         ]
         (out_dir / "outcomes.tsv").write_text(outcomes_table(outcomes, grouping))
         outputs.append("outcomes.tsv")
-    _write_manifest(out_dir, "report", args, outputs, started)
+    _write_manifest(out_dir / "manifest.json", "report", args, outputs, started)
     print(f"wrote {len(outputs)} report tables into {out_dir}")
     return 0
 

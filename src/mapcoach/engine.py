@@ -40,7 +40,6 @@ from .causal import (
     Marking,
     QuizResult,
     classify_link,
-    _iter_simple_paths,
 )
 
 
@@ -567,24 +566,10 @@ class ScaffoldEngine:
 
     def finalize(self, session_end: float) -> list[ScaffoldDelivery]:
         """Resolve a pending hint1 whose window elapsed by session end."""
-        out: list[ScaffoldDelivery] = []
         pending = self._pending_hint1
-        if pending is not None and session_end >= pending.deadline:
-            self._pending_hint1 = None
-            delivery = self._deliver(
-                ScaffoldKind.HINT1,
-                pending.deadline,
-                TriggerContext(
-                    rule="hint1_window_expired",
-                    prev_index=pending.arm_index,
-                    cur_index=None,
-                    prev_time=pending.arm_time,
-                    cur_time=pending.deadline,
-                ),
-                pending.hints,
-            )
-            if delivery is not None:
-                out.append(delivery)
+        if pending is None or session_end < pending.deadline:
+            return []
+        out = self._expire_hint1(pending, pending.deadline, None)
         return [d for d in out if d.kind not in self.config.disabled_kinds]
 
     # -- internals ----------------------------------------------------------
@@ -594,40 +579,33 @@ class ScaffoldEngine:
         if pending is None:
             return []
         if event.timestamp > pending.deadline:
-            self._pending_hint1 = None
-            delivery = self._deliver(
-                ScaffoldKind.HINT1,
-                pending.deadline,
-                TriggerContext(
-                    rule="hint1_window_expired",
-                    prev_index=pending.arm_index,
-                    cur_index=None,
-                    prev_time=pending.arm_time,
-                    cur_time=pending.deadline,
-                ),
-                pending.hints,
-            )
-            return [delivery] if delivery is not None else []
+            return self._expire_hint1(pending, pending.deadline, None)
         if _is_correct_marking(event):
             self._pending_hint1 = None
             return []
         pending.events_seen += 1
         if pending.events_seen >= self.config.hint1_window_events:
-            self._pending_hint1 = None
-            delivery = self._deliver(
-                ScaffoldKind.HINT1,
-                event.timestamp,
-                TriggerContext(
-                    rule="hint1_window_expired",
-                    prev_index=pending.arm_index,
-                    cur_index=self._index - 1,
-                    prev_time=pending.arm_time,
-                    cur_time=event.timestamp,
-                ),
-                pending.hints,
-            )
-            return [delivery] if delivery is not None else []
+            return self._expire_hint1(pending, event.timestamp, self._index - 1)
         return []
+
+    def _expire_hint1(
+        self, pending: _PendingHint1, at: float, cur_index: Optional[int]
+    ) -> list[ScaffoldDelivery]:
+        """Deliver the pending hint1 whose follow-up window ran out at `at`."""
+        self._pending_hint1 = None
+        delivery = self._deliver(
+            ScaffoldKind.HINT1,
+            at,
+            TriggerContext(
+                rule="hint1_window_expired",
+                prev_index=pending.arm_index,
+                cur_index=cur_index,
+                prev_time=pending.arm_time,
+                cur_time=at,
+            ),
+            pending.hints,
+        )
+        return [delivery] if delivery is not None else []
 
     def _detect(
         self,
@@ -796,20 +774,15 @@ class ScaffoldEngine:
         answer and missing or wrong-signed on the student map."""
         for item in quiz.incorrect_items():
             q = item.question
-            seen: set[tuple[str, str]] = set()
-            for path in _iter_simple_paths(self.expert.map, q.source, q.target):
-                for expert_link in path:
-                    if expert_link.key in seen:
-                        continue
-                    seen.add(expert_link.key)
-                    student_link = student_map.links.get(expert_link.key)
-                    if student_link is None or student_link.sign is not expert_link.sign:
-                        return TargetHints(
-                            concept=expert_link.source,
-                            page=expert_link.source_page,
-                            source=expert_link.source,
-                            target=expert_link.target,
-                        )
+            for expert_link in self.expert.paths(q.source, q.target).links:
+                student_link = student_map.links.get(expert_link.key)
+                if student_link is None or student_link.sign is not expert_link.sign:
+                    return TargetHints(
+                        concept=expert_link.source,
+                        page=expert_link.source_page,
+                        source=expert_link.source,
+                        target=expert_link.target,
+                    )
         return None
 
     def _suppressed(self, kind: ScaffoldKind, at: float) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .analytics import AffectObservation, Emotion
 from .annotate import (
@@ -59,6 +59,8 @@ from .engine import (
 )
 
 MAP_FORMAT = "mapcoach-map/1"
+
+T = TypeVar("T")
 
 
 class FormatError(Exception):
@@ -135,10 +137,6 @@ def load_expert_map(path: Path) -> ExpertMap:
 # -- quiz scopes -------------------------------------------------------------
 
 
-def scope_to_str(scope: QuizScope) -> str:
-    return "everything" if scope.kind == "everything" else f"section:{scope.section}"
-
-
 def scope_from_str(text: str) -> QuizScope:
     if text == "everything":
         return QuizScope.everything()
@@ -206,7 +204,7 @@ def event_to_record(event: ActionEvent) -> dict:
     elif event.kind is ActionKind.MAP_EDIT:
         record["edit"] = _edit_to_record(event.edit)
     elif event.kind is ActionKind.TAKE_QUIZ:
-        record["scope"] = scope_to_str(event.quiz_scope)
+        record["scope"] = event.quiz_scope.display()
     elif event.kind is ActionKind.QUIZ_EXPL:
         record["question"] = event.question_ref
     return record
@@ -288,18 +286,7 @@ def delivery_to_record(d: ScaffoldDelivery) -> dict:
         ],
     }
     if d.target_hints is not None:
-        hints = {
-            k: v
-            for k, v in (
-                ("link", d.target_hints.link),
-                ("source", d.target_hints.source),
-                ("target", d.target_hints.target),
-                ("concept", d.target_hints.concept),
-                ("page", d.target_hints.page),
-            )
-            if v is not None
-        }
-        record["hints"] = hints
+        record["hints"] = d.target_hints.template_vars()
     return record
 
 
@@ -349,11 +336,17 @@ def read_jsonl(path: Path) -> list[dict]:
     return records
 
 
-def read_events(path: Path) -> list[ActionEvent]:
+def _read_records(path: Path, from_record: Callable[[dict], T]) -> list[T]:
+    """Parse every record of a JSON-lines log; a missing or bad field is a
+    FormatError naming the file."""
     try:
-        return [event_from_record(r) for r in read_jsonl(path)]
+        return [from_record(r) for r in read_jsonl(path)]
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def read_events(path: Path) -> list[ActionEvent]:
+    return _read_records(path, event_from_record)
 
 
 def write_events(events: Sequence[ActionEvent], path: Path):
@@ -365,7 +358,7 @@ def write_annotated(events: Sequence[AnnotatedEvent], path: Path):
 
 
 def read_annotated(path: Path) -> list[AnnotatedEvent]:
-    return [annotated_from_record(r) for r in read_jsonl(path)]
+    return _read_records(path, annotated_from_record)
 
 
 def write_deliveries(deliveries: Sequence[ScaffoldDelivery], path: Path):
@@ -373,7 +366,7 @@ def write_deliveries(deliveries: Sequence[ScaffoldDelivery], path: Path):
 
 
 def read_deliveries(path: Path) -> list[ScaffoldDelivery]:
-    return [delivery_from_record(r) for r in read_jsonl(path)]
+    return _read_records(path, delivery_from_record)
 
 
 def write_affect(student_id: str, observations: Sequence[AffectObservation], path: Path):
@@ -381,7 +374,7 @@ def write_affect(student_id: str, observations: Sequence[AffectObservation], pat
 
 
 def read_affect(path: Path) -> list[AffectObservation]:
-    return [affect_from_record(r) for r in read_jsonl(path)]
+    return _read_records(path, affect_from_record)
 
 
 # -- grouping and outcomes -----------------------------------------------------------

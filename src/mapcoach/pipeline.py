@@ -41,7 +41,6 @@ def replay_events(
     """
     annotator = SessionAnnotator(expert, long_threshold=config.long_threshold)
     engine = ScaffoldEngine(student_id, expert, config, trees=trees)
-    quiz_cache: dict[str, list] = {}
     last_quiz: Optional[QuizResult] = None
     annotated: list[AnnotatedEvent] = []
     deliveries: list[ScaffoldDelivery] = []
@@ -49,10 +48,7 @@ def replay_events(
         ann = annotator.feed(event)
         if event.kind is ActionKind.TAKE_QUIZ:
             scope = event.quiz_scope
-            key = scope.display()
-            if key not in quiz_cache:
-                quiz_cache[key] = generate_quiz(expert, scope)
-            last_quiz = grade_quiz(annotator.current_map, quiz_cache[key], scope=scope)
+            last_quiz = grade_quiz(annotator.current_map, generate_quiz(expert, scope), scope=scope)
         deliveries.extend(engine.observe(ann, annotator.current_map, last_quiz))
         annotated.append(ann)
     session_end = events[-1].end if events else 0.0

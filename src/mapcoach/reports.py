@@ -9,17 +9,11 @@ from __future__ import annotations
 import statistics
 from typing import Mapping, Optional, Sequence
 
-from .analytics import (
-    Emotion,
-    ImpactCell,
-    OutcomeRecord,
-    Phase,
-    one_way_ancova,
-    one_way_anova,
-)
+from .analytics import Emotion, ImpactCell, OutcomeRecord, Phase
 from .annotate import ActionKind, AnnotatedEvent, time_distribution
 from .engine import HISTOGRAM_BUCKETS, DeliveryStats, ScaffoldKind
 from .mining import DsmPattern
+from .stats import one_way_ancova, one_way_anova
 
 ACTIVITY_COLUMNS = [
     (ActionKind.READ, "Read"),

@@ -44,7 +44,6 @@ from .causal import (
     classify_link,
     generate_quiz,
     grade_quiz,
-    _iter_simple_paths,
 )
 from .engine import (
     ConversationTree,
@@ -269,16 +268,14 @@ class _Session:
         self.note_counter = 0
         self.forced: deque = deque()
         self.pages = expert.page_ids()
-        self._quiz_cache: dict[str, list] = {}
         self.sections = []
         for section in sorted(expert.sections()):
             try:
-                scope = QuizScope.for_section(section)
-                self._quiz_cache[scope.display()] = generate_quiz(expert, scope)
+                generate_quiz(expert, QuizScope.for_section(section))
                 self.sections.append(section)
             except EmptyQuiz:
                 continue
-        self._shortcuts = _shortcut_candidates(expert)
+        self._shortcuts = expert.shortcuts()
 
     # -- activity selection -------------------------------------------------
 
@@ -355,11 +352,7 @@ class _Session:
 
     def _open_shortcuts(self) -> list[CausalLink]:
         current = self.annotator.current_map
-        return [
-            CausalLink(source=s, target=t, sign=sign)
-            for (s, t, sign) in self._shortcuts
-            if (s, t) not in current.links
-        ]
+        return [link for link in self._shortcuts if link.key not in current.links]
 
     def _links_by_correctness(self) -> tuple[list[CausalLink], list[CausalLink]]:
         correct, incorrect = [], []
@@ -562,18 +555,12 @@ class _Session:
             )
         )
 
-    def _quiz_questions(self, scope: QuizScope):
-        key = scope.display()
-        if key not in self._quiz_cache:
-            self._quiz_cache[key] = generate_quiz(self.expert, scope)
-        return self._quiz_cache[key]
-
     def _do_quiz(self):
         if self.rng.random() < 0.7 or not self.sections:
             scope = QuizScope.everything()
         else:
             scope = QuizScope.for_section(self.rng.choice(self.sections))
-        questions = self._quiz_questions(scope)
+        questions = generate_quiz(self.expert, scope)
         duration = self.profile.quiz_duration.draw(self.rng)
         # grade against the map as it stands when the quiz is requested
         result = grade_quiz(self.annotator.current_map, questions, scope=scope)
@@ -721,26 +708,6 @@ class _Session:
             deliveries=tuple(self.deliveries),
             session_end=session_end,
         )
-
-
-def _shortcut_candidates(expert: ExpertMap) -> list[tuple[str, str, Sign]]:
-    """Ordered pairs bridged by a multi-link expert path with no direct link."""
-    out = []
-    concepts = sorted(expert.concepts)
-    for s in concepts:
-        for t in concepts:
-            if s == t or (s, t) in expert.links:
-                continue
-            signs = set()
-            for path in _iter_simple_paths(expert.map, s, t):
-                if len(path) >= 2:
-                    sign = 1
-                    for link in path:
-                        sign *= link.sign.factor
-                    signs.add(sign)
-            for sign in sorted(signs):
-                out.append((s, t, Sign.INCREASE if sign > 0 else Sign.DECREASE))
-    return out
 
 
 def _affect_stream(

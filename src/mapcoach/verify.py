@@ -79,16 +79,12 @@ def _quiz_timeline(
     maps: Sequence[CausalMap],
     expert: ExpertMap,
 ) -> dict[int, QuizResult]:
-    cache: dict[str, list] = {}
     results: dict[int, QuizResult] = {}
     for i, event in enumerate(annotated):
         if event.kind is not ActionKind.TAKE_QUIZ:
             continue
         scope = event.base.quiz_scope
-        key = scope.display()
-        if key not in cache:
-            cache[key] = generate_quiz(expert, scope)
-        results[i] = grade_quiz(maps[i], cache[key], scope=scope)
+        results[i] = grade_quiz(maps[i], generate_quiz(expert, scope), scope=scope)
     return results
 
 

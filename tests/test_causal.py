@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -364,3 +366,99 @@ class TestShortcutShadowProperty:
             for sign in (INC, DEC):
                 cls = classify_link(CausalLink(key[0], key[1], sign), expert)
                 assert cls is not LinkClass.INCORRECT_SHORTCUT
+
+
+def _brute_facts(edges, source, target):
+    """(count, vote, reached, multi-link signs, distinct pairs in first-seen
+    order) over the brute-force simple paths."""
+    paths = oracles.brute_simple_paths(edges, source, target)
+    signs = [math.prod(edges[pair] for pair in path) for path in paths]
+    pairs = list(dict.fromkeys(pair for path in paths for pair in path))
+    return (
+        len(paths),
+        sum(signs),
+        {t for _, t in pairs},
+        {sign for sign, path in zip(signs, paths) if len(path) >= 2},
+        pairs,
+    )
+
+
+def _random_sectioned_expert(rng):
+    expert = oracles.random_expert(rng, max_concepts=7, max_links=12)
+    concepts = [replace(c, section=rng.choice("xy")) for c in expert.map.sorted_concepts()]
+    return ExpertMap(CausalMap(concepts, expert.map.sorted_links()))
+
+
+class TestExpertPathFacts:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_path_facts_match_brute_force(self, seed):
+        expert = oracles.random_expert(random.Random(seed), max_concepts=7, max_links=12)
+        edges = oracles.edge_dict(expert.map)
+        for s in expert.concepts:
+            for t in expert.concepts:
+                facts = expert.paths(s, t)
+                count, vote, reached, multi_signs, pairs = _brute_facts(edges, s, t)
+                assert (facts.count, facts.vote) == (count, vote)
+                assert facts.reached == reached
+                assert facts.multi_signs == multi_signs
+                assert [link.key for link in facts.links] == pairs
+                assert expert.paths(s, t) is facts
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_shortcut_iff_no_direct_link_and_multi_link_path_of_that_sign(self, seed):
+        expert = oracles.random_expert(random.Random(seed), max_concepts=7, max_links=12)
+        edges = oracles.edge_dict(expert.map)
+        ids = sorted(expert.concepts)
+        expected_shortcuts = []
+        for s in ids:
+            for t in ids:
+                if s == t:
+                    continue
+                multi_signs = _brute_facts(edges, s, t)[3]
+                for sign in (DEC, INC):
+                    shortcut = (s, t) not in edges and sign.factor in multi_signs
+                    cls = classify_link(CausalLink(s, t, sign), expert)
+                    assert (cls is LinkClass.INCORRECT_SHORTCUT) == shortcut
+                    if shortcut:
+                        expected_shortcuts.append(CausalLink(s, t, sign))
+        assert expert.shortcuts() == expected_shortcuts
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_every_section_quiz_matches_brute_force(self, seed):
+        expert = _random_sectioned_expert(random.Random(seed))
+        edges = oracles.edge_dict(expert.map)
+        for section, members in sorted(expert.sections().items()):
+            expected = []
+            for s in sorted(members):
+                for t in sorted(members):
+                    if s == t:
+                        continue
+                    _, vote, reached, _, _ = _brute_facts(edges, s, t)
+                    if vote != 0 and reached <= members:
+                        expected.append((s, t, "increases" if vote > 0 else "decreases"))
+            scope = QuizScope.for_section(section)
+            if not expected:
+                with pytest.raises(EmptyQuiz):
+                    generate_quiz(expert, scope)
+                continue
+            got = [(q.source, q.target, q.expert_answer.value) for q in generate_quiz(expert, scope)]
+            assert got == [(s, t, f"target_{answer}") for s, t, answer in expected]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_mutating_a_returned_quiz_leaves_the_next_one_unchanged(self, seed):
+        expert = oracles.random_expert(random.Random(seed), max_concepts=6, max_links=8)
+        try:
+            first = generate_quiz(expert)
+        except EmptyQuiz:
+            return
+        expected = list(first)
+        first.clear()
+        second = generate_quiz(expert)
+        assert second == expected
+        second.append(second[0])
+        second.reverse()
+        assert generate_quiz(expert) == expected

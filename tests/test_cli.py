@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mapcoach
 from mapcoach import logio
 from mapcoach.cli import main
 from mapcoach.pack import default_expert_map
@@ -103,6 +108,29 @@ class TestMineAndReport:
         code = run(["mine", "--annotated", sim_dir / "events",
                     "--grouping", tmp_path / "missing.json", "--out", tmp_path / "dsm.tsv"])
         assert code != 0
+
+
+class TestBadAnnotatedRecord:
+    @pytest.mark.parametrize("command", ["mine", "report"])
+    def test_missing_process_is_an_error_line_not_a_traceback(self, command, tmp_path):
+        annotated = tmp_path / "annotated"
+        annotated.mkdir()
+        record = {"student": "s1", "t": 0.0, "duration": 5.0, "kind": "read", "page": "p",
+                  "effectiveness": "neutral", "long": False, "score": 0}
+        (annotated / "s1.jsonl").write_text(json.dumps(record) + "\n")
+        grouping = tmp_path / "grouping.json"
+        grouping.write_text(json.dumps({"s1": "High"}))
+        argv = [command, "--annotated", annotated, "--grouping", grouping,
+                "--out", tmp_path / ("dsm.tsv" if command == "mine" else "report")]
+        src = str(Path(mapcoach.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "mapcoach.cli", *map(str, argv)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "s1.jsonl" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestScore:

@@ -111,11 +111,11 @@ class TestEventLogs:
 class TestScopes:
     def test_everything_roundtrip(self):
         scope = QuizScope.everything()
-        assert logio.scope_from_str(logio.scope_to_str(scope)) == scope
+        assert logio.scope_from_str(scope.display()) == scope
 
     def test_section_roundtrip(self):
         scope = QuizScope.for_section("cold")
-        assert logio.scope_from_str(logio.scope_to_str(scope)) == scope
+        assert logio.scope_from_str(scope.display()) == scope
 
     def test_bad_scope_rejected(self):
         with pytest.raises(FormatError):
