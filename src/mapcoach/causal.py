@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class Sign(str, Enum):
@@ -65,7 +65,8 @@ class EmptyQuiz(MapError):
 
 
 class PathExplosion(MapError):
-    """Raised when a query would enumerate more simple paths than allowed."""
+    """Raised when a path search would find more than max_paths simple paths
+    to a target, or take more than max_paths steps per concept."""
 
 
 DEFAULT_MAX_PATHS = 10_000
@@ -104,7 +105,8 @@ class CausalMap:
 
     All mutators return a new map; instances can be shared freely across
     sessions.  At most one link may exist per ordered (source, target) pair
-    and self-loops are rejected.
+    and self-loops are rejected.  The adjacency that path searches walk is
+    compiled on first use and kept on the instance.
     """
 
     def __init__(self, concepts: Iterable[Concept] = (), links: Iterable[CausalLink] = ()):
@@ -122,6 +124,7 @@ class CausalMap:
             if link.key in self._links:
                 raise MapError(f"duplicate link for pair {link.key}")
             self._links[link.key] = link
+        self._adjacency: Optional[_Adjacency] = None
 
     @property
     def concepts(self) -> Mapping[str, Concept]:
@@ -150,6 +153,11 @@ class CausalMap:
 
     def sorted_concepts(self) -> list[Concept]:
         return [self._concepts[k] for k in sorted(self._concepts)]
+
+    def _compiled(self) -> "_Adjacency":
+        if self._adjacency is None:
+            self._adjacency = _Adjacency(self.sorted_links())
+        return self._adjacency
 
     # -- functional updates ------------------------------------------------
 
@@ -248,10 +256,19 @@ class ExpertMap:
 
     def paths(self, source: str, target: str) -> PathFacts:
         """Facts about every simple expert path source -> target, from one
-        walk per pair."""
+        walk per pair; PathExplosion past DEFAULT_MAX_PATHS, as for
+        answer_query."""
         facts = self._paths.get((source, target))
         if facts is None:
-            facts = self._paths[(source, target)] = _path_facts(self.map, source, target)
+            reach = _walk(self.map, source, (target,), DEFAULT_MAX_PATHS).get(target, _Reach())
+            links = tuple(map(self.map._compiled().links.__getitem__, reach.links))
+            facts = self._paths[(source, target)] = PathFacts(
+                count=reach.count,
+                vote=reach.vote,
+                reached=frozenset(link.target for link in links),
+                multi_signs=frozenset(reach.multi_signs),
+                links=links,
+            )
         return facts
 
     def shortcuts(self) -> list[CausalLink]:
@@ -305,64 +322,127 @@ def classify_link(link: CausalLink, expert: ExpertMap) -> LinkClass:
 # -- sign propagation --------------------------------------------------------
 
 
-def _path_sign(path: Sequence[CausalLink]) -> int:
-    sign = 1
-    for link in path:
-        sign *= link.sign.factor
-    return sign
+class _Adjacency:
+    """A map's links compiled for walking: forward entries (target, sign
+    factor, link index) in sorted link order, and each concept's sources."""
+
+    def __init__(self, links: list[CausalLink]):
+        self.links = links
+        self.forward: dict[str, list[tuple[str, int, int]]] = {}
+        self.reverse: dict[str, list[str]] = {}
+        for index, link in enumerate(links):
+            self.forward.setdefault(link.source, []).append((link.target, link.sign.factor, index))
+            self.reverse.setdefault(link.target, []).append(link.source)
 
 
-def _iter_simple_paths(
-    cmap: CausalMap, source: str, target: str
-) -> Iterator[list[CausalLink]]:
-    """Yield every simple directed path source -> target (no node revisits)."""
-    adjacency: dict[str, list[CausalLink]] = {}
-    for link in cmap.sorted_links():
-        adjacency.setdefault(link.source, []).append(link)
-    path: list[CausalLink] = []
-    visited = {source}
+class _Reach:
+    """What one walk found on the simple paths to one of its targets."""
 
-    def walk(node: str) -> Iterator[list[CausalLink]]:
-        for link in adjacency.get(node, ()):
-            if link.target in visited:
+    __slots__ = ("count", "vote", "links", "multi_signs")
+
+    def __init__(self):
+        self.count = 0  # number of paths
+        self.vote = 0  # sum of path signs
+        self.links: dict[int, None] = {}  # link indices, in the order the walk first meets them
+        self.multi_signs: set[int] = set()  # signs of the paths with two or more links
+
+    def query_result(self, links: list[CausalLink]) -> "QueryResult":
+        if self.vote > 0:
+            answer = QueryAnswer.TARGET_INCREASES
+        elif self.vote < 0:
+            answer = QueryAnswer.TARGET_DECREASES
+        else:
+            answer = QueryAnswer.CANNOT_DETERMINE
+        return QueryResult(answer, frozenset(map(links.__getitem__, self.links)))
+
+
+def _walk(
+    cmap: CausalMap, source: str, targets: Iterable[str], max_paths: int
+) -> dict[str, _Reach]:
+    """Walk every simple path from source to each target, depth first in
+    sorted link order.
+
+    The walk steps only onto concepts that can reach a target without
+    passing through source, and past a target only when there are others,
+    so each target's paths, and their order, are those of a walk to that
+    target alone.  It raises PathExplosion when a target has more than
+    max_paths paths, or after max_paths link steps per concept of the map:
+    a walk to one target without dead ends takes at most (number of paths)
+    x (path length) steps, so only dead-end blow-ups meet that budget.
+    The walk keeps its own stack, so a path may be longer than the
+    interpreter's recursion limit.  Returns what it found for each target
+    that it reached.
+    """
+    adjacency = cmap._compiled()
+    forward, reverse = adjacency.forward, adjacency.reverse
+    reaches: dict[str, _Reach] = {}
+    if source not in forward:
+        return reaches
+    wanted = set(targets)
+    wanted.discard(source)
+    through = len(wanted) > 1
+    # the concepts that can reach a target without passing through source
+    # and are not on the current path
+    open_ = set(wanted)
+    frontier = list(wanted)
+    while frontier:
+        for pred in reverse.get(frontier.pop(), ()):
+            if pred not in open_ and pred != source:
+                open_.add(pred)
+                frontier.append(pred)
+    budget = max_paths * len(cmap.concepts)
+    steps = 0
+    path: list[int] = []  # link indices
+    signs = [1]  # sign of each prefix of the path
+    entered: list[str] = []  # concepts the path has stepped onto and may leave
+    stack = [iter(forward[source])]
+    while stack:
+        for nxt, factor, index in stack[-1]:
+            if nxt not in open_:
                 continue
-            path.append(link)
-            if link.target == target:
-                yield list(path)
-            else:
-                visited.add(link.target)
-                yield from walk(link.target)
-                visited.remove(link.target)
+            steps += 1
+            if steps > budget:
+                raise PathExplosion(
+                    f"more than {budget} link steps searching paths from {source!r}"
+                    f" to {', '.join(map(repr, sorted(wanted)))}"
+                )
+            path.append(index)
+            sign = signs[-1] * factor
+            reach = None
+            if nxt in wanted:
+                reach = reaches.get(nxt)
+                if reach is None:
+                    reach = reaches[nxt] = _Reach()
+                reach.count += 1
+                if reach.count > max_paths:
+                    raise PathExplosion(f"more than {max_paths} paths from {source!r} to {nxt!r}")
+                reach.vote += sign
+                if len(path) >= 2:
+                    reach.multi_signs.add(sign)
+                reach.links.update(dict.fromkeys(path))
+            if (reach is None or through) and nxt in forward:
+                open_.remove(nxt)
+                entered.append(nxt)
+                signs.append(sign)
+                stack.append(iter(forward[nxt]))
+                break
             path.pop()
-
-    yield from walk(source)
-
-
-def _path_facts(cmap: CausalMap, source: str, target: str) -> PathFacts:
-    count = vote = 0
-    multi_signs: set[int] = set()
-    links: dict[tuple[str, str], CausalLink] = {}
-    for path in _iter_simple_paths(cmap, source, target):
-        sign = _path_sign(path)
-        count += 1
-        vote += sign
-        if len(path) >= 2:
-            multi_signs.add(sign)
-        for link in path:
-            links.setdefault(link.key, link)
-    return PathFacts(
-        count=count,
-        vote=vote,
-        reached=frozenset(link.target for link in links.values()),
-        multi_signs=frozenset(multi_signs),
-        links=tuple(links.values()),
-    )
+        else:
+            stack.pop()
+            if entered:
+                open_.add(entered.pop())
+                signs.pop()
+                path.pop()
+    return reaches
 
 
 @dataclass(frozen=True)
 class QueryResult:
     answer: QueryAnswer
     used_links: frozenset[CausalLink]
+
+
+_NO_PATHS = QueryResult(QueryAnswer.CANNOT_DETERMINE, frozenset())
 
 
 def answer_query(
@@ -375,31 +455,19 @@ def answer_query(
 
     Each path votes +1 or -1 by the product of its link signs; the vote sum
     decides the answer, with a zero sum (including "no paths") reported as
-    cannot-determine.  Enumerating more than max_paths paths raises
-    PathExplosion rather than truncating.
+    cannot-determine.  The search is bounded rather than truncated: more
+    than max_paths paths, or more than max_paths link steps per concept of
+    the map, raises PathExplosion.  It steps only onto concepts that can
+    still reach the target, so the step budget is met only by maps whose
+    dead ends blow up, never by one with at most max_paths paths and no
+    dead ends.
     """
     if not cmap.has_concept(source):
         raise UnknownConcept(source)
     if not cmap.has_concept(target):
         raise UnknownConcept(target)
-    total = 0
-    used: set[CausalLink] = set()
-    n_paths = 0
-    for path in _iter_simple_paths(cmap, source, target):
-        n_paths += 1
-        if n_paths > max_paths:
-            raise PathExplosion(f"more than {max_paths} paths from {source!r} to {target!r}")
-        total += _path_sign(path)
-        used.update(path)
-    if total > 0:
-        answer = QueryAnswer.TARGET_INCREASES
-    elif total < 0:
-        answer = QueryAnswer.TARGET_DECREASES
-    else:
-        answer = QueryAnswer.CANNOT_DETERMINE
-        if n_paths == 0:
-            used = set()
-    return QueryResult(answer, frozenset(used))
+    reach = _walk(cmap, source, (target,), max_paths).get(target)
+    return _NO_PATHS if reach is None else reach.query_result(cmap._compiled().links)
 
 
 # -- quizzes -----------------------------------------------------------------
@@ -483,10 +551,6 @@ def generate_quiz(
     questions: list[QuizQuestion] = []
     for source, target in itertools.permutations(sorted(allowed), 2):
         facts = expert.paths(source, target)
-        if facts.count > DEFAULT_MAX_PATHS:
-            raise PathExplosion(
-                f"more than {DEFAULT_MAX_PATHS} paths from {source!r} to {target!r}"
-            )
         if facts.vote == 0 or not facts.reached <= allowed:
             continue
         answer = QueryAnswer.TARGET_INCREASES if facts.vote > 0 else QueryAnswer.TARGET_DECREASES
@@ -507,18 +571,38 @@ def grade_quiz(
 
     A question whose concepts are missing from the student map is answered
     cannot-determine.  Grading is binary: the answer must equal the expert
-    answer exactly.
+    answer exactly.  The questions that share a source are answered by one
+    bounded walk (see answer_query).  If any such walk raises
+    PathExplosion, the quiz is graded question by question, in order,
+    through answer_query, so the result, or the exception, is the one
+    per-question grading gives.
     """
     if not questions:
         raise EmptyQuiz("cannot grade an empty quiz")
+    concepts = student.concepts
+    targets: dict[str, set[str]] = {}
+    for q in questions:
+        if q.source in concepts and q.target in concepts:
+            targets.setdefault(q.source, set()).add(q.target)
+    links = student._compiled().links
+    try:
+        results = {
+            (s, t): reach.query_result(links)
+            for s, ts in targets.items()
+            for t, reach in _walk(student, s, ts, max_paths).items()
+        }
+    except PathExplosion:
+        results = {
+            (q.source, q.target): answer_query(student, q.source, q.target, max_paths=max_paths)
+            for q in questions
+            if q.source in concepts and q.target in concepts
+        }
     items = []
     for q in questions:
-        if student.has_concept(q.source) and student.has_concept(q.target):
-            result = answer_query(student, q.source, q.target, max_paths=max_paths)
-            answer, used = result.answer, result.used_links
-        else:
-            answer, used = QueryAnswer.CANNOT_DETERMINE, frozenset()
-        grade = Grade.CORRECT if answer is q.expert_answer else Grade.INCORRECT
-        items.append(QuizItem(question=q, answer=answer, grade=grade, used_links=used))
+        result = results.get((q.source, q.target), _NO_PATHS)
+        grade = Grade.CORRECT if result.answer is q.expert_answer else Grade.INCORRECT
+        items.append(
+            QuizItem(question=q, answer=result.answer, grade=grade, used_links=result.used_links)
+        )
     score = 100.0 * sum(1 for it in items if it.grade is Grade.CORRECT) / len(items)
     return QuizResult(scope=scope, items=tuple(items), score=score)

@@ -129,6 +129,7 @@ def _load_expert(path) -> "ExpertMap":
 
 
 def cmd_simulate(args) -> int:
+    started = time.time()
     out_dir = Path(args.out)
     expert = _load_expert(args.expert)
     config = _engine_config(args) if not args.no_engine else None
@@ -146,7 +147,6 @@ def cmd_simulate(args) -> int:
         profiles=profiles,
         trees=trees,
     )
-    started = time.time()
     for sub in ("events", "affect", "deliveries"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
     outputs = []

@@ -323,6 +323,8 @@ def write_jsonl(records: Iterable[dict], path: Path):
 
 
 def read_jsonl(path: Path) -> list[dict]:
+    """The JSON object on each non-blank line; anything else is a
+    FormatError naming the file and line."""
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -330,9 +332,14 @@ def read_jsonl(path: Path) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}: line {lineno}: {exc.msg}") from exc
+            if not isinstance(record, dict):
+                raise FormatError(
+                    f"{path}: line {lineno}: expected a JSON object, got {type(record).__name__}"
+                )
+            records.append(record)
     return records
 
 
@@ -385,7 +392,17 @@ def write_grouping(grouping: dict[str, str], path: Path):
 
 
 def load_grouping(path: Path) -> dict[str, str]:
-    return json.loads(Path(path).read_text())
+    """Student id -> group name; anything but a JSON object of strings is a
+    FormatError naming the file."""
+    try:
+        grouping = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    if not isinstance(grouping, dict) or not all(
+        isinstance(group, str) for group in grouping.values()
+    ):
+        raise FormatError(f"{path}: expected a JSON object of student id to group name")
+    return grouping
 
 
 def load_outcomes(path: Path) -> list[dict]:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,7 @@ import oracles
 from mapcoach.causal import (
     CausalLink,
     CausalMap,
+    DEFAULT_MAX_PATHS,
     Concept,
     EmptyQuiz,
     ExpertMap,
@@ -56,6 +58,18 @@ def expert_of(*links, ids="abcdefgh"):
 
 
 INC, DEC = Sign.INCREASE, Sign.DECREASE
+
+
+def with_clique(hub, *links, size=10, back_to_hub=False):
+    """A map of the given links plus a complete digraph on `size` concepts,
+    all linked from `hub` (and, with back_to_hub, each linking back to it)."""
+    clique = [f"k{i}" for i in range(size)]
+    ids = sorted({x for s, t, _ in links for x in (s, t)} | {hub}) + clique
+    triples = list(links) + [(u, v, INC) for u in clique for v in clique if u != v]
+    triples += [(hub, k, INC) for k in clique]
+    if back_to_hub:
+        triples += [(k, hub, INC) for k in clique]
+    return cmap(*triples, ids=ids)
 
 
 class TestMapInvariants:
@@ -158,6 +172,31 @@ class TestAnswerQuery:
         m = cmap(*links, ids=ids)
         with pytest.raises(PathExplosion):
             answer_query(m, "a", "f", max_paths=3)
+
+    def test_branch_that_cannot_reach_the_target_is_not_walked(self):
+        # s -> t, plus a 10-clique hanging off s that never reaches t: an
+        # unpruned walk enumerates its ~10^7 simple paths
+        m = with_clique("s", ("s", "t", INC))
+        start = time.perf_counter()
+        assert answer_query(m, "s", "t").answer is QueryAnswer.TARGET_INCREASES
+        assert time.perf_counter() - start < 1.0
+
+    def test_path_longer_than_the_recursion_limit(self):
+        ids = [f"c{i:04d}" for i in range(3000)]
+        m = cmap(*[(s, t, DEC) for s, t in zip(ids, ids[1:])], ids=ids)
+        result = answer_query(m, ids[0], ids[-1])
+        assert result.answer is QueryAnswer.TARGET_DECREASES  # 2999 negative links
+        assert len(result.used_links) == 2999
+
+    def test_dead_end_blow_up_meets_the_step_budget(self):
+        # s -> a -> t, plus a 10-clique hanging off a whose only way out is
+        # back to a: every walk into it reaches t only through a, already on
+        # the path, so its paths are dead ends that no path cap would bound
+        m = with_clique("a", ("s", "a", INC), ("a", "t", INC), back_to_hub=True)
+        start = time.perf_counter()
+        with pytest.raises(PathExplosion, match="link steps"):
+            answer_query(m, "s", "t")
+        assert time.perf_counter() - start < 1.0
 
     def test_sign_flip_on_odd_length_paths_flips_answer(self):
         # flipping every link sign negates a path's product only when the
@@ -335,6 +374,62 @@ class TestGradeQuiz:
         links = result.explanation_links()
         ac = next(q for q in links if (q.source, q.target) == ("a", "c"))
         assert {l.key for l in links[ac]} == {("a", "b"), ("b", "c")}
+
+
+def _grade_each(student, questions, max_paths):
+    """(question, answer, grade, used links) per question, graded one by one
+    through answer_query, and the score."""
+    items = []
+    for q in questions:
+        if student.has_concept(q.source) and student.has_concept(q.target):
+            result = answer_query(student, q.source, q.target, max_paths=max_paths)
+            answer, used = result.answer, result.used_links
+        else:
+            answer, used = QueryAnswer.CANNOT_DETERMINE, frozenset()
+        grade = Grade.CORRECT if answer is q.expert_answer else Grade.INCORRECT
+        items.append((q, answer, grade, used))
+    correct = sum(1 for item in items if item[2] is Grade.CORRECT)
+    return items, 100.0 * correct / len(items)
+
+
+class TestGroupedGrading:
+    def test_grouped_walk_that_meets_the_step_budget_falls_back(self):
+        # one walk for both questions from s passes through t1 into a clique
+        # whose only way out is back to t1; each question alone does not
+        m = with_clique("t1", ("s", "t1", INC), ("s", "t2", DEC), back_to_hub=True)
+        questions = [
+            QuizQuestion("s", "t1", QueryAnswer.TARGET_INCREASES),
+            QuizQuestion("s", "t2", QueryAnswer.TARGET_DECREASES),
+        ]
+        start = time.perf_counter()
+        result = grade_quiz(m, questions)
+        assert time.perf_counter() - start < 1.0
+        assert result.score == 100.0
+        got = [(it.question, it.answer, it.grade, it.used_links) for it in result.items]
+        assert (got, result.score) == _grade_each(m, questions, DEFAULT_MAX_PATHS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 5))
+    def test_grade_quiz_equals_grading_each_question(self, seed, max_paths):
+        rng = random.Random(seed)
+        student = oracles.random_map(rng, max_concepts=7, max_links=18)
+        ids = sorted(student.concepts) + ["missing"]
+        sources = rng.sample(ids, min(3, len(ids)))
+        questions = [
+            QuizQuestion(rng.choice(sources), rng.choice(ids), rng.choice(list(QueryAnswer)))
+            for _ in range(rng.randint(1, 12))
+        ]
+        try:
+            expected = _grade_each(student, questions, max_paths)
+        except MapError as exc:
+            with pytest.raises(MapError) as raised:
+                grade_quiz(student, questions, max_paths=max_paths)
+            assert type(raised.value) is type(exc)
+            assert str(raised.value) == str(exc)
+            return
+        result = grade_quiz(student, questions, max_paths=max_paths)
+        got = [(it.question, it.answer, it.grade, it.used_links) for it in result.items]
+        assert (got, result.score) == expected
 
 
 class TestSetMarking:

@@ -2,14 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import time
+from datetime import datetime
 from pathlib import Path
 
 import pytest
 
 import mapcoach
-from mapcoach import logio
+from mapcoach import cli, logio
 from mapcoach.cli import main
 from mapcoach.pack import default_expert_map
+from mapcoach.simulate import simulate_cohort
 
 
 def run(argv):
@@ -44,6 +47,19 @@ class TestSimulate:
             for path in sorted((sim_dir / sub).glob("*.jsonl")):
                 other = again / sub / path.name
                 assert other.read_bytes() == path.read_bytes()
+
+    def test_manifest_stamps_the_start_of_the_command(self, tmp_path, monkeypatch):
+        def slow_simulation(*args, **kwargs):
+            time.sleep(0.5)
+            return simulate_cohort(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_cohort", slow_simulation)
+        before = time.time()
+        out = tmp_path / "sim"
+        assert run(["simulate", "--high", 1, "--low", 1, "--budget", 60, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        started = datetime.fromisoformat(manifest["started_utc"]).timestamp()
+        assert before - 0.01 <= started < before + 0.25
 
     def test_malformed_expert_map_fails_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -110,27 +126,52 @@ class TestMineAndReport:
         assert code != 0
 
 
+def run_subprocess(argv):
+    """Run the CLI in a fresh interpreter, so a traceback reaches stderr."""
+    src = str(Path(mapcoach.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "mapcoach.cli", *map(str, argv)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def assert_error_line(proc, *names):
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    for name in names:
+        assert name in proc.stderr
+
+
 class TestBadAnnotatedRecord:
-    @pytest.mark.parametrize("command", ["mine", "report"])
-    def test_missing_process_is_an_error_line_not_a_traceback(self, command, tmp_path):
+    RECORD = {"student": "s1", "t": 0.0, "duration": 5.0, "kind": "read", "page": "p",
+              "effectiveness": "neutral", "long": False, "score": 0}
+
+    def _run(self, command, tmp_path, annotated_text, grouping_text='{"s1": "High"}'):
         annotated = tmp_path / "annotated"
         annotated.mkdir()
-        record = {"student": "s1", "t": 0.0, "duration": 5.0, "kind": "read", "page": "p",
-                  "effectiveness": "neutral", "long": False, "score": 0}
-        (annotated / "s1.jsonl").write_text(json.dumps(record) + "\n")
+        (annotated / "s1.jsonl").write_text(annotated_text)
         grouping = tmp_path / "grouping.json"
-        grouping.write_text(json.dumps({"s1": "High"}))
-        argv = [command, "--annotated", annotated, "--grouping", grouping,
-                "--out", tmp_path / ("dsm.tsv" if command == "mine" else "report")]
-        src = str(Path(mapcoach.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "mapcoach.cli", *map(str, argv)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ")
-        assert "s1.jsonl" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        grouping.write_text(grouping_text)
+        return run_subprocess([
+            command, "--annotated", annotated, "--grouping", grouping,
+            "--out", tmp_path / ("dsm.tsv" if command == "mine" else "report"),
+        ])
+
+    @pytest.mark.parametrize("command", ["mine", "report"])
+    def test_missing_process_is_an_error_line_not_a_traceback(self, command, tmp_path):
+        proc = self._run(command, tmp_path, json.dumps(self.RECORD) + "\n")
+        assert_error_line(proc, "s1.jsonl")
+
+    def test_line_that_is_not_an_object_names_file_and_line(self, tmp_path):
+        record = dict(self.RECORD, process="IA")
+        proc = self._run("mine", tmp_path, json.dumps(record) + "\n\n[1, 2]\n")
+        assert_error_line(proc, "s1.jsonl", "line 3")
+
+    def test_grouping_that_is_not_an_object_is_an_error_line(self, tmp_path):
+        record = dict(self.RECORD, process="IA")
+        proc = self._run("mine", tmp_path, json.dumps(record) + "\n", grouping_text='["s1"]')
+        assert_error_line(proc, "grouping.json")
 
 
 class TestScore:
