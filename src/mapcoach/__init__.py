@@ -23,7 +23,6 @@ from .causal import (
     generate_quiz,
     grade_quiz,
     map_score,
-    set_marking,
 )
 from .annotate import (
     ActionEvent,

@@ -4,7 +4,7 @@ sign-propagation queries, and quiz generation/grading."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -192,14 +192,6 @@ class CausalMap:
         if any(l.key == new.key for l in links):
             raise MapError(f"pair {new.key} already linked")
         return CausalMap(self._concepts.values(), links + [new])
-
-
-def set_marking(cmap: CausalMap, source: str, target: str, marking: Marking) -> CausalMap:
-    """Return a copy of the map with one link's marking replaced."""
-    link = cmap.get_link(source, target)
-    if link is None:
-        raise UnknownLink(f"{source}->{target}")
-    return cmap.with_replaced_link(link.key, replace(link, marking=marking))
 
 
 @dataclass(frozen=True)

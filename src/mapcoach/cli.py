@@ -15,6 +15,7 @@ manifest are byte-stable for identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -23,7 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, logio
-from .analytics import OutcomeRecord, StudentRecord, scaffold_impact
+from .analytics import StudentRecord, scaffold_impact
 from .annotate import ReplayError
 from .causal import EmptyQuiz, Grade, MapError, generate_quiz, grade_quiz, map_score
 from .engine import EngineConfig, ScaffoldKind, delivery_counts, load_trees
@@ -47,18 +48,18 @@ class CliError(Exception):
 
 
 def _engine_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--min-inter-scaffold", type=float, default=60.0,
+    parser.add_argument("--min-inter-scaffold", type=float,
                         help="minimum seconds between scaffolds (default 60)")
-    parser.add_argument("--long-threshold", type=float, default=60.0,
+    parser.add_argument("--long-threshold", type=float,
                         help="seconds for a read to count as long (default 60)")
-    parser.add_argument("--hint1-window-seconds", type=float, default=120.0,
+    parser.add_argument("--hint1-window-seconds", type=float,
                         help="hint1 follow-up window in seconds (default 120)")
-    parser.add_argument("--hint1-window-events", type=int, default=5,
+    parser.add_argument("--hint1-window-events", type=int,
                         help="hint1 follow-up window in events (default 5)")
-    parser.add_argument("--enc3-every", type=int, default=3,
+    parser.add_argument("--enc3-every", type=int,
                         help="reassure on every n-th otherwise-unresolved "
                         "ineffective-edit->quiz occasion (default 3)")
-    parser.add_argument("--disable", action="append", default=[], metavar="KIND",
+    parser.add_argument("--disable", action="append", metavar="KIND",
                         help="disable a scaffold kind (repeatable), e.g. hint2")
     parser.add_argument("--engine-config", type=Path, default=None,
                         help="JSON file with engine settings; flags override it")
@@ -68,40 +69,43 @@ def _engine_flags(parser: argparse.ArgumentParser):
 
 
 def _engine_config(args) -> EngineConfig:
-    settings = {
+    """Engine settings: an explicit flag wins over the --engine-config file,
+    and the file wins over the EngineConfig defaults."""
+    settings = {} if args.engine_config is None else _read_engine_config(args.engine_config)
+    flags = {
         "min_inter_scaffold_seconds": args.min_inter_scaffold,
         "long_threshold": args.long_threshold,
         "hint1_window_seconds": args.hint1_window_seconds,
         "hint1_window_events": args.hint1_window_events,
         "enc3_every": args.enc3_every,
-        "disabled_kinds": frozenset(ScaffoldKind(k) for k in args.disable),
+        "disabled_kinds": (
+            None if args.disable is None else frozenset(ScaffoldKind(k) for k in args.disable)
+        ),
     }
-    if args.engine_config is not None:
-        defaults = vars(_engine_parser().parse_args([]))
-        file_settings = json.loads(args.engine_config.read_text())
-        for key, value in file_settings.items():
-            if key == "disabled_kinds":
-                value = frozenset(ScaffoldKind(k) for k in value)
-            if key not in settings:
-                raise CliError(f"unknown engine setting {key!r}")
-            # a flag left at its default yields to the config file
-            flag = {
-                "min_inter_scaffold_seconds": "min_inter_scaffold",
-                "long_threshold": "long_threshold",
-                "hint1_window_seconds": "hint1_window_seconds",
-                "hint1_window_events": "hint1_window_events",
-                "enc3_every": "enc3_every",
-                "disabled_kinds": "disable",
-            }[key]
-            if getattr(args, flag) == defaults[flag] or (flag == "disable" and not args.disable):
-                settings[key] = value
+    settings.update((key, value) for key, value in flags.items() if value is not None)
     return EngineConfig(**settings)
 
 
-def _engine_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(add_help=False)
-    _engine_flags(parser)
-    return parser
+def _read_engine_config(path: Path) -> dict:
+    """The EngineConfig fields an --engine-config file sets: a JSON object of
+    known settings, each of its field's type; a bad file is a CliError naming
+    it."""
+    defaults = {f.name: f.default for f in dataclasses.fields(EngineConfig)}
+    try:
+        settings = json.loads(path.read_text())
+        if not isinstance(settings, dict):
+            raise ValueError("expected a JSON object of engine settings")
+        for key, value in settings.items():
+            if key not in defaults:
+                raise ValueError(f"unknown engine setting {key!r}")
+            accepted = {float: (int, float), int: int, frozenset: list}[type(defaults[key])]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValueError(f"engine setting {key!r} cannot be {type(value).__name__}")
+            if key == "disabled_kinds":
+                settings[key] = frozenset(ScaffoldKind(k) for k in value)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+    return settings
 
 
 def _write_manifest(path: Path, command: str, args: argparse.Namespace,
@@ -312,16 +316,7 @@ def cmd_report(args) -> int:
     )
     outputs.append("impact.tsv")
     if args.outcomes is not None:
-        rows = logio.load_outcomes(args.outcomes)
-        outcomes = [
-            OutcomeRecord(
-                student_id=row["student"],
-                pre=row["pre"],
-                post=row["post"],
-                max_score=row["max"],
-            )
-            for row in rows
-        ]
+        outcomes = logio.load_outcomes(args.outcomes)
         (out_dir / "outcomes.tsv").write_text(outcomes_table(outcomes, grouping))
         outputs.append("outcomes.tsv")
     _write_manifest(out_dir / "manifest.json", "report", args, outputs, started)

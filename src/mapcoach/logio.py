@@ -22,15 +22,19 @@ affect log (one JSON object per line)
 delivery log (one JSON object per line)
     student, kind, agent, t, rule, prev_index, cur_index, prev_t, cur_t,
     detail, hints, transcript: [{node, prompt, response}]
+
+outcome log (one JSON object per line)
+    student, pre, post, max: test points, finite, with pre < max
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .analytics import AffectObservation, Emotion
+from .analytics import AffectObservation, Emotion, OutcomeRecord
 from .annotate import (
     ActionEvent,
     ActionKind,
@@ -348,7 +352,9 @@ def _read_records(path: Path, from_record: Callable[[dict], T]) -> list[T]:
     FormatError naming the file."""
     try:
         return [from_record(r) for r in read_jsonl(path)]
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -405,6 +411,16 @@ def load_grouping(path: Path) -> dict[str, str]:
     return grouping
 
 
-def load_outcomes(path: Path) -> list[dict]:
+def outcome_from_record(record: dict) -> OutcomeRecord:
+    """One student's test scores in points: finite, with pre < max, so the
+    normalized learning gain is defined."""
+    pre, post, max_score = (float(record[key]) for key in ("pre", "post", "max"))
+    if not all(map(math.isfinite, (pre, post, max_score))) or pre >= max_score:
+        raise ValueError(f"student {record['student']}: need finite scores with pre < max, "
+                         f"got pre {pre}, post {post}, max {max_score}")
+    return OutcomeRecord(record["student"], pre, post, max_score)
+
+
+def load_outcomes(path: Path) -> list[OutcomeRecord]:
     """Outcome records: student, pre, post, max (points)."""
-    return read_jsonl(path)
+    return _read_records(path, outcome_from_record)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from statistics import fmean
 from typing import Optional, Sequence
 
-from .stats import t_two_sided_p
+from .stats import cohens_d, pooled_t, t_two_sided_p
 
 
 class EmptyPattern(Exception):
@@ -89,27 +89,6 @@ def contains_pattern(tokens: Sequence[str], pattern: Sequence[str], max_gap: int
     return _find_match(tokens, pattern, 0, max_gap) is not None
 
 
-def _s_support(group: Sequence[TokenSequence], pattern: tuple[str, ...], max_gap: int) -> float:
-    hits = sum(1 for seq in group if contains_pattern(seq.tokens, pattern, max_gap))
-    return hits / len(group)
-
-
-def _t_and_p(counts_a: list[int], counts_b: list[int]) -> tuple[float, float, float]:
-    """Pooled two-sample t on per-student counts, with |d| as effect size."""
-    n_a, n_b = len(counts_a), len(counts_b)
-    df = n_a + n_b - 2
-    mean_a, mean_b = fmean(counts_a), fmean(counts_b)
-    ssw = sum((v - mean_a) ** 2 for v in counts_a) + sum((v - mean_b) ** 2 for v in counts_b)
-    diff = mean_a - mean_b
-    if df <= 0 or ssw == 0.0:
-        if diff == 0.0:
-            return 0.0, 1.0, 0.0
-        return math.copysign(math.inf, diff), 0.0, math.inf
-    sp = math.sqrt(ssw / df)
-    t = diff / (sp * math.sqrt(1.0 / n_a + 1.0 / n_b))
-    return t, t_two_sided_p(t, df), abs(diff) / sp
-
-
 def mine(
     group_a: Sequence[TokenSequence],
     group_b: Sequence[TokenSequence],
@@ -120,9 +99,15 @@ def mine(
     """Mine every pattern of length 2..max_len whose s-support clears the
     threshold in at least one group.
 
-    Patterns grow by appending labels, pruning on the best group s-support
-    (appending can only lower it).  Output is ordered by descending |t|,
-    then lexicographically, so reports are reproducible.
+    Each candidate is counted once per sequence with `count_occurrences`:
+    its s-support is the share of sequences with a nonzero count, and its
+    i-support and pooled t test come from the same counts.  Patterns grow by
+    appending labels to the frontier, starting from single labels.  A
+    sequence with no occurrence of a stem has none of its extensions either,
+    so a candidate is counted only where its stem occurs, and a stem whose
+    best group s-support is below the threshold is not extended.  Output is
+    ordered by descending |t|, then lexicographically, so reports are
+    reproducible.
     """
     if not group_a or not group_b:
         raise ValueError("both groups must be nonempty")
@@ -130,36 +115,38 @@ def mine(
         raise ValueError("s_threshold must be in (0, 1]")
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
-    if any(not seq.tokens for seq in list(group_a) + list(group_b)):
+    sequences = [seq.tokens for seq in group_a] + [seq.tokens for seq in group_b]
+    if not all(sequences):
         raise ValueError("token sequences must be nonempty")
-    alphabet = sorted(
-        {label for seq in list(group_a) + list(group_b) for label in seq.tokens}
-    )
-    frontier = [
-        (label,)
-        for label in alphabet
-        if max(
-            _s_support(group_a, (label,), max_gap),
-            _s_support(group_b, (label,), max_gap),
-        )
-        >= s_threshold
-    ]
+    n_a = len(group_a)
+    alphabet = sorted({label for tokens in sequences for label in tokens})
     results: list[DsmPattern] = []
-    length = 1
-    while frontier and length < max_len:
-        length += 1
-        next_frontier: list[tuple[str, ...]] = []
-        for stem in frontier:
+    # (stem, its count per sequence); the empty stem occurs in every sequence
+    frontier: list[tuple[tuple[str, ...], list[int]]] = [((), [1] * len(sequences))]
+    for length in range(1, max_len + 1):
+        next_frontier = []
+        for stem, stem_counts in frontier:
             for label in alphabet:
                 pattern = stem + (label,)
-                s_a = _s_support(group_a, pattern, max_gap)
-                s_b = _s_support(group_b, pattern, max_gap)
+                counts = [
+                    count_occurrences(tokens, pattern, max_gap) if occurs else 0
+                    for tokens, occurs in zip(sequences, stem_counts)
+                ]
+                counts_a, counts_b = counts[:n_a], counts[n_a:]
+                s_a = sum(c > 0 for c in counts_a) / len(counts_a)
+                s_b = sum(c > 0 for c in counts_b) / len(counts_b)
                 if max(s_a, s_b) < s_threshold:
                     continue
-                next_frontier.append(pattern)
-                counts_a = [count_occurrences(seq.tokens, pattern, max_gap) for seq in group_a]
-                counts_b = [count_occurrences(seq.tokens, pattern, max_gap) for seq in group_b]
-                t, p, d = _t_and_p(counts_a, counts_b)
+                next_frontier.append((pattern, counts))
+                if length == 1:
+                    continue
+                if len(counts) > 2:
+                    t, df = pooled_t(counts_a, counts_b)
+                    p, d = t_two_sided_p(t, df), cohens_d(counts_a, counts_b)
+                elif counts_a[0] == counts_b[0]:  # one student per group: no df
+                    t, p, d = 0.0, 1.0, 0.0
+                else:
+                    t, p, d = math.copysign(math.inf, counts_a[0] - counts_b[0]), 0.0, math.inf
                 frequent = (
                     "both"
                     if s_a >= s_threshold and s_b >= s_threshold

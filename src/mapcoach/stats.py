@@ -108,8 +108,10 @@ def f_sf(f: float, df1: float, df2: float) -> float:
 
 
 def _check_groups(a: Sequence[float], b: Sequence[float], minimum: int):
-    if len(a) < minimum or len(b) < minimum:
-        raise ValueError(f"each group needs at least {minimum} values")
+    """Each group needs `minimum` values, and the pooled variance at least
+    one degree of freedom."""
+    if len(a) < minimum or len(b) < minimum or len(a) + len(b) < 3:
+        raise ValueError(f"need {minimum}+ values per group and 3+ in all")
 
 
 def _within_ss(values: Sequence[float]) -> float:
@@ -119,7 +121,7 @@ def _within_ss(values: Sequence[float]) -> float:
 
 def pooled_t(a: Sequence[float], b: Sequence[float]) -> tuple[float, int]:
     """Pooled two-sample t statistic and its degrees of freedom."""
-    _check_groups(a, b, 2)
+    _check_groups(a, b, 1)
     df = len(a) + len(b) - 2
     ssw = _within_ss(a) + _within_ss(b)
     diff = fmean(a) - fmean(b)
@@ -133,7 +135,7 @@ def pooled_t(a: Sequence[float], b: Sequence[float]) -> tuple[float, int]:
 
 def cohens_d(a: Sequence[float], b: Sequence[float]) -> float:
     """Pooled-SD standardized mean difference, reported as a magnitude."""
-    _check_groups(a, b, 2)
+    _check_groups(a, b, 1)
     df = len(a) + len(b) - 2
     ssw = _within_ss(a) + _within_ss(b)
     diff = abs(fmean(a) - fmean(b))

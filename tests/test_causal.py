@@ -25,15 +25,14 @@ from mapcoach.causal import (
     QuizScope,
     Sign,
     UnknownConcept,
-    UnknownLink,
     UnknownSection,
     answer_query,
     classify_link,
     generate_quiz,
     grade_quiz,
     map_score,
-    set_marking,
 )
+from mapcoach.annotate import MapEdit, MapEditAction, apply_edit
 
 
 def cmap(*links, ids="abcdefgh"):
@@ -432,23 +431,29 @@ class TestGroupedGrading:
         assert (got, result.score) == expected
 
 
+def mark(m, source, target, marking):
+    return apply_edit(
+        m, MapEdit(MapEditAction.MARK_LINK, source=source, target=target, marking=marking)
+    )
+
+
 class TestSetMarking:
     def test_mark_and_remark_roundtrip(self):
         m = cmap(("a", "b", INC))
-        marked = set_marking(m, "a", "b", Marking.MARKED_CORRECT)
+        marked = mark(m, "a", "b", Marking.MARKED_CORRECT)
         assert marked.get_link("a", "b").marking is Marking.MARKED_CORRECT
-        back = set_marking(marked, "a", "b", Marking.UNMARKED)
+        back = mark(marked, "a", "b", Marking.UNMARKED)
         assert back == m
 
     def test_everything_else_unchanged(self):
         m = cmap(("a", "b", INC), ("b", "c", DEC))
-        marked = set_marking(m, "a", "b", Marking.MARKED_COULD_BE_WRONG)
+        marked = mark(m, "a", "b", Marking.MARKED_COULD_BE_WRONG)
         assert marked.get_link("b", "c") == m.get_link("b", "c")
         assert marked.concepts == m.concepts
 
     def test_unknown_link(self):
-        with pytest.raises(UnknownLink):
-            set_marking(cmap(("a", "b", INC)), "b", "a", Marking.MARKED_CORRECT)
+        with pytest.raises(MapError):
+            mark(cmap(("a", "b", INC)), "b", "a", Marking.MARKED_CORRECT)
 
 
 class TestShortcutShadowProperty:

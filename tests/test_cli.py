@@ -143,35 +143,85 @@ def assert_error_line(proc, *names):
         assert name in proc.stderr
 
 
+def run_on_annotated(command, tmp_path, annotated_text, grouping_text='{"s1": "High"}',
+                     extra=()):
+    """`mine` or `report` in a subprocess on one student's annotated log."""
+    annotated = tmp_path / "annotated"
+    annotated.mkdir()
+    (annotated / "s1.jsonl").write_text(annotated_text)
+    grouping = tmp_path / "grouping.json"
+    grouping.write_text(grouping_text)
+    return run_subprocess([
+        command, "--annotated", annotated, "--grouping", grouping,
+        "--out", tmp_path / ("dsm.tsv" if command == "mine" else "report"), *extra,
+    ])
+
+
 class TestBadAnnotatedRecord:
     RECORD = {"student": "s1", "t": 0.0, "duration": 5.0, "kind": "read", "page": "p",
               "effectiveness": "neutral", "long": False, "score": 0}
 
-    def _run(self, command, tmp_path, annotated_text, grouping_text='{"s1": "High"}'):
-        annotated = tmp_path / "annotated"
-        annotated.mkdir()
-        (annotated / "s1.jsonl").write_text(annotated_text)
-        grouping = tmp_path / "grouping.json"
-        grouping.write_text(grouping_text)
-        return run_subprocess([
-            command, "--annotated", annotated, "--grouping", grouping,
-            "--out", tmp_path / ("dsm.tsv" if command == "mine" else "report"),
-        ])
-
     @pytest.mark.parametrize("command", ["mine", "report"])
     def test_missing_process_is_an_error_line_not_a_traceback(self, command, tmp_path):
-        proc = self._run(command, tmp_path, json.dumps(self.RECORD) + "\n")
+        proc = run_on_annotated(command, tmp_path, json.dumps(self.RECORD) + "\n")
         assert_error_line(proc, "s1.jsonl")
 
     def test_line_that_is_not_an_object_names_file_and_line(self, tmp_path):
         record = dict(self.RECORD, process="IA")
-        proc = self._run("mine", tmp_path, json.dumps(record) + "\n\n[1, 2]\n")
+        proc = run_on_annotated("mine", tmp_path, json.dumps(record) + "\n\n[1, 2]\n")
         assert_error_line(proc, "s1.jsonl", "line 3")
 
     def test_grouping_that_is_not_an_object_is_an_error_line(self, tmp_path):
         record = dict(self.RECORD, process="IA")
-        proc = self._run("mine", tmp_path, json.dumps(record) + "\n", grouping_text='["s1"]')
+        proc = run_on_annotated("mine", tmp_path, json.dumps(record) + "\n", grouping_text='["s1"]')
         assert_error_line(proc, "grouping.json")
+
+
+class TestBadOutcomes:
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"student": "s1", "pre": 1, "max": 23},
+            {"student": "s1", "pre": "x", "post": 3, "max": 23},
+            {"student": "s1", "pre": 23, "post": 23, "max": 23},
+        ],
+        ids=["missing-post", "pre-not-a-number", "pre-at-max"],
+    )
+    def test_bad_record_is_an_error_line_naming_the_file(self, tmp_path, record):
+        outcomes = tmp_path / "outcomes.jsonl"
+        outcomes.write_text(json.dumps(record) + "\n")
+        annotated = json.dumps(dict(TestBadAnnotatedRecord.RECORD, process="IA")) + "\n"
+        proc = run_on_annotated("report", tmp_path, annotated, extra=["--outcomes", outcomes])
+        assert_error_line(proc, "outcomes.jsonl")
+
+
+class TestEngineConfigFile:
+    def test_explicit_flag_overrides_the_file(self, sim_dir, tmp_path):
+        config = tmp_path / "engine.json"
+        config.write_text('{"min_inter_scaffold_seconds": 15}')
+        replay = ["replay", "--events", sim_dir / "events",
+                  "--expert", sim_dir / "expert-map.json", "--engine-config", config]
+
+        def deliveries(out):
+            return {p.name: p.read_bytes() for p in sorted((out / "deliveries").glob("*.jsonl"))}
+
+        # the simulation ran at the default 60 s, which the file alone changes
+        assert run([*replay, "--out", tmp_path / "file"]) == 0
+        assert deliveries(tmp_path / "file") != deliveries(sim_dir)
+        proc = run_subprocess([*replay, "--min-inter-scaffold", 60, "--out", tmp_path / "flag"])
+        assert proc.returncode == 0, proc.stderr
+        assert deliveries(tmp_path / "flag") == deliveries(sim_dir)
+
+    @pytest.mark.parametrize(
+        "text", ["[1, 2]", '{"enc3_every": "3"}'], ids=["not-an-object", "wrong-type"]
+    )
+    def test_bad_file_is_an_error_line_naming_it(self, tmp_path, text):
+        config = tmp_path / "engine.json"
+        config.write_text(text)
+        proc = run_subprocess(["replay", "--events", tmp_path, "--engine-config", config,
+                               "--out", tmp_path / "out"])
+        assert_error_line(proc)
+        assert proc.stderr.startswith(f"error: {config}: ")
 
 
 class TestScore:

@@ -42,10 +42,16 @@ class TestMapDocuments:
         assert logio.dumps_map(logio.map_from_document(doc)) == logio.dumps_map(pack_module.map)
 
     def test_markings_roundtrip(self, pack_module, tmp_path):
-        from mapcoach.causal import set_marking
+        from mapcoach.annotate import MapEdit, MapEditAction, apply_edit
 
-        marked = set_marking(
-            pack_module.map, "cold_exposure", "cold_detection", Marking.MARKED_CORRECT
+        marked = apply_edit(
+            pack_module.map,
+            MapEdit(
+                MapEditAction.MARK_LINK,
+                source="cold_exposure",
+                target="cold_detection",
+                marking=Marking.MARKED_CORRECT,
+            ),
         )
         path = tmp_path / "marked.json"
         logio.save_map(marked, path)

@@ -1,10 +1,15 @@
+import itertools
+import math
 import random
+import statistics
 
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from mapcoach import mining
 from mapcoach.mining import (
     EmptyPattern,
     TokenSequence,
@@ -14,6 +19,7 @@ from mapcoach.mining import (
 )
 
 labels = st.sampled_from(["a", "b", "c", "d"])
+INF = math.inf
 
 
 def seqs(group, items):
@@ -99,30 +105,128 @@ class TestMine:
         assert pq.s_support_a >= 0.8
         assert pq.s_support_b <= 0.2
 
-    def test_matches_exhaustive_enumeration(self):
-        rng = random.Random(7)
-        alphabet = ["a", "b", "c", "d"]
-        group_a = seqs("a", [[rng.choice(alphabet) for _ in range(rng.randint(3, 12))] for _ in range(6)])
-        group_b = seqs("b", [[rng.choice(alphabet) for _ in range(rng.randint(3, 12))] for _ in range(6)])
-        max_gap, threshold, max_len = 1, 0.5, 3
+    @pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.lists(labels, min_size=1, max_size=10), min_size=2, max_size=5),
+        st.lists(st.lists(labels, min_size=1, max_size=10), min_size=2, max_size=5),
+        st.integers(0, 2),
+        st.sampled_from([0.2, 0.5, 0.8, 1.0]),
+        st.integers(2, 3),
+    )
+    def test_matches_exhaustive_enumeration(self, items_a, items_b, max_gap, threshold, max_len):
+        group_a, group_b = seqs("a", items_a), seqs("b", items_b)
         result = {p.pattern: p for p in mine(group_a, group_b, max_gap, threshold, max_len)}
-        import itertools
-
         expected = {}
-        for length in (2, 3):
-            for pattern in itertools.product(alphabet, repeat=length):
+        for length in range(2, max_len + 1):
+            for pattern in itertools.product("abcd", repeat=length):
                 counts_a = [oracles.brute_greedy_count(s.tokens, pattern, max_gap) for s in group_a]
                 counts_b = [oracles.brute_greedy_count(s.tokens, pattern, max_gap) for s in group_b]
                 s_a = sum(1 for c in counts_a if c) / len(counts_a)
                 s_b = sum(1 for c in counts_b if c) / len(counts_b)
                 if max(s_a, s_b) >= threshold:
-                    expected[pattern] = (s_a, s_b, sum(counts_a) / len(counts_a), sum(counts_b) / len(counts_b))
+                    expected[pattern] = (s_a, s_b, counts_a, counts_b)
         assert set(result) == set(expected)
-        for pattern, (s_a, s_b, i_a, i_b) in expected.items():
+        for pattern, (s_a, s_b, counts_a, counts_b) in expected.items():
             got = result[pattern]
             assert got.s_support_a == s_a and got.s_support_b == s_b
-            assert got.i_support_a == pytest.approx(i_a)
-            assert got.i_support_b == pytest.approx(i_b)
+            assert got.i_support_a == pytest.approx(statistics.fmean(counts_a))
+            assert got.i_support_b == pytest.approx(statistics.fmean(counts_b))
+            df = len(counts_a) + len(counts_b) - 2
+            pooled_var = (
+                (len(counts_a) - 1) * statistics.variance(counts_a)
+                + (len(counts_b) - 1) * statistics.variance(counts_b)
+            ) / df
+            diff = statistics.fmean(counts_a) - statistics.fmean(counts_b)
+            if pooled_var == 0:
+                t = 0.0 if diff == 0 else math.copysign(math.inf, diff)
+                assert (got.t_statistic, got.p_value) == (t, 0.0 if diff else 1.0)
+                assert got.effect_size == abs(t)
+                continue
+            ref = scipy.stats.ttest_ind(counts_a, counts_b)
+            assert got.t_statistic == pytest.approx(ref.statistic, rel=1e-9)
+            assert got.p_value == pytest.approx(ref.pvalue, abs=1e-8)
+            assert got.effect_size == pytest.approx(abs(diff) / math.sqrt(pooled_var), rel=1e-9)
+
+    # pattern, s-support a/b, i-support a/b, t, p, d, frequent_in
+    ONE_VS_ONE = [
+        ("aa", 1.0, 0.0, 1.0, 0.0, INF, 0.0, INF, "a"),
+        ("aab", 1.0, 0.0, 1.0, 0.0, INF, 0.0, INF, "a"),
+        ("aac", 1.0, 0.0, 1.0, 0.0, INF, 0.0, INF, "a"),
+        ("ab", 1.0, 1.0, 2.0, 1.0, INF, 0.0, INF, "both"),
+        ("aba", 1.0, 0.0, 1.0, 0.0, INF, 0.0, INF, "a"),
+        ("acb", 0.0, 1.0, 0.0, 1.0, -INF, 0.0, INF, "b"),
+        ("acc", 0.0, 1.0, 0.0, 1.0, -INF, 0.0, INF, "b"),
+        ("ba", 1.0, 0.0, 1.0, 0.0, INF, 0.0, INF, "a"),
+        ("bab", 1.0, 0.0, 1.0, 0.0, INF, 0.0, INF, "a"),
+        ("bac", 1.0, 0.0, 1.0, 0.0, INF, 0.0, INF, "a"),
+        ("bc", 1.0, 1.0, 1.0, 2.0, -INF, 0.0, INF, "both"),
+        ("bcb", 0.0, 1.0, 0.0, 1.0, -INF, 0.0, INF, "b"),
+        ("bcc", 0.0, 1.0, 0.0, 1.0, -INF, 0.0, INF, "b"),
+        ("cb", 0.0, 1.0, 0.0, 1.0, -INF, 0.0, INF, "b"),
+        ("cbc", 0.0, 1.0, 0.0, 1.0, -INF, 0.0, INF, "b"),
+        ("cc", 0.0, 1.0, 0.0, 1.0, -INF, 0.0, INF, "b"),
+        ("abb", 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, "both"),
+        ("abc", 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, "both"),
+        ("ac", 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, "both"),
+        ("bb", 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, "both"),
+        ("bbc", 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, "both"),
+    ]
+    ONE_VS_THREE = [
+        ("abc", 1.0, 0.0, 1.0, 0.0, INF, 0.0, INF, "a"),
+        ("bcb", 1.0, 0.0, 1.0, 0.0, INF, 0.0, INF, "a"),
+        ("aca", 1.0, 1 / 3, 1.0, 1 / 3, 1.0, 0.4226497308103746, 1.1547005383792515, "a"),
+        ("acb", 1.0, 1 / 3, 1.0, 1 / 3, 1.0, 0.4226497308103746, 1.1547005383792515, "a"),
+        ("bc", 1.0, 1 / 3, 1.0, 1 / 3, 1.0, 0.4226497308103746, 1.1547005383792515, "a"),
+        ("bca", 1.0, 1 / 3, 1.0, 1 / 3, 1.0, 0.4226497308103746, 1.1547005383792515, "a"),
+        ("cab", 1.0, 1 / 3, 1.0, 1 / 3, 1.0, 0.4226497308103746, 1.1547005383792515, "a"),
+        ("cb", 1.0, 1 / 3, 1.0, 1 / 3, 1.0, 0.4226497308103746, 1.1547005383792515, "a"),
+        ("abb", 0.0, 2 / 3, 0.0, 2 / 3, -0.9999999999999999, 0.4226497308103746,
+         1.1547005383792512, "b"),
+        ("bb", 0.0, 2 / 3, 0.0, 2 / 3, -0.9999999999999999, 0.4226497308103746,
+         1.1547005383792512, "b"),
+        ("ab", 1.0, 2 / 3, 2.0, 4 / 3, 0.5, 0.6666666666666667, 0.5773502691896257, "both"),
+        ("aba", 1.0, 2 / 3, 1.0, 2 / 3, 0.5, 0.6666666666666667, 0.5773502691896257, "both"),
+        ("ac", 1.0, 2 / 3, 1.0, 2 / 3, 0.5, 0.6666666666666667, 0.5773502691896257, "both"),
+        ("bab", 1.0, 2 / 3, 1.0, 2 / 3, 0.5, 0.6666666666666667, 0.5773502691896257, "both"),
+        ("ca", 1.0, 2 / 3, 1.0, 2 / 3, 0.5, 0.6666666666666667, 0.5773502691896257, "both"),
+        ("ba", 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, "both"),
+    ]
+
+    @pytest.mark.parametrize(
+        "items_a, items_b, expected",
+        [
+            (["ababc"], ["abcbc"], ONE_VS_ONE),
+            (["abcab"], ["abab", "bcac", "acbab"], ONE_VS_THREE),
+        ],
+        ids=["1v1", "1v3"],
+    )
+    def test_single_student_groups_keep_their_results(self, items_a, items_b, expected):
+        result = mine(seqs("a", items_a), seqs("b", items_b), 1, 0.5, 3)
+        got = [
+            ("".join(p.pattern), p.s_support_a, p.s_support_b, p.i_support_a, p.i_support_b,
+             p.t_statistic, p.p_value, p.effect_size, p.frequent_in)
+            for p in result
+        ]
+        assert got == [row[:6] + (pytest.approx(row[6], rel=1e-12),) + row[7:] for row in expected]
+
+    def test_counts_each_candidate_once_per_sequence(self, monkeypatch):
+        counted = []
+
+        def counting(tokens, pattern, max_gap):
+            counted.append((tokens, tuple(pattern)))
+            return count_occurrences(tokens, pattern, max_gap)
+
+        def forbidden(*args):
+            raise AssertionError("mine must not call contains_pattern")
+
+        monkeypatch.setattr(mining, "count_occurrences", counting)
+        monkeypatch.setattr(mining, "contains_pattern", forbidden)
+        rng = random.Random(4)
+        group_a = seqs("a", [[rng.choice("abc") for _ in range(10)] for _ in range(4)])
+        group_b = seqs("b", [[rng.choice("abc") for _ in range(10)] for _ in range(4)])
+        assert mine(group_a, group_b, 1, 0.5, 4)
+        assert len(counted) == len(set(counted))
 
     def test_swapping_groups_negates_t_and_swaps_fields(self):
         rng = random.Random(3)
@@ -190,3 +294,7 @@ class TestMine:
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
             mine(seqs("a", [["a", "b"]]), seqs("b", [["a", "b"]]), 1, 0.0, 2)
+
+    def test_negative_gap_rejected(self):
+        with pytest.raises(ValueError):
+            mine(seqs("a", [["a", "b"]]), seqs("b", [["a", "b"]]), -1, 0.5, 2)

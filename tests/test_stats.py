@@ -71,6 +71,17 @@ class TestAnova:
     def test_effect_size_is_magnitude(self):
         assert cohens_d([3.0, 4.0, 5.0], [1.0, 2.0, 3.0]) == pytest.approx(2.0, abs=1e-12)
 
+    def test_one_value_group_in_t_and_d(self):
+        # df = 1; the pooled variance comes from the two-value group alone
+        t, df = pooled_t([1.0], [2.0, 4.0])
+        assert df == 1
+        assert t == pytest.approx(-2.0 / math.sqrt(3.0), rel=1e-12)
+        assert cohens_d([1.0], [2.0, 4.0]) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert pooled_t([3.0, 3.0], [5.0]) == (-math.inf, 1)
+        for one_vs_one in (pooled_t, cohens_d):
+            with pytest.raises(ValueError):
+                one_vs_one([1.0], [2.0])
+
     def test_zero_variance_rejected(self):
         with pytest.raises(DegenerateVariance):
             one_way_anova([2.0, 2.0], [2.0, 2.0])
