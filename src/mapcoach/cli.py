@@ -88,8 +88,8 @@ def _engine_config(args) -> EngineConfig:
 
 def _read_engine_config(path: Path) -> dict:
     """The EngineConfig fields an --engine-config file sets: a JSON object of
-    known settings, each of its field's type; a bad file is a CliError naming
-    it."""
+    known settings, each of its field's type and in its range; a bad file is
+    a CliError naming it."""
     defaults = {f.name: f.default for f in dataclasses.fields(EngineConfig)}
     try:
         settings = json.loads(path.read_text())
@@ -103,6 +103,7 @@ def _read_engine_config(path: Path) -> dict:
                 raise ValueError(f"engine setting {key!r} cannot be {type(value).__name__}")
             if key == "disabled_kinds":
                 settings[key] = frozenset(ScaffoldKind(k) for k in value)
+        EngineConfig(**settings)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
     return settings

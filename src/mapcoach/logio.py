@@ -215,11 +215,16 @@ def event_to_record(event: ActionEvent) -> dict:
 
 
 def event_from_record(record: dict) -> ActionEvent:
+    """One logged action, at a finite time and with a finite duration >= 0."""
     kind = ActionKind(record["kind"])
+    timestamp, duration = float(record["t"]), float(record["duration"])
+    if not (math.isfinite(timestamp) and math.isfinite(duration) and duration >= 0):
+        raise ValueError(f"student {record['student']}: need a finite time and a finite "
+                         f"duration >= 0, got t {timestamp}, duration {duration}")
     return ActionEvent(
         student_id=record["student"],
-        timestamp=float(record["t"]),
-        duration=float(record["duration"]),
+        timestamp=timestamp,
+        duration=duration,
         kind=kind,
         page=record.get("page"),
         note_id=record.get("note"),
@@ -323,7 +328,7 @@ def delivery_from_record(record: dict) -> ScaffoldDelivery:
 def write_jsonl(records: Iterable[dict], path: Path):
     with open(path, "w") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
 
 
 def read_jsonl(path: Path) -> list[dict]:

@@ -13,7 +13,10 @@ from .analytics import Emotion, ImpactCell, OutcomeRecord, Phase
 from .annotate import ActionKind, AnnotatedEvent, time_distribution
 from .engine import HISTOGRAM_BUCKETS, DeliveryStats, ScaffoldKind
 from .mining import DsmPattern
-from .stats import one_way_ancova, one_way_anova
+from .stats import DegenerateCovariate, DegenerateVariance, one_way_ancova, one_way_anova
+
+# what the tests in `stats` raise when the data cannot support them
+_STATS_ERRORS = (ValueError, ArithmeticError, DegenerateVariance, DegenerateCovariate)
 
 ACTIVITY_COLUMNS = [
     (ActionKind.READ, "Read"),
@@ -139,7 +142,7 @@ def outcomes_table(
             test = one_way_anova(posts, pres)
             cells.append(f"{_fmt(test.statistic, 2)} ({_fmt(test.p_value, 4)})")
             cells.append(_fmt(test.effect_size, 2))
-        except Exception:
+        except _STATS_ERRORS:
             cells.extend(["-", "-"])
         return cells
 
@@ -166,7 +169,7 @@ def outcomes_table(
                     [label, _fmt(test.statistic, 2), _fmt(test.p_value, 4),
                      _fmt(test.effect_size, 2)]
                 )
-            except Exception as exc:
+            except _STATS_ERRORS as exc:
                 comparison_rows.append([label, "-", "-", f"({exc})"])
 
         comparison(

@@ -213,7 +213,9 @@ class TestEngineConfigFile:
         assert deliveries(tmp_path / "flag") == deliveries(sim_dir)
 
     @pytest.mark.parametrize(
-        "text", ["[1, 2]", '{"enc3_every": "3"}'], ids=["not-an-object", "wrong-type"]
+        "text",
+        ["[1, 2]", '{"enc3_every": "3"}', '{"enc3_every": 0}'],
+        ids=["not-an-object", "wrong-type", "out-of-range"],
     )
     def test_bad_file_is_an_error_line_naming_it(self, tmp_path, text):
         config = tmp_path / "engine.json"
@@ -222,6 +224,30 @@ class TestEngineConfigFile:
                                "--out", tmp_path / "out"])
         assert_error_line(proc)
         assert proc.stderr.startswith(f"error: {config}: ")
+
+    def test_out_of_range_flag_does_not_name_the_file(self, tmp_path):
+        config = tmp_path / "engine.json"
+        config.write_text('{"enc3_every": 2}')
+        proc = run_subprocess(["replay", "--events", tmp_path, "--engine-config", config,
+                               "--enc3-every", 0, "--out", tmp_path / "out"])
+        assert_error_line(proc)
+        assert proc.stderr == "error: enc3_every must be >= 1\n"
+
+
+class TestBadEventRecord:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t", "nan"), ("t", "inf"), ("duration", -5), ("duration", "nan")],
+        ids=["nan-time", "infinite-time", "negative-duration", "nan-duration"],
+    )
+    def test_replay_fails_naming_the_file(self, tmp_path, field, value):
+        events = tmp_path / "events"
+        events.mkdir()
+        record = {"student": "s1", "t": 0.0, "duration": 5.0, "kind": "read", "page": "p"}
+        (events / "s1.jsonl").write_text(json.dumps(dict(record, **{field: value})) + "\n")
+        proc = run_subprocess(["replay", "--events", events, "--out", tmp_path / "out"])
+        assert_error_line(proc, "s1.jsonl")
+        assert not list((tmp_path / "out").rglob("*.jsonl"))
 
 
 class TestScore:

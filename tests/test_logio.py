@@ -106,6 +106,10 @@ class TestEventLogs:
         logio.write_events(session.events, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_non_finite_numbers_are_not_written(self, tmp_path):
+        with pytest.raises(ValueError):
+            logio.write_jsonl([{"t": float("nan")}], tmp_path / "bad.jsonl")
+
     def test_malformed_event_line_reports_position(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_text('{"student": "s", "t": 0.0, "duration": 1.0, "kind": "read", "page": "p"}\nnot json\n')

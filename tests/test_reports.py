@@ -79,3 +79,19 @@ class TestOutcomesTable:
         lines = table.splitlines()
         # pre mean 4.00 (sd 2.00), post mean 13.00 (sd 1.00), nlg 0.50 (0.00)
         assert lines[1].startswith("Overall\t3\t4.00 (2.00)\t13.00 (1.00)\t0.50 (0.00)")
+
+    def test_only_statistical_failures_become_dashes(self, monkeypatch):
+        from mapcoach import reports
+        from mapcoach.analytics import OutcomeRecord
+
+        outcomes = [OutcomeRecord(f"s{i}", pre=2.0 * i, post=12.0 + i, max_score=22.0)
+                    for i in (1, 2, 3)]
+        # one student: the pre/post ANOVA has too few values and prints dashes
+        assert outcomes_table(outcomes[:1]).splitlines()[1].endswith("\t-\t-")
+
+        def broken(*args):
+            raise TypeError("not a statistical failure")
+
+        monkeypatch.setattr(reports, "one_way_anova", broken)
+        with pytest.raises(TypeError):
+            outcomes_table(outcomes)
