@@ -108,6 +108,10 @@ class AnnotatedEvent:
     coherent: Optional[bool] = None
 
     @property
+    def student_id(self) -> str:
+        return self.base.student_id
+
+    @property
     def kind(self) -> ActionKind:
         return self.base.kind
 
@@ -209,18 +213,6 @@ def annotate_session(
 ) -> list[AnnotatedEvent]:
     annotator = SessionAnnotator(expert, long_threshold=long_threshold)
     return [annotator.feed(e) for e in events]
-
-
-def replay_map(events: Sequence[ActionEvent]) -> CausalMap:
-    """Replay just the edits of a session and return the final map."""
-    cmap = CausalMap()
-    for i, event in enumerate(events):
-        if event.kind is ActionKind.MAP_EDIT:
-            try:
-                cmap = apply_edit(cmap, event.edit)
-            except MapError as exc:
-                raise ReplayError(i, str(exc)) from exc
-    return cmap
 
 
 def tag_coherence(

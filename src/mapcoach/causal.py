@@ -87,6 +87,10 @@ class CausalLink:
     marking: Marking = Marking.UNMARKED
     source_page: Optional[str] = None
 
+    def __hash__(self) -> int:
+        # equal links share a pair, and a pair's hash skips the enum fields
+        return hash((self.source, self.target))
+
     @property
     def key(self) -> tuple[str, str]:
         return (self.source, self.target)
@@ -117,14 +121,17 @@ class CausalMap:
             self._concepts[c.id] = c
         self._links: dict[tuple[str, str], CausalLink] = {}
         for link in links:
-            if link.source == link.target:
-                raise MapError(f"self-loop on {link.source!r}")
-            if link.source not in self._concepts or link.target not in self._concepts:
-                raise MapError(f"link {link.display()} has an endpoint outside the map")
+            self._check_link(link)
             if link.key in self._links:
                 raise MapError(f"duplicate link for pair {link.key}")
             self._links[link.key] = link
         self._adjacency: Optional[_Adjacency] = None
+
+    def _check_link(self, link: CausalLink):
+        if link.source == link.target:
+            raise MapError(f"self-loop on {link.source!r}")
+        if link.source not in self._concepts or link.target not in self._concepts:
+            raise MapError(f"link {link.display()} has an endpoint outside the map")
 
     @property
     def concepts(self) -> Mapping[str, Concept]:
@@ -160,38 +167,59 @@ class CausalMap:
         return self._adjacency
 
     # -- functional updates ------------------------------------------------
+    #
+    # Each update copies the parent's dicts, or shares one it leaves as it
+    # is, and checks only the concept or link it adds; the entries it keeps
+    # were checked when the parent was built.
+
+    def _derived(
+        self, concepts: dict[str, Concept], links: dict[tuple[str, str], CausalLink]
+    ) -> "CausalMap":
+        child = CausalMap.__new__(CausalMap)
+        child._concepts, child._links, child._adjacency = concepts, links, None
+        return child
 
     def with_concept(self, concept: Concept) -> "CausalMap":
         if concept.id in self._concepts:
             raise MapError(f"concept {concept.id!r} already present")
-        return CausalMap(list(self._concepts.values()) + [concept], self._links.values())
+        concepts = dict(self._concepts)
+        concepts[concept.id] = concept
+        return self._derived(concepts, self._links)
 
     def without_concept(self, concept_id: str) -> "CausalMap":
         """Drop a concept along with every incident link."""
         if concept_id not in self._concepts:
             raise UnknownConcept(concept_id)
-        concepts = [c for c in self._concepts.values() if c.id != concept_id]
-        links = [l for l in self._links.values() if concept_id not in l.key]
-        return CausalMap(concepts, links)
+        concepts = {k: c for k, c in self._concepts.items() if k != concept_id}
+        links = {k: l for k, l in self._links.items() if concept_id not in k}
+        return self._derived(concepts, links)
 
     def with_link(self, link: CausalLink) -> "CausalMap":
         if link.key in self._links:
             raise MapError(f"pair {link.key} already linked")
-        return CausalMap(self._concepts.values(), list(self._links.values()) + [link])
+        self._check_link(link)
+        links = dict(self._links)
+        links[link.key] = link
+        return self._derived(self._concepts, links)
 
     def without_link(self, source: str, target: str) -> "CausalMap":
         if (source, target) not in self._links:
             raise UnknownLink(f"{source}->{target}")
-        links = [l for l in self._links.values() if l.key != (source, target)]
-        return CausalMap(self._concepts.values(), links)
+        links = dict(self._links)
+        del links[(source, target)]
+        return self._derived(self._concepts, links)
 
     def with_replaced_link(self, old_key: tuple[str, str], new: CausalLink) -> "CausalMap":
+        """Drop the link at old_key and add new as the last link."""
         if old_key not in self._links:
             raise UnknownLink(f"{old_key[0]}->{old_key[1]}")
-        links = [l for l in self._links.values() if l.key != old_key]
-        if any(l.key == new.key for l in links):
+        links = dict(self._links)
+        del links[old_key]
+        if new.key in links:
             raise MapError(f"pair {new.key} already linked")
-        return CausalMap(self._concepts.values(), links + [new])
+        self._check_link(new)
+        links[new.key] = new
+        return self._derived(self._concepts, links)
 
 
 @dataclass(frozen=True)
@@ -515,9 +543,6 @@ class QuizResult:
     def incorrect_items(self) -> list[QuizItem]:
         return [item for item in self.items if item.grade is Grade.INCORRECT]
 
-    def explanation_links(self) -> dict[QuizQuestion, frozenset[CausalLink]]:
-        return {item.question: item.used_links for item in self.items}
-
 
 def generate_quiz(
     expert: ExpertMap,
@@ -590,11 +615,13 @@ def grade_quiz(
             if q.source in concepts and q.target in concepts
         }
     items = []
+    n_correct = 0
     for q in questions:
         result = results.get((q.source, q.target), _NO_PATHS)
-        grade = Grade.CORRECT if result.answer is q.expert_answer else Grade.INCORRECT
-        items.append(
-            QuizItem(question=q, answer=result.answer, grade=grade, used_links=result.used_links)
-        )
-    score = 100.0 * sum(1 for it in items if it.grade is Grade.CORRECT) / len(items)
-    return QuizResult(scope=scope, items=tuple(items), score=score)
+        if result.answer is q.expert_answer:
+            n_correct += 1
+            grade = Grade.CORRECT
+        else:
+            grade = Grade.INCORRECT
+        items.append(QuizItem(q, result.answer, grade, result.used_links))
+    return QuizResult(scope, tuple(items), 100.0 * n_correct / len(items))

@@ -109,6 +109,17 @@ def _read_engine_config(path: Path) -> dict:
     return settings
 
 
+def _read_student_log(read, path: Path) -> list:
+    """Read one student's log, named <student>.jsonl; a record of another
+    student is a CliError naming the file."""
+    records = read(path)
+    for n, record in enumerate(records, start=1):
+        if record.student_id != path.stem:
+            raise CliError(f"{path}: record {n} is for student {record.student_id!r}, "
+                           f"not {path.stem!r} as the file name says")
+    return records
+
+
 def _write_manifest(path: Path, command: str, args: argparse.Namespace,
                     outputs: list[str], started: float, seed=None):
     manifest = {
@@ -211,7 +222,7 @@ def cmd_replay(args) -> int:
         print(f"warning: no event logs in {events_dir}", file=sys.stderr)
     for path in files:
         sid = path.stem
-        events = logio.read_events(path)
+        events = _read_student_log(logio.read_events, path)
         try:
             result = replay_events(sid, events, expert, config,
                                    coherence_lookback=args.coherence_lookback,
@@ -236,7 +247,7 @@ def _read_group_sequences(annotated_dir: Path, grouping: dict[str, str]):
         group = grouping.get(sid)
         if group is None:
             continue
-        annotated = logio.read_annotated(path)
+        annotated = _read_student_log(logio.read_annotated, path)
         tokens = tuple(t.label for t in collapse(annotated))
         if tokens:
             groups.setdefault(group, []).append(TokenSequence(student_id=sid, tokens=tokens))
@@ -280,13 +291,13 @@ def cmd_report(args) -> int:
     records = []
     for path in sorted(Path(args.annotated).glob("*.jsonl")):
         sid = path.stem
-        annotated = logio.read_annotated(path)
+        annotated = _read_student_log(logio.read_annotated, path)
         annotated_by_student[sid] = annotated
         deliveries = []
         if args.deliveries is not None:
             dpath = Path(args.deliveries) / f"{sid}.jsonl"
             if dpath.exists():
-                deliveries = logio.read_deliveries(dpath)
+                deliveries = _read_student_log(logio.read_deliveries, dpath)
         affect = []
         if args.affect is not None:
             apath = Path(args.affect) / f"{sid}.jsonl"

@@ -21,6 +21,7 @@ Trigger summary (evaluated on the previous/current event pair):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from string import Template
@@ -479,6 +480,9 @@ class EngineConfig:
     disabled_kinds: frozenset[ScaffoldKind] = frozenset()
 
     def __post_init__(self):
+        for name in ("min_inter_scaffold_seconds", "hint1_window_seconds", "long_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.min_inter_scaffold_seconds <= 0:
             raise ValueError("min_inter_scaffold_seconds must be positive")
         if self.hint1_window_events <= 0 or self.hint1_window_seconds <= 0:

@@ -365,8 +365,8 @@ class _Session:
 
     def _has_edit_move(self) -> bool:
         return bool(
-            self._correct_candidates()
-            or self.annotator.current_map.links
+            self.annotator.current_map.links
+            or self._correct_candidates()
             or self._wrong_sign_candidates()
             or self._open_shortcuts()
         )

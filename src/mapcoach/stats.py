@@ -191,31 +191,3 @@ def one_way_ancova(
     adj_a = [y - slope * (x - grand_x) for x, y in a_pairs]
     adj_b = [y - slope * (x - grand_x) for x, y in b_pairs]
     return one_way_anova(adj_a, adj_b)
-
-
-def sample_skewness(values: Sequence[float]) -> float:
-    """Bias-adjusted sample skewness (g1 with the small-sample correction)."""
-    n = len(values)
-    if n < 3:
-        raise ValueError("need at least 3 values")
-    m = fmean(values)
-    m2 = sum((v - m) ** 2 for v in values) / n
-    m3 = sum((v - m) ** 3 for v in values) / n
-    if m2 == 0.0:
-        return 0.0
-    g1 = m3 / m2**1.5
-    return g1 * math.sqrt(n * (n - 1)) / (n - 2)
-
-
-def excess_kurtosis(values: Sequence[float]) -> float:
-    """Bias-adjusted sample excess kurtosis."""
-    n = len(values)
-    if n < 4:
-        raise ValueError("need at least 4 values")
-    m = fmean(values)
-    m2 = sum((v - m) ** 2 for v in values) / n
-    m4 = sum((v - m) ** 4 for v in values) / n
-    if m2 == 0.0:
-        return 0.0
-    g2 = m4 / (m2 * m2) - 3.0
-    return ((n - 1) / ((n - 2) * (n - 3))) * ((n + 1) * g2 + 6.0)

@@ -3,12 +3,14 @@
 Re-derives every delivery's trigger condition straight from the log (map
 replay, quiz regrading, window arithmetic) without going through the
 engine's state machine, so a false firing cannot hide behind shared code.
+A quiz is regraded only when a check first reads its result.
 Returns human-readable violation strings; an empty list means the log and
 the delivery record agree.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional, Sequence
 
 from .annotate import (
@@ -23,7 +25,9 @@ from .causal import (
     ExpertMap,
     LinkClass,
     Marking,
+    QuizQuestion,
     QuizResult,
+    QuizScope,
     classify_link,
     generate_quiz,
     grade_quiz,
@@ -39,7 +43,7 @@ def verify_session(
 ) -> list[str]:
     violations: list[str] = []
     maps = _map_timeline(annotated)
-    quiz_results = _quiz_timeline(annotated, maps, expert)
+    quizzes = _Quizzes(annotated, maps, expert)
     session_end = annotated[-1].base.end if annotated else 0.0
 
     ordered = sorted(deliveries, key=lambda d: d.timestamp)
@@ -54,11 +58,11 @@ def verify_session(
     for d in ordered:
         if d.trigger.rule == "hint1_window_expired":
             violations.extend(
-                _check_hint1(d, annotated, quiz_results, config, session_end)
+                _check_hint1(d, annotated, quizzes, config, session_end)
             )
         else:
             violations.extend(
-                _check_pair(d, annotated, maps, quiz_results, expert)
+                _check_pair(d, annotated, maps, quizzes, expert)
             )
     return violations
 
@@ -74,30 +78,46 @@ def _map_timeline(annotated: Sequence[AnnotatedEvent]) -> list[CausalMap]:
     return maps
 
 
-def _quiz_timeline(
-    annotated: Sequence[AnnotatedEvent],
-    maps: Sequence[CausalMap],
-    expert: ExpertMap,
-) -> dict[int, QuizResult]:
-    results: dict[int, QuizResult] = {}
-    for i, event in enumerate(annotated):
-        if event.kind is not ActionKind.TAKE_QUIZ:
-            continue
-        scope = event.base.quiz_scope
-        results[i] = grade_quiz(maps[i], generate_quiz(expert, scope), scope=scope)
-    return results
+class _Quizzes:
+    """The session's quiz events, each graded against its replayed map the
+    first time a check reads the result.  Every scope is resolved up front,
+    so a scope the expert map lacks fails the whole check even when no
+    check reads that quiz."""
 
+    def __init__(
+        self,
+        annotated: Sequence[AnnotatedEvent],
+        maps: Sequence[CausalMap],
+        expert: ExpertMap,
+    ):
+        self._maps = maps
+        self._quizzes: dict[int, tuple[QuizScope, list[QuizQuestion]]] = {}
+        for i, event in enumerate(annotated):
+            if event.kind is ActionKind.TAKE_QUIZ:
+                scope = event.base.quiz_scope
+                self._quizzes[i] = (scope, generate_quiz(expert, scope))
+        self._indices = list(self._quizzes)
+        self._results: dict[int, QuizResult] = {}
 
-def _previous_quiz(quiz_results: dict[int, QuizResult], before: int) -> Optional[int]:
-    earlier = [i for i in quiz_results if i < before]
-    return max(earlier) if earlier else None
+    def result(self, index: int) -> Optional[QuizResult]:
+        """The graded quiz taken at event index, or None if it was no quiz."""
+        result = self._results.get(index)
+        if result is None and index in self._quizzes:
+            scope, questions = self._quizzes[index]
+            result = self._results[index] = grade_quiz(self._maps[index], questions, scope=scope)
+        return result
+
+    def previous(self, before: int) -> Optional[int]:
+        """Index of the last quiz before event index `before`, if any."""
+        k = bisect_left(self._indices, before)
+        return self._indices[k - 1] if k else None
 
 
 def _check_pair(
     d: ScaffoldDelivery,
     annotated: Sequence[AnnotatedEvent],
     maps: Sequence[CausalMap],
-    quiz_results: dict[int, QuizResult],
+    quizzes: _Quizzes,
     expert: ExpertMap,
 ) -> list[str]:
     out: list[str] = []
@@ -127,7 +147,7 @@ def _check_pair(
         need(cur.kind is ActionKind.TAKE_QUIZ, "current event is not a quiz")
         if out:
             return out
-        unmarked = _unmarked_touched(annotated, maps[j], quiz_results, j, expert)
+        unmarked = _unmarked_touched(annotated, maps[j], quizzes, j, expert)
         shortcut = _edited_is_shortcut(prev, expert)
         if kind is ScaffoldKind.HINT3:
             need(bool(unmarked), "no unmarked incorrect link touched since the previous quiz")
@@ -140,18 +160,18 @@ def _check_pair(
     elif kind is ScaffoldKind.HINT6:
         need(prev.kind is ActionKind.TAKE_QUIZ, "previous event is not a quiz")
         need(_long_read(cur), "current event is not a long read")
-        quiz = quiz_results.get(i)
+        quiz = quizzes.result(i)
         need(quiz is not None and quiz.n_incorrect >= 1, "preceding quiz has no incorrect answers")
     elif kind is ScaffoldKind.ENC1:
         need(_edit(prev, Effectiveness.EFF), "previous event is not an effective edit")
         need(cur.kind is ActionKind.TAKE_QUIZ, "current event is not a quiz")
-        quiz = quiz_results.get(j)
+        quiz = quizzes.result(j)
         need(quiz is not None and quiz.n_correct >= 1, "quiz has no correct answers")
-        earlier = _previous_quiz(quiz_results, j)
+        earlier = quizzes.previous(j)
         need(
             earlier is not None
             and quiz is not None
-            and quiz.score > quiz_results[earlier].score,
+            and quiz.score > quizzes.result(earlier).score,
             "quiz score did not improve on the previous quiz",
         )
     else:
@@ -162,7 +182,7 @@ def _check_pair(
 def _check_hint1(
     d: ScaffoldDelivery,
     annotated: Sequence[AnnotatedEvent],
-    quiz_results: dict[int, QuizResult],
+    quizzes: _Quizzes,
     config: EngineConfig,
     session_end: float,
 ) -> list[str]:
@@ -176,11 +196,11 @@ def _check_hint1(
         return [f"{label}: arming event is not a quiz"]
     if not _edit(annotated[arm - 1], Effectiveness.EFF):
         out.append(f"{label}: arming quiz not preceded by an effective edit")
-    quiz = quiz_results.get(arm)
+    quiz = quizzes.result(arm)
     if quiz is None or quiz.n_correct < 1:
         out.append(f"{label}: arming quiz has no correct answers")
-    earlier = _previous_quiz(quiz_results, arm)
-    if earlier is not None and quiz is not None and quiz.score > quiz_results[earlier].score:
+    earlier = quizzes.previous(arm)
+    if earlier is not None and quiz is not None and quiz.score > quizzes.result(earlier).score:
         out.append(f"{label}: improving quiz should have praised instead of arming")
 
     deadline = arm_event.timestamp + config.hint1_window_seconds
@@ -213,13 +233,13 @@ def _check_hint1(
 def _unmarked_touched(
     annotated: Sequence[AnnotatedEvent],
     current: CausalMap,
-    quiz_results: dict[int, QuizResult],
+    quizzes: _Quizzes,
     quiz_index: int,
     expert: ExpertMap,
 ) -> list[tuple[str, str]]:
     """Pairs added/modified since the previous quiz that sit on the map
     incorrect and unmarked at quiz time."""
-    earlier = _previous_quiz(quiz_results, quiz_index)
+    earlier = quizzes.previous(quiz_index)
     start = earlier + 1 if earlier is not None else 0
     touched: set[tuple[str, str]] = set()
     for event in annotated[start:quiz_index]:

@@ -6,9 +6,20 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from typing import Optional, Sequence
 
-from mapcoach.causal import CausalLink, CausalMap, Concept, ExpertMap, Sign
+from mapcoach.annotate import MapEdit, MapEditAction
+from mapcoach.causal import (
+    CausalLink,
+    CausalMap,
+    Concept,
+    ExpertMap,
+    MapError,
+    Sign,
+    UnknownConcept,
+    UnknownLink,
+)
 
 
 # -- signed-path reasoning ------------------------------------------------------
@@ -106,6 +117,60 @@ def random_expert(rng: random.Random, max_concepts: int = 8, max_links: int = 14
         cmap = random_map(rng, max_concepts, max_links, with_pages=True)
         if cmap.links:
             return ExpertMap(cmap)
+
+
+# -- map edits ---------------------------------------------------------------------
+
+
+def rebuilt_after_edit(cmap: CausalMap, edit: MapEdit) -> CausalMap:
+    """The map an edit leaves, built from scratch by the CausalMap
+    constructor from lists of the kept and new entries, after the checks
+    each edit makes before it touches the map."""
+    concepts = list(cmap.concepts.values())
+    links = list(cmap.links.values())
+
+    def replaced(old_key, new):
+        kept = [l for l in links if l.key != old_key]
+        if any(l.key == new.key for l in kept):
+            raise MapError(f"pair {new.key} already linked")
+        return CausalMap(concepts, kept + [new])
+
+    def need_endpoints(link):
+        if link.source not in cmap.concepts or link.target not in cmap.concepts:
+            raise MapError(f"link {link.display()} references a missing concept")
+
+    a = edit.action
+    if a is MapEditAction.ADD_CONCEPT:
+        if edit.concept.id in cmap.concepts:
+            raise MapError(f"concept {edit.concept.id!r} already present")
+        return CausalMap(concepts + [edit.concept], links)
+    if a is MapEditAction.DELETE_CONCEPT:
+        gone = edit.concept_id
+        if gone not in cmap.concepts:
+            raise UnknownConcept(gone)
+        return CausalMap(
+            [c for c in concepts if c.id != gone], [l for l in links if gone not in l.key]
+        )
+    if a is MapEditAction.ADD_LINK:
+        need_endpoints(edit.link)
+        if edit.link.key in cmap.links:
+            raise MapError(f"pair {edit.link.key} already linked")
+        return CausalMap(concepts, links + [edit.link])
+    if a is MapEditAction.DELETE_LINK:
+        if (edit.source, edit.target) not in cmap.links:
+            raise UnknownLink(f"{edit.source}->{edit.target}")
+        return CausalMap(concepts, [l for l in links if l.key != (edit.source, edit.target)])
+    if a is MapEditAction.MODIFY_LINK:
+        old = cmap.links.get(edit.old.key)
+        if old is None or old.triple != edit.old.triple:
+            raise MapError(f"no link {edit.old.display()} to modify")
+        new = replace(edit.new, marking=old.marking)
+        need_endpoints(new)
+        return replaced(old.key, new)
+    link = cmap.links.get((edit.source, edit.target))
+    if link is None:
+        raise MapError(f"no link {edit.source}->{edit.target} to mark")
+    return replaced(link.key, replace(link, marking=edit.marking))
 
 
 # -- greedy gap-constrained pattern matching ---------------------------------------

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,13 +15,13 @@ from mapcoach.annotate import (
     Process,
     ReplayError,
     annotate_session,
+    apply_edit,
     collapse,
     collapse_labeled,
-    replay_map,
     tag_coherence,
     time_distribution,
 )
-from mapcoach.causal import CausalLink, Concept, Marking, QuizScope, Sign, map_score
+from mapcoach.causal import CausalLink, CausalMap, Concept, Marking, QuizScope, Sign, map_score
 
 INC, DEC = Sign.INCREASE, Sign.DECREASE
 
@@ -167,7 +169,9 @@ class TestAnnotateSession:
         for e in annotated:
             deltas.append(e.map_score_after - prev)
             prev = e.map_score_after
-        final = replay_map(events)
+        final = reduce(
+            apply_edit, [e.edit for e in events if e.kind is ActionKind.MAP_EDIT], CausalMap()
+        )
         assert sum(deltas) == annotated[-1].map_score_after == map_score(final, tiny_expert)
 
 

@@ -366,13 +366,12 @@ class TestGradeQuiz:
         with pytest.raises(EmptyQuiz):
             grade_quiz(CausalMap(), [])
 
-    def test_explanation_links_cover_used_paths(self):
+    def test_items_carry_used_links(self):
         expert = expert_of(("a", "b", INC), ("b", "c", DEC))
         student = cmap(("a", "b", INC), ("b", "c", DEC))
         result = grade_quiz(student, generate_quiz(expert))
-        links = result.explanation_links()
-        ac = next(q for q in links if (q.source, q.target) == ("a", "c"))
-        assert {l.key for l in links[ac]} == {("a", "b"), ("b", "c")}
+        ac = next(it for it in result.items if (it.question.source, it.question.target) == ("a", "c"))
+        assert {l.key for l in ac.used_links} == {("a", "b"), ("b", "c")}
 
 
 def _grade_each(student, questions, max_paths):
@@ -454,6 +453,95 @@ class TestSetMarking:
     def test_unknown_link(self):
         with pytest.raises(MapError):
             mark(cmap(("a", "b", INC)), "b", "a", Marking.MARKED_CORRECT)
+
+
+_IDS = "abcde"
+_ANY_LINK = st.builds(
+    CausalLink,
+    source=st.sampled_from(_IDS),
+    target=st.sampled_from(_IDS),
+    sign=st.sampled_from(Sign),
+    marking=st.sampled_from(Marking),
+)
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(MapEditAction),
+        st.integers(0, 9),
+        st.integers(0, 9),
+        st.booleans(),
+        st.sampled_from(Marking),
+    ),
+    max_size=40,
+)
+
+
+def _edit_for(m, action, i, j, flip, marking):
+    """An edit of the action, valid or not; i and j name concepts, or from 5
+    up pick one of the map's own links."""
+    sign = DEC if flip else INC
+    links = m.sorted_links()
+    if links and i >= 5:
+        link = links[(i + j) % len(links)]
+    else:
+        link = CausalLink(_IDS[i % 5], _IDS[j % 5], sign, marking)
+    if action is MapEditAction.ADD_CONCEPT:
+        return MapEdit(action, concept=Concept(_IDS[i % 5], "N", "st"[j % 2]))
+    if action is MapEditAction.DELETE_CONCEPT:
+        return MapEdit(action, concept_id=_IDS[i % 5])
+    if action is MapEditAction.ADD_LINK:
+        return MapEdit(action, link=CausalLink(_IDS[i % 5], _IDS[j % 5], sign, marking))
+    if action is MapEditAction.MODIFY_LINK:
+        new = CausalLink(
+            link.source if j < 5 else _IDS[j % 5],
+            link.target if j % 3 == 0 else _IDS[(i + j) % 5],
+            link.sign.flipped() if flip else link.sign,
+        )
+        return MapEdit(action, old=link, new=new)
+    if action is MapEditAction.DELETE_LINK:
+        return MapEdit(action, source=link.source, target=link.target)
+    return MapEdit(action, source=link.source, target=link.target, marking=marking)
+
+
+class TestEditsMatchRebuild:
+    @settings(max_examples=150, deadline=None)
+    @given(_STEPS)
+    def test_edit_sequences_match_a_rebuild_from_scratch(self, steps):
+        current = CausalMap([Concept(c, c.upper(), "s") for c in "abc"])
+        for step in steps:
+            edit = _edit_for(current, *step)
+            try:
+                expected = oracles.rebuilt_after_edit(current, edit)
+            except MapError as exc:
+                with pytest.raises(MapError) as raised:
+                    apply_edit(current, edit)
+                assert type(raised.value) is type(exc)
+                assert str(raised.value) == str(exc)
+                continue
+            got = apply_edit(current, edit)
+            assert got == expected
+            assert list(got.concepts.items()) == list(expected.concepts.items())
+            assert list(got.links.items()) == list(expected.links.items())
+            current = got
+
+    def test_shared_parent_is_left_as_it_was(self):
+        m = cmap(("a", "b", INC))
+        before = list(m.links.values())
+        mark(m, "a", "b", Marking.MARKED_CORRECT)
+        apply_edit(m, MapEdit(MapEditAction.ADD_LINK, link=CausalLink("b", "c", DEC)))
+        m.without_concept("a")
+        assert list(m.links.values()) == before
+
+
+class TestLinkHash:
+    @settings(max_examples=200, deadline=None)
+    @given(_ANY_LINK, _ANY_LINK)
+    def test_hash_is_consistent_with_equality(self, a, b):
+        if a == b:
+            assert hash(a) == hash(b)
+        assert (b in {a}) == (a == b)
+        assert (b in frozenset([a, replace(a, source_page="p")])) == (
+            b == a or b == replace(a, source_page="p")
+        )
 
 
 class TestShortcutShadowProperty:

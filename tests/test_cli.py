@@ -214,8 +214,9 @@ class TestEngineConfigFile:
 
     @pytest.mark.parametrize(
         "text",
-        ["[1, 2]", '{"enc3_every": "3"}', '{"enc3_every": 0}'],
-        ids=["not-an-object", "wrong-type", "out-of-range"],
+        ["[1, 2]", '{"enc3_every": "3"}', '{"enc3_every": 0}', '{"long_threshold": NaN}',
+         '{"hint1_window_seconds": Infinity}'],
+        ids=["not-an-object", "wrong-type", "out-of-range", "nan", "infinite"],
     )
     def test_bad_file_is_an_error_line_naming_it(self, tmp_path, text):
         config = tmp_path / "engine.json"
@@ -232,6 +233,46 @@ class TestEngineConfigFile:
                                "--enc3-every", 0, "--out", tmp_path / "out"])
         assert_error_line(proc)
         assert proc.stderr == "error: enc3_every must be >= 1\n"
+
+
+    @pytest.mark.parametrize("flag", ["--long-threshold", "--min-inter-scaffold"])
+    def test_non_finite_flag_is_an_error_line(self, tmp_path, flag):
+        proc = run_subprocess(["replay", "--events", tmp_path, flag, "nan",
+                               "--out", tmp_path / "out"])
+        assert_error_line(proc, "must be finite")
+
+
+class TestRecordStudentMatchesFile:
+    EVENT = {"student": "s2", "t": 0.0, "duration": 5.0, "kind": "read", "page": "p"}
+
+    def test_replay_rejects_another_students_events(self, tmp_path):
+        events = tmp_path / "events"
+        events.mkdir()
+        (events / "s1.jsonl").write_text(json.dumps(self.EVENT) + "\n")
+        proc = run_subprocess(["replay", "--events", events, "--out", tmp_path / "out"])
+        assert_error_line(proc, "s1.jsonl", "'s2'")
+        assert proc.stderr.startswith(f"error: {events / 's1.jsonl'}: ")
+
+    @pytest.mark.parametrize("command", ["mine", "report"])
+    def test_another_students_annotated_log(self, command, tmp_path):
+        record = dict(TestBadAnnotatedRecord.RECORD, process="IA", student="s2")
+        proc = run_on_annotated(command, tmp_path, json.dumps(record) + "\n")
+        assert_error_line(proc, "s1.jsonl", "'s2'")
+
+    def test_report_rejects_another_students_deliveries(self, sim_dir, tmp_path):
+        replayed = tmp_path / "replay"
+        assert run(["replay", "--events", sim_dir / "events",
+                    "--expert", sim_dir / "expert-map.json", "--out", replayed]) == 0
+        logs = sorted((replayed / "deliveries").glob("*.jsonl"))
+        donor = next(p for p in logs if p.read_text())
+        victim = next(p for p in logs if p != donor)
+        victim.write_text(donor.read_text())
+        proc = run_subprocess([
+            "report", "--annotated", replayed / "annotated",
+            "--deliveries", replayed / "deliveries",
+            "--grouping", sim_dir / "grouping.json", "--out", tmp_path / "report",
+        ])
+        assert_error_line(proc, str(victim), repr(donor.stem))
 
 
 class TestBadEventRecord:

@@ -12,13 +12,11 @@ from mapcoach.stats import (
     DegenerateCovariate,
     DegenerateVariance,
     cohens_d,
-    excess_kurtosis,
     f_sf,
     one_way_ancova,
     one_way_anova,
     pooled_t,
     reg_inc_beta,
-    sample_skewness,
     t_two_sided_p,
 )
 
@@ -197,22 +195,6 @@ def _ssw_adjusted(a, b, slope):
     ma = sum(adj_a) / len(adj_a)
     mb = sum(adj_b) / len(adj_b)
     return sum((v - ma) ** 2 for v in adj_a) + sum((v - mb) ** 2 for v in adj_b)
-
-
-class TestShapeDiagnostics:
-    def test_skewness_matches_scipy(self):
-        rng = random.Random(6)
-        values = [rng.gauss(0, 1) ** 3 for _ in range(40)]
-        assert sample_skewness(values) == pytest.approx(
-            scipy.stats.skew(values, bias=False), rel=1e-9
-        )
-
-    def test_kurtosis_matches_scipy(self):
-        rng = random.Random(7)
-        values = [rng.gauss(0, 1) for _ in range(40)]
-        assert excess_kurtosis(values) == pytest.approx(
-            scipy.stats.kurtosis(values, bias=False), rel=1e-9
-        )
 
 
 class TestResultRanges:
