@@ -180,6 +180,7 @@ class Emotion(str, Enum):
 
 @dataclass(frozen=True)
 class AffectObservation:
+    student_id: str
     timestamp: float
     likelihoods: Mapping[Emotion, float]
 

@@ -4,7 +4,7 @@ sign-propagation queries, and quiz generation/grading."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -307,17 +307,20 @@ class ExpertMap:
 # -- scoring ---------------------------------------------------------------
 
 
+def is_correct_link(link: CausalLink, expert: ExpertMap) -> bool:
+    """Whether the expert map has the link's pair with the link's sign."""
+    expert_link = expert.map._links.get((link.source, link.target))
+    return expert_link is not None and expert_link.sign is link.sign
+
+
 def map_score(student: CausalMap, expert: ExpertMap) -> int:
     """Correct links minus incorrect links; a link is correct iff its
     (source, target, sign) triple appears in the expert map."""
-    score = 0
-    for link in student.links.values():
-        expert_link = expert.links.get(link.key)
-        if expert_link is not None and expert_link.sign is link.sign:
-            score += 1
-        else:
-            score -= 1
-    return score
+    correct = 0
+    for link in student._links.values():
+        if is_correct_link(link, expert):
+            correct += 1
+    return 2 * correct - len(student._links)
 
 
 def classify_link(link: CausalLink, expert: ExpertMap) -> LinkClass:
@@ -327,9 +330,9 @@ def classify_link(link: CausalLink, expert: ExpertMap) -> LinkClass:
     with the same net sign, where no direct expert link exists for the
     pair.
     """
-    expert_link = expert.links.get(link.key)
-    if expert_link is not None and expert_link.sign is link.sign:
+    if is_correct_link(link, expert):
         return LinkClass.CORRECT
+    expert_link = expert.links.get(link.key)
     if link.source not in expert.concepts or link.target not in expert.concepts:
         return LinkClass.INCORRECT
     if expert_link is not None:
@@ -355,8 +358,17 @@ class _Adjacency:
             self.reverse.setdefault(link.target, []).append(link.source)
 
 
+def _answer(vote: int) -> QueryAnswer:
+    if vote > 0:
+        return QueryAnswer.TARGET_INCREASES
+    if vote < 0:
+        return QueryAnswer.TARGET_DECREASES
+    return QueryAnswer.CANNOT_DETERMINE
+
+
 class _Reach:
-    """What one walk found on the simple paths to one of its targets."""
+    """What one walk found on the simple paths to one of its targets; the
+    link and multi-link sign records stay empty unless the walk keeps them."""
 
     __slots__ = ("count", "vote", "links", "multi_signs")
 
@@ -366,18 +378,14 @@ class _Reach:
         self.links: dict[int, None] = {}  # link indices, in the order the walk first meets them
         self.multi_signs: set[int] = set()  # signs of the paths with two or more links
 
-    def query_result(self, links: list[CausalLink]) -> "QueryResult":
-        if self.vote > 0:
-            answer = QueryAnswer.TARGET_INCREASES
-        elif self.vote < 0:
-            answer = QueryAnswer.TARGET_DECREASES
-        else:
-            answer = QueryAnswer.CANNOT_DETERMINE
-        return QueryResult(answer, frozenset(map(links.__getitem__, self.links)))
-
 
 def _walk(
-    cmap: CausalMap, source: str, targets: Iterable[str], max_paths: int
+    cmap: CausalMap,
+    source: str,
+    targets: Iterable[str],
+    max_paths: int,
+    *,
+    links: bool = True,
 ) -> dict[str, _Reach]:
     """Walk every simple path from source to each target, depth first in
     sorted link order.
@@ -391,7 +399,8 @@ def _walk(
     x (path length) steps, so only dead-end blow-ups meet that budget.
     The walk keeps its own stack, so a path may be longer than the
     interpreter's recursion limit.  Returns what it found for each target
-    that it reached.
+    that it reached: the path count and vote, and, when `links` is set,
+    the links of the paths and the signs of the multi-link paths.
     """
     adjacency = cmap._compiled()
     forward, reverse = adjacency.forward, adjacency.reverse
@@ -412,12 +421,12 @@ def _walk(
                 frontier.append(pred)
     budget = max_paths * len(cmap.concepts)
     steps = 0
-    path: list[int] = []  # link indices
-    signs = [1]  # sign of each prefix of the path
-    entered: list[str] = []  # concepts the path has stepped onto and may leave
-    stack = [iter(forward[source])]
-    while stack:
-        for nxt, factor, index in stack[-1]:
+    path: list[int] = []  # indices of the links from source to the current concept
+    frames: list[tuple] = []  # (links left, sign, concept) of each concept the path left
+    links_left = iter(forward[source])
+    path_sign = 1
+    while True:
+        for nxt, factor, index in links_left:
             if nxt not in open_:
                 continue
             steps += 1
@@ -426,8 +435,7 @@ def _walk(
                     f"more than {budget} link steps searching paths from {source!r}"
                     f" to {', '.join(map(repr, sorted(wanted)))}"
                 )
-            path.append(index)
-            sign = signs[-1] * factor
+            sign = path_sign * factor
             reach = None
             if nxt in wanted:
                 reach = reaches.get(nxt)
@@ -437,23 +445,23 @@ def _walk(
                 if reach.count > max_paths:
                     raise PathExplosion(f"more than {max_paths} paths from {source!r} to {nxt!r}")
                 reach.vote += sign
-                if len(path) >= 2:
-                    reach.multi_signs.add(sign)
-                reach.links.update(dict.fromkeys(path))
+                if links:
+                    if path:
+                        reach.multi_signs.add(sign)
+                    reach.links.update(dict.fromkeys(path))
+                    reach.links[index] = None
             if (reach is None or through) and nxt in forward:
                 open_.remove(nxt)
-                entered.append(nxt)
-                signs.append(sign)
-                stack.append(iter(forward[nxt]))
+                path.append(index)
+                frames.append((links_left, path_sign, nxt))
+                links_left, path_sign = iter(forward[nxt]), sign
                 break
-            path.pop()
         else:
-            stack.pop()
-            if entered:
-                open_.add(entered.pop())
-                signs.pop()
-                path.pop()
-    return reaches
+            if not frames:
+                return reaches
+            links_left, path_sign, left = frames.pop()
+            open_.add(left)
+            path.pop()
 
 
 @dataclass(frozen=True)
@@ -487,7 +495,10 @@ def answer_query(
     if not cmap.has_concept(target):
         raise UnknownConcept(target)
     reach = _walk(cmap, source, (target,), max_paths).get(target)
-    return _NO_PATHS if reach is None else reach.query_result(cmap._compiled().links)
+    if reach is None:
+        return _NO_PATHS
+    used = frozenset(map(cmap._compiled().links.__getitem__, reach.links))
+    return QueryResult(_answer(reach.vote), used)
 
 
 # -- quizzes -----------------------------------------------------------------
@@ -523,25 +534,38 @@ class QuizItem:
     question: QuizQuestion
     answer: QueryAnswer
     grade: Grade
-    used_links: frozenset[CausalLink] = field(default_factory=frozenset)
 
 
 @dataclass(frozen=True)
 class QuizResult:
+    """A graded quiz: the student's answer to each question, in order.
+
+    The per-question items are built each time they are read.
+    """
+
     scope: QuizScope
-    items: tuple[QuizItem, ...]
+    questions: tuple[QuizQuestion, ...]
+    answers: tuple[QueryAnswer, ...]
     score: float
+    n_correct: int
 
     @property
-    def n_correct(self) -> int:
-        return sum(1 for item in self.items if item.grade is Grade.CORRECT)
+    def items(self) -> tuple[QuizItem, ...]:
+        return tuple(
+            QuizItem(q, answer, Grade.CORRECT if answer is q.expert_answer else Grade.INCORRECT)
+            for q, answer in zip(self.questions, self.answers)
+        )
 
     @property
     def n_incorrect(self) -> int:
-        return len(self.items) - self.n_correct
+        return len(self.questions) - self.n_correct
 
     def incorrect_items(self) -> list[QuizItem]:
-        return [item for item in self.items if item.grade is Grade.INCORRECT]
+        return [
+            QuizItem(q, answer, Grade.INCORRECT)
+            for q, answer in zip(self.questions, self.answers)
+            if answer is not q.expert_answer
+        ]
 
 
 def generate_quiz(
@@ -589,10 +613,11 @@ def grade_quiz(
     A question whose concepts are missing from the student map is answered
     cannot-determine.  Grading is binary: the answer must equal the expert
     answer exactly.  The questions that share a source are answered by one
-    bounded walk (see answer_query).  If any such walk raises
-    PathExplosion, the quiz is graded question by question, in order,
-    through answer_query, so the result, or the exception, is the one
-    per-question grading gives.
+    bounded walk (see answer_query) that counts and votes paths without
+    recording their links; answer_query names the links behind an answer.
+    If any such walk raises PathExplosion, the quiz is graded question by
+    question, in order, through answer_query, so the result, or the
+    exception, is the one per-question grading gives.
     """
     if not questions:
         raise EmptyQuiz("cannot grade an empty quiz")
@@ -601,27 +626,25 @@ def grade_quiz(
     for q in questions:
         if q.source in concepts and q.target in concepts:
             targets.setdefault(q.source, set()).add(q.target)
-    links = student._compiled().links
     try:
-        results = {
-            (s, t): reach.query_result(links)
+        found = {
+            (s, t): _answer(reach.vote)
             for s, ts in targets.items()
-            for t, reach in _walk(student, s, ts, max_paths).items()
+            for t, reach in _walk(student, s, ts, max_paths, links=False).items()
         }
     except PathExplosion:
-        results = {
-            (q.source, q.target): answer_query(student, q.source, q.target, max_paths=max_paths)
+        found = {
+            (q.source, q.target): answer_query(student, q.source, q.target, max_paths).answer
             for q in questions
             if q.source in concepts and q.target in concepts
         }
-    items = []
+    answers = []
     n_correct = 0
     for q in questions:
-        result = results.get((q.source, q.target), _NO_PATHS)
-        if result.answer is q.expert_answer:
+        answer = found.get((q.source, q.target), QueryAnswer.CANNOT_DETERMINE)
+        if answer is q.expert_answer:
             n_correct += 1
-            grade = Grade.CORRECT
-        else:
-            grade = Grade.INCORRECT
-        items.append(QuizItem(q, result.answer, grade, result.used_links))
-    return QuizResult(scope, tuple(items), 100.0 * n_correct / len(items))
+        answers.append(answer)
+    return QuizResult(
+        scope, tuple(questions), tuple(answers), 100.0 * n_correct / len(answers), n_correct
+    )

@@ -302,7 +302,7 @@ def cmd_report(args) -> int:
         if args.affect is not None:
             apath = Path(args.affect) / f"{sid}.jsonl"
             if apath.exists():
-                affect = logio.read_affect(apath)
+                affect = _read_student_log(logio.read_affect, apath)
         session_end = annotated[-1].base.end if annotated else 0.0
         records.append(
             StudentRecord(

@@ -40,7 +40,9 @@ from .causal import (
     LinkClass,
     Marking,
     QuizResult,
+    answer_query,
     classify_link,
+    is_correct_link,
 )
 
 
@@ -722,10 +724,13 @@ class ScaffoldEngine:
         student_map: CausalMap,
         quiz: QuizResult,
     ):
+        """Arm a deferred hint1 naming the least-key link on the paths behind
+        the first correct answer of the quiz just graded on student_map."""
         link = None
-        for item in quiz.items:
-            if item.grade.value == "correct" and item.used_links:
-                link = sorted(item.used_links, key=lambda l: l.key)[0]
+        for q, answer in zip(quiz.questions, quiz.answers):
+            if answer is q.expert_answer:
+                used = answer_query(student_map, q.source, q.target).used_links
+                link = min(used, key=lambda l: l.key, default=None)
                 break
         hints = _link_hints(link) if link is not None else TargetHints()
         self._pending_hint1 = _PendingHint1(
@@ -744,7 +749,7 @@ class ScaffoldEngine:
             link = student_map.links.get(pair)
             if link is None or link.marking is not Marking.UNMARKED:
                 continue
-            if classify_link(link, self.expert) is not LinkClass.CORRECT:
+            if not is_correct_link(link, self.expert):
                 found.append(link)
         return found
 
@@ -761,7 +766,7 @@ class ScaffoldEngine:
             link
             for link in student_map.sorted_links()
             if (link.source in concepts or link.target in concepts)
-            and classify_link(link, self.expert) is not LinkClass.CORRECT
+            and not is_correct_link(link, self.expert)
         ]
         if not candidates:
             return None

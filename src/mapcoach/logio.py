@@ -269,6 +269,7 @@ def affect_to_record(student_id: str, obs: AffectObservation) -> dict:
 
 def affect_from_record(record: dict) -> AffectObservation:
     return AffectObservation(
+        student_id=record["student"],
         timestamp=float(record["t"]),
         likelihoods={Emotion(k): float(v) for k, v in record["likelihoods"].items()},
     )

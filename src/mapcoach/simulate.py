@@ -35,7 +35,6 @@ from .causal import (
     CausalMap,
     EmptyQuiz,
     ExpertMap,
-    Grade,
     LinkClass,
     Marking,
     QuizResult,
@@ -44,6 +43,7 @@ from .causal import (
     classify_link,
     generate_quiz,
     grade_quiz,
+    is_correct_link,
 )
 from .engine import (
     ConversationTree,
@@ -357,7 +357,7 @@ class _Session:
     def _links_by_correctness(self) -> tuple[list[CausalLink], list[CausalLink]]:
         correct, incorrect = [], []
         for link in self.annotator.current_map.sorted_links():
-            if classify_link(link, self.expert) is LinkClass.CORRECT:
+            if is_correct_link(link, self.expert):
                 correct.append(link)
             else:
                 incorrect.append(link)
@@ -403,8 +403,7 @@ class _Session:
         unmarked = [
             l
             for l in current.sorted_links()
-            if l.marking is Marking.UNMARKED
-            and classify_link(l, self.expert) is LinkClass.CORRECT
+            if l.marking is Marking.UNMARKED and is_correct_link(l, self.expert)
         ]
         if unmarked:
             pick = self.rng.choice(unmarked)
@@ -582,16 +581,22 @@ class _Session:
         if self.last_quiz is None:
             return
         mix = self.profile.activity_mix[ActionKind.QUIZ_EXPL]
+        quiz = self.last_quiz
+        # the first incorrect answer, else the first question
+        question = next(
+            (
+                i
+                for i, (q, answer) in enumerate(zip(quiz.questions, quiz.answers))
+                if answer is not q.expert_answer
+            ),
+            0,
+        )
         n = 0
         while (
             n < 3
             and self.t < self.budget
             and self.time_per_kind[ActionKind.QUIZ_EXPL] < mix * sum(self.time_per_kind.values())
         ):
-            incorrect = [
-                i for i, item in enumerate(self.last_quiz.items) if item.grade is Grade.INCORRECT
-            ]
-            question = incorrect[0] if incorrect else 0
             self._emit(
                 ActionEvent(
                     student_id=self.profile.student_id,
@@ -635,10 +640,7 @@ class _Session:
             self.forced.append(("quiz",))
         elif kind is ScaffoldKind.HINT1:
             for link in self.annotator.current_map.sorted_links():
-                if (
-                    link.marking is Marking.UNMARKED
-                    and classify_link(link, self.expert) is LinkClass.CORRECT
-                ):
+                if link.marking is Marking.UNMARKED and is_correct_link(link, self.expert):
                     self.forced.append(("mark", link.source, link.target, Marking.MARKED_CORRECT))
                     break
         elif kind is ScaffoldKind.HINT3 and hints and hints.source and hints.target:
@@ -735,7 +737,9 @@ def _affect_stream(
             if emotion is Emotion.CONFUSION and any(a <= ts <= b for a, b in bump_spans):
                 value += CONFUSION_BUMP
             likelihoods[emotion] = min(1.0, max(0.0, round(value, 4)))
-        observations.append(AffectObservation(timestamp=ts, likelihoods=likelihoods))
+        observations.append(
+            AffectObservation(student_id=profile.student_id, timestamp=ts, likelihoods=likelihoods)
+        )
     return observations
 
 

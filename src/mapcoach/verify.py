@@ -31,6 +31,7 @@ from .causal import (
     classify_link,
     generate_quiz,
     grade_quiz,
+    is_correct_link,
 )
 from .engine import EngineConfig, ScaffoldDelivery, ScaffoldKind
 
@@ -252,7 +253,7 @@ def _unmarked_touched(
         link = current.links.get(pair)
         if link is None or link.marking is not Marking.UNMARKED:
             continue
-        if classify_link(link, expert) is not LinkClass.CORRECT:
+        if not is_correct_link(link, expert):
             found.append(pair)
     return found
 

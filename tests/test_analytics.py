@@ -189,7 +189,7 @@ class TestMapScoreSlope:
 def obs(t, confusion=0.08):
     values = {e: 0.1 for e in Emotion}
     values[Emotion.CONFUSION] = confusion
-    return AffectObservation(timestamp=t, likelihoods=values)
+    return AffectObservation(student_id="s", timestamp=t, likelihoods=values)
 
 
 class TestAffectAggregate:

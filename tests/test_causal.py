@@ -26,6 +26,7 @@ from mapcoach.causal import (
     Sign,
     UnknownConcept,
     UnknownSection,
+    _walk,
     answer_query,
     classify_link,
     generate_quiz,
@@ -263,6 +264,38 @@ class TestAnswerQuery:
                 assert answer_query(m, source, target).answer is expected
 
 
+class TestWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from((1, 2, 3, 5, 50, DEFAULT_MAX_PATHS)))
+    def test_vote_only_walk_counts_and_votes_as_the_full_walk(self, seed, max_paths):
+        rng = random.Random(seed)
+        m = oracles.random_map(rng, max_concepts=7, max_links=18)
+        ids = sorted(m.concepts)
+        source = rng.choice(ids)
+        targets = rng.sample(ids, rng.randint(1, len(ids)))
+        outcomes = []
+        for links in (False, True):
+            try:
+                reaches = _walk(m, source, targets, max_paths, links=links)
+            except PathExplosion as exc:
+                outcomes.append(str(exc))
+                continue
+            outcomes.append({t: (r.count, r.vote) for t, r in reaches.items()})
+            if not links:
+                assert not any(r.links or r.multi_signs for r in reaches.values())
+        assert outcomes[0] == outcomes[1]
+        if isinstance(outcomes[0], str):
+            return
+        edges = oracles.edge_dict(m)
+        expected = {}
+        for t in targets:
+            paths = oracles.brute_simple_paths(edges, source, t)
+            if paths:
+                votes = [math.prod(edges[pair] for pair in path) for path in paths]
+                expected[t] = (len(paths), sum(votes))
+        assert outcomes[0] == expected
+
+
 class TestScoreClassifyConsistency:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
@@ -366,28 +399,52 @@ class TestGradeQuiz:
         with pytest.raises(EmptyQuiz):
             grade_quiz(CausalMap(), [])
 
-    def test_items_carry_used_links(self):
-        expert = expert_of(("a", "b", INC), ("b", "c", DEC))
-        student = cmap(("a", "b", INC), ("b", "c", DEC))
-        result = grade_quiz(student, generate_quiz(expert))
-        ac = next(it for it in result.items if (it.question.source, it.question.target) == ("a", "c"))
-        assert {l.key for l in ac.used_links} == {("a", "b"), ("b", "c")}
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_items_are_a_view_of_questions_and_answers(self, seed):
+        rng = random.Random(seed)
+        student = oracles.random_map(rng, max_concepts=6, max_links=12)
+        ids = sorted(student.concepts)
+        questions = [
+            QuizQuestion(rng.choice(ids), rng.choice(ids), rng.choice(list(QueryAnswer)))
+            for _ in range(rng.randint(1, 10))
+        ]
+        result = grade_quiz(student, questions)
+        assert result.questions == tuple(questions)
+        assert len(result.answers) == len(questions)
+        items = result.items
+        assert [(it.question, it.answer) for it in items] == list(
+            zip(result.questions, result.answers)
+        )
+        for it in items:
+            assert it.grade is (
+                Grade.CORRECT if it.answer is it.question.expert_answer else Grade.INCORRECT
+            )
+        incorrect = [it for it in items if it.grade is Grade.INCORRECT]
+        assert result.incorrect_items() == incorrect
+        assert result.n_incorrect == len(incorrect)
+        assert result.n_correct == len(items) - len(incorrect)
+        assert result.score == 100.0 * result.n_correct / len(items)
 
 
 def _grade_each(student, questions, max_paths):
-    """(question, answer, grade, used links) per question, graded one by one
-    through answer_query, and the score."""
+    """(question, answer, grade) per question, graded one by one through
+    answer_query, the score and the number of correct answers."""
     items = []
     for q in questions:
         if student.has_concept(q.source) and student.has_concept(q.target):
-            result = answer_query(student, q.source, q.target, max_paths=max_paths)
-            answer, used = result.answer, result.used_links
+            answer = answer_query(student, q.source, q.target, max_paths=max_paths).answer
         else:
-            answer, used = QueryAnswer.CANNOT_DETERMINE, frozenset()
+            answer = QueryAnswer.CANNOT_DETERMINE
         grade = Grade.CORRECT if answer is q.expert_answer else Grade.INCORRECT
-        items.append((q, answer, grade, used))
+        items.append((q, answer, grade))
     correct = sum(1 for item in items if item[2] is Grade.CORRECT)
-    return items, 100.0 * correct / len(items)
+    return items, 100.0 * correct / len(items), correct
+
+
+def _graded(result):
+    got = [(it.question, it.answer, it.grade) for it in result.items]
+    return got, result.score, result.n_correct
 
 
 class TestGroupedGrading:
@@ -403,8 +460,7 @@ class TestGroupedGrading:
         result = grade_quiz(m, questions)
         assert time.perf_counter() - start < 1.0
         assert result.score == 100.0
-        got = [(it.question, it.answer, it.grade, it.used_links) for it in result.items]
-        assert (got, result.score) == _grade_each(m, questions, DEFAULT_MAX_PATHS)
+        assert _graded(result) == _grade_each(m, questions, DEFAULT_MAX_PATHS)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 5))
@@ -426,8 +482,7 @@ class TestGroupedGrading:
             assert str(raised.value) == str(exc)
             return
         result = grade_quiz(student, questions, max_paths=max_paths)
-        got = [(it.question, it.answer, it.grade, it.used_links) for it in result.items]
-        assert (got, result.score) == expected
+        assert _graded(result) == expected
 
 
 def mark(m, source, target, marking):

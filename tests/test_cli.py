@@ -274,6 +274,20 @@ class TestRecordStudentMatchesFile:
         ])
         assert_error_line(proc, str(victim), repr(donor.stem))
 
+    def test_report_rejects_another_students_affect(self, sim_dir, tmp_path):
+        replayed = tmp_path / "replay"
+        assert run(["replay", "--events", sim_dir / "events",
+                    "--expert", sim_dir / "expert-map.json", "--out", replayed]) == 0
+        affect = sim_dir / "affect"
+        victim = affect / "low-000.jsonl"
+        victim.write_bytes((affect / "high-000.jsonl").read_bytes())
+        proc = run_subprocess([
+            "report", "--annotated", replayed / "annotated", "--affect", affect,
+            "--grouping", sim_dir / "grouping.json", "--out", tmp_path / "report",
+        ])
+        assert_error_line(proc)
+        assert proc.stderr.startswith(f"error: {victim}: record 1 is for student 'high-000'")
+
 
 class TestBadEventRecord:
     @pytest.mark.parametrize(

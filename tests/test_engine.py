@@ -1,8 +1,8 @@
 import pytest
 
 import trigger_scripts as scripts
-from mapcoach.annotate import annotate_session
-from mapcoach.causal import Marking
+from mapcoach.annotate import ActionKind, MapEdit, MapEditAction, annotate_session
+from mapcoach.causal import CausalLink, CausalMap, Concept, ExpertMap, Marking
 from mapcoach.engine import (
     Agent,
     ConversationNode,
@@ -144,6 +144,30 @@ class TestGoldenTriggers:
         assert [d.kind for d in result.deliveries] == [ScaffoldKind.HINT1]
         second_event_after_quiz = s.events[-2]
         assert result.deliveries[0].timestamp == second_event_after_quiz.timestamp
+
+    def test_hint1_names_the_least_key_link_behind_the_first_correct_answer(self):
+        # the quiz's one question, m -> z, is answered by two student paths,
+        # m -> b -> z and m -> c -> z; the least-key link on them, b -> z,
+        # does not leave the question's source, and b -> m, on no path,
+        # has a lesser key still
+        concepts = [Concept(id=i, name=i.upper(), section="s") for i in "bcmz"]
+        expert = ExpertMap(
+            CausalMap(concepts, [CausalLink("m", "z", scripts.INC, source_page="pm")])
+        )
+        s = scripts._Script().concepts(expert).read("pm", 30.0)
+        for pair in ("mb", "bz", "mc", "cz", "bm", "bc"):
+            s.add(pair[0], pair[1], scripts.INC)
+        # deleting the flawed b -> c is the effective edit that precedes the quiz
+        s._emit(
+            ActionKind.MAP_EDIT, 5.0,
+            edit=MapEdit(MapEditAction.DELETE_LINK, source="b", target="c"),
+        )
+        s.quiz()
+        s.read("pm", 30.0, at=s.t + 125.0)
+        result = replay_events(scripts.SID, s.events, expert, EngineConfig())
+        assert [d.kind for d in result.deliveries] == [ScaffoldKind.HINT1]
+        hints = result.deliveries[0].target_hints
+        assert (hints.source, hints.target) == ("b", "z")
 
     def test_hint5_then_hint6_chain_is_exempt(self, expert):
         s = (
