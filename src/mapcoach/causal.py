@@ -316,9 +316,11 @@ def is_correct_link(link: CausalLink, expert: ExpertMap) -> bool:
 def map_score(student: CausalMap, expert: ExpertMap) -> int:
     """Correct links minus incorrect links; a link is correct iff its
     (source, target, sign) triple appears in the expert map."""
+    expert_links = expert.map._links
     correct = 0
-    for link in student._links.values():
-        if is_correct_link(link, expert):
+    for key, link in student._links.items():
+        expert_link = expert_links.get(key)
+        if expert_link is not None and expert_link.sign is link.sign:
             correct += 1
     return 2 * correct - len(student._links)
 
@@ -585,7 +587,7 @@ def generate_quiz(
     if scope.kind == "section":
         sections = expert.sections()
         if scope.section not in sections:
-            raise UnknownSection(scope.section)
+            raise UnknownSection(f"unknown quiz section {scope.section!r}")
         allowed = sections[scope.section]
     else:
         allowed = set(expert.concepts)
@@ -626,22 +628,26 @@ def grade_quiz(
     for q in questions:
         if q.source in concepts and q.target in concepts:
             targets.setdefault(q.source, set()).add(q.target)
+    votes: dict[tuple[str, str], int] = {}
     try:
-        found = {
-            (s, t): _answer(reach.vote)
-            for s, ts in targets.items()
-            for t, reach in _walk(student, s, ts, max_paths, links=False).items()
-        }
+        for s, ts in targets.items():
+            for t, reach in _walk(student, s, ts, max_paths, links=False).items():
+                votes[s, t] = reach.vote
     except PathExplosion:
-        found = {
-            (q.source, q.target): answer_query(student, q.source, q.target, max_paths).answer
+        # each answer of answer_query as the vote that gives it
+        vote_for = {QueryAnswer.TARGET_INCREASES: 1, QueryAnswer.TARGET_DECREASES: -1}
+        votes = {
+            (q.source, q.target):
+                vote_for.get(answer_query(student, q.source, q.target, max_paths).answer, 0)
             for q in questions
             if q.source in concepts and q.target in concepts
         }
+    increases, decreases = QueryAnswer.TARGET_INCREASES, QueryAnswer.TARGET_DECREASES
     answers = []
     n_correct = 0
     for q in questions:
-        answer = found.get((q.source, q.target), QueryAnswer.CANNOT_DETERMINE)
+        vote = votes.get((q.source, q.target), 0)
+        answer = increases if vote > 0 else decreases if vote < 0 else QueryAnswer.CANNOT_DETERMINE
         if answer is q.expert_answer:
             n_correct += 1
         answers.append(answer)

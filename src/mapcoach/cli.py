@@ -227,7 +227,7 @@ def cmd_replay(args) -> int:
             result = replay_events(sid, events, expert, config,
                                    coherence_lookback=args.coherence_lookback,
                                    trees=trees)
-        except ReplayError as exc:
+        except (MapError, ReplayError) as exc:
             raise CliError(f"{path}: student {sid}: {exc}") from exc
         logio.write_annotated(result.annotated, out_dir / "annotated" / f"{sid}.jsonl")
         logio.write_deliveries(result.deliveries, out_dir / "deliveries" / f"{sid}.jsonl")

@@ -600,16 +600,8 @@ class ScaffoldEngine:
         """Deliver the pending hint1 whose follow-up window ran out at `at`."""
         self._pending_hint1 = None
         delivery = self._deliver(
-            ScaffoldKind.HINT1,
-            at,
-            TriggerContext(
-                rule="hint1_window_expired",
-                prev_index=pending.arm_index,
-                cur_index=cur_index,
-                prev_time=pending.arm_time,
-                cur_time=at,
-            ),
-            pending.hints,
+            ScaffoldKind.HINT1, pending.hints, "hint1_window_expired",
+            pending.arm_index, pending.arm_time, cur_index, at,
         )
         return [delivery] if delivery is not None else []
 
@@ -623,26 +615,19 @@ class ScaffoldEngine:
         prev = self._prev
         if prev is None:
             return None
-        context = TriggerContext(
-            rule="",
-            prev_index=self._prev_index,
-            cur_index=index,
-            prev_time=prev.timestamp,
-            cur_time=event.timestamp,
-        )
 
         if _is_long_read(prev) and _is_edit(event, Effectiveness.INEFF):
-            return self._deliver(ScaffoldKind.HINT2, event.timestamp,
-                              _with_rule(context, "read_long->edit_ineff"), None)
+            return self._deliver_on_pair(ScaffoldKind.HINT2, event, index, None,
+                                         "read_long->edit_ineff")
 
         if _is_long_read(prev) and _is_edit(event, Effectiveness.EFF):
-            return self._deliver(ScaffoldKind.ENC2, event.timestamp,
-                              _with_rule(context, "read_long->edit_eff"), None)
+            return self._deliver_on_pair(ScaffoldKind.ENC2, event, index, None,
+                                         "read_long->edit_eff")
 
         if _is_edit(prev, Effectiveness.INEFF) and event.kind is ActionKind.TAKE_QUIZ:
             if self._suppressed(ScaffoldKind.HINT5, event.timestamp):
                 return None
-            return self._resolve_ineff_quiz(prev, event, context, student_map, last_quiz)
+            return self._resolve_ineff_quiz(prev, event, index, student_map, last_quiz)
 
         if (
             prev.kind is ActionKind.TAKE_QUIZ
@@ -651,8 +636,8 @@ class ScaffoldEngine:
             and last_quiz.n_incorrect >= 1
         ):
             hints = self._hint6_targets(student_map, last_quiz)
-            return self._deliver(ScaffoldKind.HINT6, event.timestamp,
-                              _with_rule(context, "quiz->read_long"), hints)
+            return self._deliver_on_pair(ScaffoldKind.HINT6, event, index, hints,
+                                         "quiz->read_long")
 
         if (
             _is_edit(prev, Effectiveness.EFF)
@@ -665,12 +650,8 @@ class ScaffoldEngine:
                 and last_quiz.score > self._prev_quiz_score
             )
             if improved:
-                return self._deliver(
-                    ScaffoldKind.ENC1,
-                    event.timestamp,
-                    _with_rule(context, "edit_eff->quiz_improved"),
-                    None,
-                )
+                return self._deliver_on_pair(ScaffoldKind.ENC1, event, index, None,
+                                             "edit_eff->quiz_improved")
             self._arm_hint1(index, event, student_map, last_quiz)
             return None
         return None
@@ -679,42 +660,31 @@ class ScaffoldEngine:
         self,
         prev: AnnotatedEvent,
         event: AnnotatedEvent,
-        context: TriggerContext,
+        index: int,
         student_map: CausalMap,
         last_quiz: Optional[QuizResult],
     ) -> Optional[ScaffoldDelivery]:
         """Case resolution for the ineffective-edit -> quiz inflection."""
         unmarked = self._unmarked_touched_links(student_map)
         if unmarked:
-            hints = _link_hints(unmarked[0])
-            return self._deliver(
-                ScaffoldKind.HINT3,
-                event.timestamp,
-                _with_rule(context, "edit_ineff->quiz", case="unmarked_incorrect"),
-                hints,
+            return self._deliver_on_pair(
+                ScaffoldKind.HINT3, event, index, _link_hints(unmarked[0]),
+                "edit_ineff->quiz", case="unmarked_incorrect",
             )
         edited = _edited_link(prev)
         if edited is not None and classify_link(edited, self.expert) is LinkClass.INCORRECT_SHORTCUT:
-            return self._deliver(
-                ScaffoldKind.HINT4,
-                event.timestamp,
-                _with_rule(context, "edit_ineff->quiz", case="shortcut"),
-                _link_hints(edited),
+            return self._deliver_on_pair(
+                ScaffoldKind.HINT4, event, index, _link_hints(edited),
+                "edit_ineff->quiz", case="shortcut",
             )
         self._ineff_occasions += 1
         if self._ineff_occasions % self.config.enc3_every == 0:
-            return self._deliver(
-                ScaffoldKind.ENC3,
-                event.timestamp,
-                _with_rule(context, "edit_ineff->quiz", case="alternation"),
-                None,
+            return self._deliver_on_pair(
+                ScaffoldKind.ENC3, event, index, None, "edit_ineff->quiz", case="alternation"
             )
-        hints = self._hint5_targets(student_map, last_quiz)
-        return self._deliver(
-            ScaffoldKind.HINT5,
-            event.timestamp,
-            _with_rule(context, "edit_ineff->quiz", case="alternation"),
-            hints,
+        return self._deliver_on_pair(
+            ScaffoldKind.HINT5, event, index, self._hint5_targets(student_map, last_quiz),
+            "edit_ineff->quiz", case="alternation",
         )
 
     def _arm_hint1(
@@ -803,13 +773,34 @@ class ScaffoldEngine:
         # observed hint5+hint6 chaining: hint6 may follow a hint5 immediately
         return not (kind is ScaffoldKind.HINT6 and last_kind is ScaffoldKind.HINT5)
 
+    def _deliver_on_pair(
+        self,
+        kind: ScaffoldKind,
+        event: AnnotatedEvent,
+        index: int,
+        hints: Optional[TargetHints],
+        rule: str,
+        **detail,
+    ) -> Optional[ScaffoldDelivery]:
+        """Deliver a scaffold triggered by the previous event and `event`."""
+        return self._deliver(
+            kind, hints, rule, self._prev_index, self._prev.timestamp, index, event.timestamp,
+            **detail,
+        )
+
     def _deliver(
         self,
         kind: ScaffoldKind,
-        at: float,
-        context: TriggerContext,
         hints: Optional[TargetHints],
+        rule: str,
+        prev_index: Optional[int],
+        prev_time: Optional[float],
+        cur_index: Optional[int],
+        at: float,
+        **detail,
     ) -> Optional[ScaffoldDelivery]:
+        """Deliver a scaffold at `at` unless the window suppresses it; the
+        trigger context is built only for a delivery."""
         if self._suppressed(kind, at):
             return None
         transcript = run_conversation(
@@ -823,21 +814,10 @@ class ScaffoldEngine:
             kind=kind,
             agent=kind.agent,
             timestamp=at,
-            trigger=context,
+            trigger=TriggerContext(rule, prev_index, cur_index, prev_time, at, detail),
             transcript=tuple(transcript),
             target_hints=hints,
         )
-
-
-def _with_rule(context: TriggerContext, rule: str, **detail) -> TriggerContext:
-    return TriggerContext(
-        rule=rule,
-        prev_index=context.prev_index,
-        cur_index=context.cur_index,
-        prev_time=context.prev_time,
-        cur_time=context.cur_time,
-        detail=dict(detail),
-    )
 
 
 def _is_long_read(event: AnnotatedEvent) -> bool:

@@ -144,7 +144,7 @@ def load_expert_map(path: Path) -> ExpertMap:
 def scope_from_str(text: str) -> QuizScope:
     if text == "everything":
         return QuizScope.everything()
-    if text.startswith("section:"):
+    if isinstance(text, str) and text.startswith("section:"):
         return QuizScope.for_section(text.split(":", 1)[1])
     raise FormatError(f"bad quiz scope {text!r}")
 
@@ -214,10 +214,22 @@ def event_to_record(event: ActionEvent) -> dict:
     return record
 
 
+def _typed(record: dict, name: str, *types: type):
+    """A record field that must hold one of the JSON types `types`; a bool
+    is not a number."""
+    value = record[name]
+    if isinstance(value, bool) is not (bool in types) or not isinstance(value, types):
+        raise ValueError(f"field {name!r} cannot be {type(value).__name__}")
+    return value
+
+
 def event_from_record(record: dict) -> ActionEvent:
     """One logged action, at a finite time and with a finite duration >= 0."""
     kind = ActionKind(record["kind"])
-    timestamp, duration = float(record["t"]), float(record["duration"])
+    timestamp = float(_typed(record, "t", int, float))
+    duration = float(_typed(record, "duration", int, float))
+    if record.get("page") is not None:
+        _typed(record, "page", str)
     if not (math.isfinite(timestamp) and math.isfinite(duration) and duration >= 0):
         raise ValueError(f"student {record['student']}: need a finite time and a finite "
                          f"duration >= 0, got t {timestamp}, duration {duration}")
@@ -250,9 +262,9 @@ def annotated_from_record(record: dict) -> AnnotatedEvent:
         base=event_from_record(record),
         process=Process(record["process"]),
         effectiveness=Effectiveness(record["effectiveness"]),
-        long=record["long"],
-        map_score_after=record["score"],
-        coherent=record.get("coherent"),
+        long=_typed(record, "long", bool),
+        map_score_after=_typed(record, "score", int),
+        coherent=_typed(record, "coherent", bool) if "coherent" in record else None,
     )
 
 
@@ -360,7 +372,7 @@ def _read_records(path: Path, from_record: Callable[[dict], T]) -> list[T]:
         return [from_record(r) for r in read_jsonl(path)]
     except KeyError as exc:
         raise FormatError(f"{path}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (FormatError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 

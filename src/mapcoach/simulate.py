@@ -243,6 +243,7 @@ def _normalized_mix(read, notes, edit, quiz, expl) -> dict[ActionKind, float]:
 
 class _Session:
     STEER_GAIN = 3.0
+    CHOICE_KINDS = (ActionKind.READ, ActionKind.MAKE_NOTES, ActionKind.MAP_EDIT, ActionKind.TAKE_QUIZ)
 
     def __init__(
         self,
@@ -262,7 +263,22 @@ class _Session:
         self.events: list[ActionEvent] = []
         self.deliveries: list[ScaffoldDelivery] = []
         self.time_per_kind = {kind: 0.0 for kind in ActionKind}
-        self.read_pages: list[str] = []
+        # target share and mean duration of each activity a choice draws
+        self._choices = [
+            (kind, profile.activity_mix[kind], duration.mean)
+            for kind, duration in zip(
+                self.CHOICE_KINDS,
+                (profile.read_duration, profile.note_duration,
+                 profile.edit_duration, profile.quiz_duration),
+            )
+        ]
+        # the pages read so far, with their expert links as (key, link) in
+        # sorted page then key order and the concepts those links join,
+        # sorted; updated when a read reaches a page not read before
+        self._read_pages: set[str] = set()
+        self._read_links: list[tuple[tuple[str, str], CausalLink]] = []
+        self._read_concepts: list[str] = []
+        self._expert_links = expert.map.sorted_links()
         self.last_quiz: Optional[QuizResult] = None
         self.edits_since_quiz = 0
         self.note_counter = 0
@@ -279,37 +295,20 @@ class _Session:
 
     # -- activity selection -------------------------------------------------
 
-    def _share(self, kind: ActionKind) -> float:
-        total = sum(self.time_per_kind.values())
-        return self.time_per_kind[kind] / total if total > 0 else 0.0
-
-    def _mean_duration(self, kind: ActionKind) -> float:
-        profile = self.profile
-        return {
-            ActionKind.READ: profile.read_duration.mean,
-            ActionKind.MAKE_NOTES: profile.note_duration.mean,
-            ActionKind.MAP_EDIT: profile.edit_duration.mean,
-            ActionKind.TAKE_QUIZ: profile.quiz_duration.mean,
-            ActionKind.QUIZ_EXPL: profile.expl_duration.mean,
-        }[kind]
-
-    def _weight(self, kind: ActionKind) -> float:
-        """Choice weight steered toward the target time mix.
+    def _choose_activity(self) -> ActionKind:
+        """Draw the next activity, each weighted toward the target time mix.
 
         Dividing by the expected duration makes the target mix a fixed
         point of the realized time shares; the deficit term corrects
         drift."""
-        mix = self.profile.activity_mix[kind]
-        if mix <= 0:
-            return 0.0
-        steered = max(1e-6, mix + self.STEER_GAIN * (mix - self._share(kind)))
-        return steered / self._mean_duration(kind)
-
-    def _choose_activity(self) -> ActionKind:
-        kinds = [ActionKind.READ, ActionKind.MAKE_NOTES, ActionKind.MAP_EDIT, ActionKind.TAKE_QUIZ]
+        time_per_kind = self.time_per_kind
+        total = sum(time_per_kind.values())
         weights = []
-        for kind in kinds:
-            w = self._weight(kind)
+        for kind, mix, mean in self._choices:
+            w = 0.0
+            if mix > 0:
+                share = time_per_kind[kind] / total if total > 0 else 0.0
+                w = max(1e-6, mix + self.STEER_GAIN * (mix - share)) / mean
             if kind is ActionKind.MAP_EDIT and not self._has_edit_move():
                 w = 0.0
             if kind is ActionKind.TAKE_QUIZ:
@@ -320,56 +319,39 @@ class _Session:
             weights.append(w)
         if sum(weights) <= 0:
             return ActionKind.READ
-        return self.rng.choices(kinds, weights=weights)[0]
+        return self.rng.choices(self.CHOICE_KINDS, weights=weights)[0]
 
     # -- edit move selection --------------------------------------------------
 
     def _correct_candidates(self) -> list[CausalLink]:
         """Expert links from read pages that are absent or wrong-signed on the map."""
+        current = self.annotator.current_map.links
         out = []
-        current = self.annotator.current_map
-        for page in sorted(set(self.read_pages)):
-            for key in sorted(self.expert.links_on_page(page)):
-                expert_link = self.expert.links[key]
-                mine = current.links.get(key)
-                if mine is None or mine.sign is not expert_link.sign:
-                    out.append(expert_link)
-        return out
-
-    def _wrong_sign_candidates(self) -> list[CausalLink]:
-        """Read-page expert links, absent from the map, with their sign flipped."""
-        current = self.annotator.current_map
-        out = []
-        for page in sorted(set(self.read_pages)):
-            for key in sorted(self.expert.links_on_page(page)):
-                if key in current.links:
-                    continue
-                expert_link = self.expert.links[key]
-                out.append(
-                    CausalLink(source=key[0], target=key[1], sign=expert_link.sign.flipped())
-                )
+        for key, expert_link in self._read_links:
+            mine = current.get(key)
+            if mine is None or mine.sign is not expert_link.sign:
+                out.append(expert_link)
         return out
 
     def _open_shortcuts(self) -> list[CausalLink]:
-        current = self.annotator.current_map
-        return [link for link in self._shortcuts if link.key not in current.links]
+        current = self.annotator.current_map.links
+        return [link for link in self._shortcuts if link.key not in current]
 
     def _links_by_correctness(self) -> tuple[list[CausalLink], list[CausalLink]]:
+        expert_links = self.expert.links
         correct, incorrect = [], []
         for link in self.annotator.current_map.sorted_links():
-            if is_correct_link(link, self.expert):
+            expert_link = expert_links.get((link.source, link.target))
+            if expert_link is not None and expert_link.sign is link.sign:
                 correct.append(link)
             else:
                 incorrect.append(link)
         return correct, incorrect
 
     def _has_edit_move(self) -> bool:
-        return bool(
-            self.annotator.current_map.links
-            or self._correct_candidates()
-            or self._wrong_sign_candidates()
-            or self._open_shortcuts()
-        )
+        # on a map without links every read expert link is a correct
+        # candidate and every shortcut is open
+        return bool(self.annotator.current_map.links or self._read_links or self._shortcuts)
 
     def _choose_edit(self) -> Optional[MapEdit]:
         """Pick the next link edit, or None when the drawn move kind has no
@@ -386,7 +368,7 @@ class _Session:
     def _effective_move(self) -> Optional[MapEdit]:
         current = self.annotator.current_map
         correct = self._correct_candidates()
-        _, flawed_on_map = self._links_by_correctness()
+        correct_on_map, flawed_on_map = self._links_by_correctness()
         if correct and (not flawed_on_map or self.rng.random() < 0.7):
             expert_link = self.rng.choice(correct)
             link = CausalLink(
@@ -400,11 +382,7 @@ class _Session:
             victim = self.rng.choice(flawed_on_map)
             return MapEdit(MapEditAction.DELETE_LINK, source=victim.source, target=victim.target)
         # nothing raises the score: keep track of finished work instead
-        unmarked = [
-            l
-            for l in current.sorted_links()
-            if l.marking is Marking.UNMARKED and is_correct_link(l, self.expert)
-        ]
+        unmarked = [l for l in correct_on_map if l.marking is Marking.UNMARKED]
         if unmarked:
             pick = self.rng.choice(unmarked)
             return MapEdit(
@@ -426,42 +404,51 @@ class _Session:
             return MapEdit(MapEditAction.DELETE_LINK, source=victim.source, target=victim.target)
         return None
 
-    def _wrong_sign_modifies(self) -> list[MapEdit]:
-        """Flip the sign of a correctly-mapped read-page link (a coherent
-        but score-lowering revision)."""
-        current = self.annotator.current_map
+    def _wrong_sign_edits(self) -> list[MapEdit]:
+        """Add a read-page expert link with its sign flipped, or, when every
+        one is on the map, flip the sign of a correctly-mapped one (a
+        coherent but score-lowering revision)."""
+        current = self.annotator.current_map.links
+        adds = [
+            MapEdit(
+                MapEditAction.ADD_LINK,
+                link=CausalLink(source=key[0], target=key[1], sign=expert_link.sign.flipped()),
+            )
+            for key, expert_link in self._read_links
+            if key not in current
+        ]
+        if adds:
+            return adds
         out = []
-        for page in sorted(set(self.read_pages)):
-            for key in sorted(self.expert.links_on_page(page)):
-                mine = current.links.get(key)
-                if mine is None or mine.sign is not self.expert.links[key].sign:
-                    continue
-                flipped = CausalLink(source=key[0], target=key[1], sign=mine.sign.flipped())
-                out.append(MapEdit(MapEditAction.MODIFY_LINK, old=mine, new=flipped))
+        for key, expert_link in self._read_links:
+            mine = current.get(key)
+            if mine is None or mine.sign is not expert_link.sign:
+                continue
+            flipped = CausalLink(source=key[0], target=key[1], sign=mine.sign.flipped())
+            out.append(MapEdit(MapEditAction.MODIFY_LINK, old=mine, new=flipped))
         return out
 
     def _draw_flawed(self) -> Optional[MapEdit]:
-        current = self.annotator.current_map
-        shortcuts = self._open_shortcuts()
-        wrong_sign = [
-            MapEdit(MapEditAction.ADD_LINK, link=l) for l in self._wrong_sign_candidates()
-        ] or self._wrong_sign_modifies()
-        if self.rng.random() < self.profile.shortcut_share and shortcuts:
-            return MapEdit(MapEditAction.ADD_LINK, link=self.rng.choice(shortcuts))
-        if self.rng.random() < self.profile.wrong_sign_share and wrong_sign:
-            return self.rng.choice(wrong_sign)
-        read_concepts = sorted(
-            {
-                c
-                for page in set(self.read_pages)
-                for key in self.expert.links_on_page(page)
-                for c in key
-            }
-        )
+        """Draw a flawed link edit: a shortcut, a wrong sign or a wrong pair.
+
+        A candidate list is built only when a draw reads it; building draws
+        nothing, so the draws are those of building every list up front."""
+        current = self.annotator.current_map.links
+        if self.rng.random() < self.profile.shortcut_share:
+            shortcuts = self._open_shortcuts()
+            if shortcuts:
+                return MapEdit(MapEditAction.ADD_LINK, link=self.rng.choice(shortcuts))
+        wrong_sign = None
+        if self.rng.random() < self.profile.wrong_sign_share:
+            wrong_sign = self._wrong_sign_edits()
+            if wrong_sign:
+                return self.rng.choice(wrong_sign)
+        read_concepts = self._read_concepts
+        expert_links = self.expert.links
         wrong_pair = []
         for s in read_concepts:
             for t in read_concepts:
-                if s == t or (s, t) in current.links or (s, t) in self.expert.links:
+                if s == t or (s, t) in current or (s, t) in expert_links:
                     continue
                 sign = Sign.INCREASE if self.rng.random() < 0.5 else Sign.DECREASE
                 candidate = CausalLink(source=s, target=t, sign=sign)
@@ -473,8 +460,11 @@ class _Session:
                 break
         if wrong_pair:
             return MapEdit(MapEditAction.ADD_LINK, link=self.rng.choice(wrong_pair))
+        if wrong_sign is None:
+            wrong_sign = self._wrong_sign_edits()
         if wrong_sign:
             return self.rng.choice(wrong_sign)
+        shortcuts = self._open_shortcuts()
         if shortcuts:
             return MapEdit(MapEditAction.ADD_LINK, link=self.rng.choice(shortcuts))
         return None
@@ -506,7 +496,14 @@ class _Session:
                 page = self.rng.choice(needed)
             else:
                 page = self.rng.choice(self.pages)
-        self.read_pages.append(page)
+        if page not in self._read_pages:
+            self._read_pages.add(page)
+            self._read_links = [
+                (key, self.expert.links[key])
+                for p in sorted(self._read_pages)
+                for key in sorted(self.expert.links_on_page(p))
+            ]
+            self._read_concepts = sorted({c for key, _ in self._read_links for c in key})
         self._emit(
             ActionEvent(
                 student_id=self.profile.student_id,
@@ -518,11 +515,11 @@ class _Session:
         )
 
     def _uncovered_expert_links(self) -> list[CausalLink]:
-        current = self.annotator.current_map
+        current = self.annotator.current_map.links
         return [
             l
-            for l in self.expert.map.sorted_links()
-            if (l.key not in current.links or current.links[l.key].sign is not l.sign)
+            for l in self._expert_links
+            if (l.key not in current or current[l.key].sign is not l.sign)
         ]
 
     def _do_notes(self):
@@ -731,10 +728,11 @@ def _affect_stream(
     observations = []
     for i in range(count):
         ts = i * AFFECT_PERIOD
+        bumped = any(a <= ts <= b for a, b in bump_spans)
         likelihoods = {}
         for emotion in Emotion:
             value = profile.affect_baseline[emotion] + rng.uniform(-0.02, 0.02)
-            if emotion is Emotion.CONFUSION and any(a <= ts <= b for a, b in bump_spans):
+            if bumped and emotion is Emotion.CONFUSION:
                 value += CONFUSION_BUMP
             likelihoods[emotion] = min(1.0, max(0.0, round(value, 4)))
         observations.append(

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from datetime import datetime
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import mapcoach
 from mapcoach import cli, logio
@@ -303,6 +310,174 @@ class TestBadEventRecord:
         proc = run_subprocess(["replay", "--events", events, "--out", tmp_path / "out"])
         assert_error_line(proc, "s1.jsonl")
         assert not list((tmp_path / "out").rglob("*.jsonl"))
+
+
+class TestQuizScopeInEvents:
+    @pytest.fixture()
+    def cohort(self, tmp_path):
+        """A 1+1 cohort, with the path and lines of an events log holding a
+        quiz and the index of its first quiz record."""
+        out = tmp_path / "sim"
+        assert run(["simulate", "--high", 1, "--low", 1, "--seed", 3,
+                    "--budget", 600, "--out", out]) == 0
+        for path in sorted((out / "events").glob("*.jsonl")):
+            lines = path.read_text().splitlines()
+            for i, line in enumerate(lines):
+                if json.loads(line)["kind"] == "take_quiz":
+                    return out, path, lines, i
+        pytest.fail("the cohort took no quiz")
+
+    def replay_with_scope(self, cohort, scope):
+        out, path, lines, i = cohort
+        record = dict(json.loads(lines[i]), scope=scope)
+        path.write_text("\n".join([*lines[:i], json.dumps(record), *lines[i + 1:]]) + "\n")
+        return run_subprocess(["replay", "--events", out / "events",
+                               "--expert", out / "expert-map.json", "--out", out / "replay"])
+
+    def test_non_string_scope_is_an_error_line(self, cohort):
+        proc = self.replay_with_scope(cohort, 3)
+        assert_error_line(proc, str(cohort[1]), "bad quiz scope 3")
+
+    def test_unknown_section_names_file_student_and_section(self, cohort):
+        proc = self.replay_with_scope(cohort, "section:nowhere")
+        path = cohort[1]
+        assert_error_line(proc)
+        assert proc.stderr == (
+            f"error: {path}: student {path.stem}: unknown quiz section 'nowhere'\n"
+        )
+
+
+class TestWrongJsonTypes:
+    EVENT = {"student": "s1", "t": 0.0, "duration": 5.0, "kind": "read", "page": "p"}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t", "0"), ("t", True), ("t", None), ("duration", "5"), ("duration", False)],
+        ids=["string-time", "bool-time", "null-time", "string-duration", "bool-duration"],
+    )
+    def test_event_time_and_duration_must_be_numbers(self, tmp_path, field, value):
+        events = tmp_path / "events"
+        events.mkdir()
+        (events / "s1.jsonl").write_text(json.dumps(dict(self.EVENT, **{field: value})) + "\n")
+        proc = run_subprocess(["replay", "--events", events, "--out", tmp_path / "out"])
+        assert_error_line(proc, "s1.jsonl", repr(field))
+
+    @pytest.mark.parametrize("command", ["mine", "report"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("score", "x"), ("score", None), ("score", True), ("score", 1.5),
+         ("long", "yes"), ("long", 0), ("coherent", "no"), ("coherent", None)],
+        ids=["string-score", "null-score", "bool-score", "float-score",
+             "string-long", "number-long", "string-coherent", "null-coherent"],
+    )
+    def test_annotated_fields_must_have_their_types(self, tmp_path, command, field, value):
+        record = dict(TestBadAnnotatedRecord.RECORD, process="IA", **{field: value})
+        proc = run_on_annotated(command, tmp_path, json.dumps(record) + "\n")
+        assert_error_line(proc, "s1.jsonl", repr(field))
+
+    def test_valid_types_still_read(self, tmp_path):
+        record = dict(TestBadAnnotatedRecord.RECORD, process="IA", t=0, duration=5,
+                      coherent=True)
+        proc = run_on_annotated("report", tmp_path, json.dumps(record) + "\n")
+        assert proc.returncode == 0, proc.stderr
+
+
+class _Drop:
+    def __repr__(self):
+        return "<drop the field>"
+
+
+DROP = _Drop()
+LOG_FIELDS = {
+    "events": ("student", "t", "duration", "kind", "page", "note", "edit", "scope", "question"),
+}
+LOG_FIELDS["annotated"] = (*LOG_FIELDS["events"],
+                           "process", "effectiveness", "long", "score", "coherent")
+
+
+def breaks_a_checked_type(field, value):
+    """Whether the mutation leaves a field whose JSON type the readers check
+    missing or of the wrong type."""
+    if value is DROP:
+        return field in ("t", "duration", "score", "long", "scope")
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if field in ("t", "duration"):
+        return not number or math.isnan(value)
+    if field == "score":
+        return not number or not isinstance(value, int)
+    if field in ("long", "coherent"):
+        return not isinstance(value, bool)
+    if field == "scope":
+        return not isinstance(value, str)
+    return False
+
+
+@pytest.fixture(scope="module")
+def fuzz_cohort(tmp_path_factory):
+    """A simulated 1+1 cohort with its replayed, annotated logs."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert run(["simulate", "--high", 1, "--low", 1, "--seed", 3,
+                "--budget", 600, "--out", root / "sim"]) == 0
+    assert run(["replay", "--events", root / "sim" / "events",
+                "--expert", root / "sim" / "expert-map.json", "--out", root / "replay"]) == 0
+    (root / "replay" / "annotated").rename(root / "sim" / "annotated")
+    return root / "sim"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log=st.sampled_from(sorted(LOG_FIELDS)),
+    field=st.sampled_from(LOG_FIELDS["annotated"]),
+    pick=st.integers(0, 10_000),
+    value=st.sampled_from([DROP, "x", 3, -2.5, True, None, [1], {"a": 1}, float("nan")]),
+)
+@example(log="events", field="scope", pick=0, value=3)
+@example(log="annotated", field="score", pick=0, value="x")
+@example(log="annotated", field="long", pick=0, value=None)
+@example(log="annotated", field="coherent", pick=0, value=[1])
+@example(log="events", field="t", pick=0, value=True)
+def test_mutated_log_record_is_read_or_an_error_line(fuzz_cohort, log, field, pick, value):
+    """One field of one record of an events or annotated log is dropped or
+    given a value of another JSON type; replay, mine and report each end in
+    0 or 1, never raise, and fail with an error line when the mutation breaks
+    a type the readers check."""
+    records = [
+        (path, i, record)
+        for path in sorted((fuzz_cohort / log).glob("*.jsonl"))
+        for i, record in enumerate(map(json.loads, path.read_text().splitlines()))
+        if field in record
+    ]
+    assume(records)
+    path, i, record = records[pick % len(records)]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "sim"
+        shutil.copytree(fuzz_cohort, work)
+        if value is DROP:
+            del record[field]
+        else:
+            record[field] = value
+        mutated = work / log / path.name
+        lines = mutated.read_text().splitlines()
+        lines[i] = json.dumps(record)
+        mutated.write_text("\n".join(lines) + "\n")
+        commands = {
+            "replay": ["replay", "--events", work / "events",
+                       "--expert", work / "expert-map.json", "--out", work / "out"],
+            "mine": ["mine", "--annotated", work / "annotated",
+                     "--grouping", work / "grouping.json", "--out", work / "dsm.tsv"],
+            "report": ["report", "--annotated", work / "annotated",
+                       "--deliveries", work / "deliveries", "--affect", work / "affect",
+                       "--grouping", work / "grouping.json", "--out", work / "report"],
+        }
+        readers = ("replay",) if log == "events" else ("mine", "report")
+        for name, argv in commands.items():
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1), (name, err.getvalue())
+            if name in readers and breaks_a_checked_type(field, value):
+                assert code == 1, name
+                assert err.getvalue().startswith("error: "), name
 
 
 class TestScore:

@@ -262,6 +262,22 @@ class TestEngineProperties:
             deliveries = replay_events(scripts.SID, events, expert, config).deliveries
             assert verify_session(annotated, deliveries, expert, config) == []
 
+    def test_no_trigger_context_without_a_delivery(self, expert, monkeypatch):
+        import mapcoach.engine as engine_module
+
+        built = []
+
+        class CountedContext(engine_module.TriggerContext):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "TriggerContext", CountedContext)
+        s = scripts._Script().read("pa", 90.0).note().read("pb", 30.0).note().read("pa", 90.0)
+        deliveries = replay_events(scripts.SID, s.events, expert, EngineConfig()).deliveries
+        assert deliveries == ()
+        assert built == []
+
     def test_min_gap_invariant_on_simulated_sessions(self, pack):
         from mapcoach.simulate import bundled_profiles, simulate_session
         from dataclasses import replace

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -47,6 +49,26 @@ class TestDeterminism:
         assert derive_seed(7, "hi-000") == derive_seed(7, "hi-000")
         assert derive_seed(7, "hi-000") != derive_seed(7, "hi-001")
         assert derive_seed(7, "hi-000") != derive_seed(8, "hi-000")
+
+    def test_cohort_output_is_pinned(self, pack):
+        """The draws of a small engine-in-the-loop cohort, pinned: a change
+        to the simulator that moves one RNG draw changes this digest."""
+        cohort = simulate_cohort(
+            3, 3, seed=7, expert=pack, duration_budget=1500,
+            engine_config=EngineConfig(min_inter_scaffold_seconds=15),
+        )
+        digest = hashlib.sha256()
+        for session in cohort.sessions:
+            lines = [
+                *(logio.event_to_record(e) for e in session.events),
+                *(logio.affect_to_record(session.student_id, o) for o in session.affect),
+                *(logio.delivery_to_record(d) for d in session.deliveries),
+            ]
+            for record in lines:
+                digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "8298e5a8dba54d720da735a9feddb54c58b8fb292d05d8ee890018d7e62d7a49"
+        )
 
     def test_engine_in_loop_is_deterministic(self, pack):
         config = EngineConfig()
