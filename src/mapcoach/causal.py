@@ -237,9 +237,10 @@ class ExpertMap:
     """A causal map acting as ground truth, with page provenance per link.
 
     Every link must carry a source page; the derived page index maps each
-    page to the set of link pairs it supports.  Path facts (`paths`) and
-    quiz banks (`generate_quiz`) are computed on first use and memoised on
-    the instance, so its map must not change after construction.
+    page to the set of link pairs it supports.  Path facts (`paths`),
+    shortcuts (`shortcuts`) and quiz banks (`generate_quiz`) are computed on
+    first use and memoised on the instance, so its map must not change after
+    construction.
     """
 
     def __init__(self, cmap: CausalMap):
@@ -253,6 +254,7 @@ class ExpertMap:
         self.pages: dict[str, set[tuple[str, str]]] = pages
         self._paths: dict[tuple[str, str], PathFacts] = {}
         self._quizzes: dict[QuizScope, tuple[QuizQuestion, ...]] = {}
+        self._shortcuts: Optional[tuple[CausalLink, ...]] = None
 
     @property
     def concepts(self) -> Mapping[str, Concept]:
@@ -291,17 +293,19 @@ class ExpertMap:
             )
         return facts
 
-    def shortcuts(self) -> list[CausalLink]:
+    def shortcuts(self) -> tuple[CausalLink, ...]:
         """One link per net sign of the multi-link paths between each pair
         with no direct expert link, ordered by (source, target, sign)."""
-        concepts = sorted(self.map.concepts)
-        return [
-            CausalLink(source=s, target=t, sign=Sign.INCREASE if sign > 0 else Sign.DECREASE)
-            for s in concepts
-            for t in concepts
-            if s != t and (s, t) not in self.map.links
-            for sign in sorted(self.paths(s, t).multi_signs)
-        ]
+        if self._shortcuts is None:
+            concepts = sorted(self.map.concepts)
+            self._shortcuts = tuple(
+                CausalLink(source=s, target=t, sign=Sign.INCREASE if sign > 0 else Sign.DECREASE)
+                for s in concepts
+                for t in concepts
+                if s != t and (s, t) not in self.map.links
+                for sign in sorted(self.paths(s, t).multi_signs)
+            )
+        return self._shortcuts
 
 
 # -- scoring ---------------------------------------------------------------

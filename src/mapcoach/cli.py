@@ -113,10 +113,11 @@ def _read_student_log(read, path: Path) -> list:
     """Read one student's log, named <student>.jsonl; a record of another
     student is a CliError naming the file."""
     records = read(path)
+    student = path.stem
     for n, record in enumerate(records, start=1):
-        if record.student_id != path.stem:
+        if record.student_id != student:
             raise CliError(f"{path}: record {n} is for student {record.student_id!r}, "
-                           f"not {path.stem!r} as the file name says")
+                           f"not {student!r} as the file name says")
     return records
 
 

@@ -25,12 +25,29 @@ delivery log (one JSON object per line)
 
 outcome log (one JSON object per line)
     student, pre, post, max: test points, finite, with pre < max
+
+The readers check these fields' JSON types ("number" excludes true and
+false, which Python's json reads as bool):
+    events      t, duration: finite number, duration >= 0; kind: string
+                naming an action kind; page, note: string or null;
+                question: integer or null; scope: string, "everything" or
+                "section:<name>"
+    annotated   as events, plus process, effectiveness: string naming a
+                member; long: true/false; score: integer; coherent:
+                true/false if present
+    affect      t: finite number; likelihoods: object with exactly the five
+                emotions, each a finite number in [0, 1]
+    deliveries  t: finite number; kind, agent: string naming a member
+    outcomes    pre, post, max: anything float() takes, finite, pre < max
+In an edit, action, sign and marking must name a member; other fields
+pass through as read.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -65,10 +82,36 @@ from .engine import (
 MAP_FORMAT = "mapcoach-map/1"
 
 T = TypeVar("T")
+E = TypeVar("E", bound=Enum)
 
 
 class FormatError(Exception):
     pass
+
+
+def _by_value(enum: type[E]) -> Callable[[object], E]:
+    """enum(value) through a value -> member dict built once; a value that
+    names no member still raises enum(value)'s own ValueError."""
+    members = {member.value: member for member in enum}
+
+    def member(value) -> E:
+        try:
+            return members[value]
+        except (KeyError, TypeError):
+            return enum(value)
+
+    return member
+
+
+_sign = _by_value(Sign)
+_marking = _by_value(Marking)
+_edit_action = _by_value(MapEditAction)
+_action_kind = _by_value(ActionKind)
+_process = _by_value(Process)
+_effectiveness = _by_value(Effectiveness)
+_emotion = _by_value(Emotion)
+_scaffold_kind = _by_value(ScaffoldKind)
+_agent = _by_value(Agent)
 
 
 # -- map documents ---------------------------------------------------------
@@ -87,8 +130,8 @@ def link_from_record(record: dict) -> CausalLink:
     return CausalLink(
         source=record["source"],
         target=record["target"],
-        sign=Sign(record["sign"]),
-        marking=Marking(record.get("marking", Marking.UNMARKED.value)),
+        sign=_sign(record["sign"]),
+        marking=_marking(record["marking"]) if "marking" in record else Marking.UNMARKED,
         source_page=record.get("page"),
     )
 
@@ -174,7 +217,7 @@ def _edit_to_record(edit: MapEdit) -> dict:
 
 
 def _edit_from_record(record: dict) -> MapEdit:
-    a = MapEditAction(record["action"])
+    a = _edit_action(record["action"])
     if a is MapEditAction.ADD_CONCEPT:
         c = record["concept"]
         return MapEdit(a, concept=Concept(id=c["id"], name=c["name"], section=c["section"]))
@@ -190,7 +233,7 @@ def _edit_from_record(record: dict) -> MapEdit:
         a,
         source=record["source"],
         target=record["target"],
-        marking=Marking(record["marking"]),
+        marking=_marking(record["marking"]),
     )
 
 
@@ -218,6 +261,8 @@ def _typed(record: dict, name: str, *types: type):
     """A record field that must hold one of the JSON types `types`; a bool
     is not a number."""
     value = record[name]
+    if type(value) in types:
+        return value
     if isinstance(value, bool) is not (bool in types) or not isinstance(value, types):
         raise ValueError(f"field {name!r} cannot be {type(value).__name__}")
     return value
@@ -225,11 +270,20 @@ def _typed(record: dict, name: str, *types: type):
 
 def event_from_record(record: dict) -> ActionEvent:
     """One logged action, at a finite time and with a finite duration >= 0."""
-    kind = ActionKind(record["kind"])
-    timestamp = float(_typed(record, "t", int, float))
-    duration = float(_typed(record, "duration", int, float))
-    if record.get("page") is not None:
+    kind = _action_kind(record["kind"])
+    timestamp = record["t"]
+    if type(timestamp) is not float:
+        timestamp = float(_typed(record, "t", int, float))
+    duration = record["duration"]
+    if type(duration) is not float:
+        duration = float(_typed(record, "duration", int, float))
+    page, note, question = record.get("page"), record.get("note"), record.get("question")
+    if page is not None and type(page) is not str:
         _typed(record, "page", str)
+    if note is not None and type(note) is not str:
+        _typed(record, "note", str)
+    if question is not None and type(question) is not int:
+        _typed(record, "question", int)
     if not (math.isfinite(timestamp) and math.isfinite(duration) and duration >= 0):
         raise ValueError(f"student {record['student']}: need a finite time and a finite "
                          f"duration >= 0, got t {timestamp}, duration {duration}")
@@ -238,11 +292,11 @@ def event_from_record(record: dict) -> ActionEvent:
         timestamp=timestamp,
         duration=duration,
         kind=kind,
-        page=record.get("page"),
-        note_id=record.get("note"),
+        page=page,
+        note_id=note,
         edit=_edit_from_record(record["edit"]) if kind is ActionKind.MAP_EDIT else None,
         quiz_scope=scope_from_str(record["scope"]) if kind is ActionKind.TAKE_QUIZ else None,
-        question_ref=record.get("question"),
+        question_ref=question,
     )
 
 
@@ -260,8 +314,8 @@ def annotated_to_record(event: AnnotatedEvent) -> dict:
 def annotated_from_record(record: dict) -> AnnotatedEvent:
     return AnnotatedEvent(
         base=event_from_record(record),
-        process=Process(record["process"]),
-        effectiveness=Effectiveness(record["effectiveness"]),
+        process=_process(record["process"]),
+        effectiveness=_effectiveness(record["effectiveness"]),
         long=_typed(record, "long", bool),
         map_score_after=_typed(record, "score", int),
         coherent=_typed(record, "coherent", bool) if "coherent" in record else None,
@@ -271,20 +325,46 @@ def annotated_from_record(record: dict) -> AnnotatedEvent:
 # -- affect ---------------------------------------------------------------------
 
 
+_EMOTION_VALUES = tuple((emotion, emotion.value) for emotion in Emotion)
+
+
 def affect_to_record(student_id: str, obs: AffectObservation) -> dict:
+    likelihoods = obs.likelihoods
     return {
         "student": student_id,
         "t": obs.timestamp,
-        "likelihoods": {e.value: obs.likelihoods[e] for e in Emotion},
+        "likelihoods": {value: likelihoods[emotion] for emotion, value in _EMOTION_VALUES},
     }
 
 
+def _finite_time(record: dict) -> float:
+    """The record's `t`: a finite JSON number."""
+    t = record["t"]
+    if type(t) is not float:
+        t = float(_typed(record, "t", int, float))
+    if not math.isfinite(t):
+        raise ValueError(f"field 't' must be finite, got {t}")
+    return t
+
+
 def affect_from_record(record: dict) -> AffectObservation:
-    return AffectObservation(
-        student_id=record["student"],
-        timestamp=float(record["t"]),
-        likelihoods={Emotion(k): float(v) for k, v in record["likelihoods"].items()},
-    )
+    """One observation at a finite time, with a likelihood in [0, 1] for
+    each of the five emotions and for nothing else."""
+    student_id = record["student"]
+    timestamp = _finite_time(record)
+    given = _typed(record, "likelihoods", dict)
+    likelihoods = {}
+    for key, value in given.items():
+        emotion = _emotion(key)
+        if type(value) is not float:
+            value = float(_typed(given, key, int, float))
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"likelihood {key!r} must be in [0, 1], got {value}")
+        likelihoods[emotion] = value
+    if len(likelihoods) != len(_EMOTION_VALUES):
+        missing = [value for emotion, value in _EMOTION_VALUES if emotion not in likelihoods]
+        raise ValueError(f"likelihoods miss {', '.join(missing)}")
+    return AffectObservation(student_id=student_id, timestamp=timestamp, likelihoods=likelihoods)
 
 
 # -- deliveries -------------------------------------------------------------------
@@ -316,9 +396,9 @@ def delivery_from_record(record: dict) -> ScaffoldDelivery:
     hints = record.get("hints")
     return ScaffoldDelivery(
         student_id=record["student"],
-        kind=ScaffoldKind(record["kind"]),
-        agent=Agent(record["agent"]),
-        timestamp=float(record["t"]),
+        kind=_scaffold_kind(record["kind"]),
+        agent=_agent(record["agent"]),
+        timestamp=_finite_time(record),
         trigger=TriggerContext(
             rule=record["rule"],
             prev_index=record["prev_index"],
@@ -338,10 +418,26 @@ def delivery_from_record(record: dict) -> ScaffoldDelivery:
 # -- JSONL plumbing ---------------------------------------------------------------
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+_DECODER = json.JSONDecoder()
+
+
 def write_jsonl(records: Iterable[dict], path: Path):
+    encode = _ENCODER.encode
     with open(path, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
+        fh.write("".join([encode(record) + "\n" for record in records]))
+
+
+def _decode(line: str):
+    """json.loads(line) for a stripped line, in one decode; on bad input
+    json.loads raises its own error."""
+    try:
+        value, end = _DECODER.raw_decode(line)
+        if end == len(line):
+            return value
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)
 
 
 def read_jsonl(path: Path) -> list[dict]:
@@ -349,19 +445,20 @@ def read_jsonl(path: Path) -> list[dict]:
     FormatError naming the file and line."""
     records = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc.msg}") from exc
-            if not isinstance(record, dict):
-                raise FormatError(
-                    f"{path}: line {lineno}: expected a JSON object, got {type(record).__name__}"
-                )
-            records.append(record)
+        lines = fh.read().split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = _decode(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: line {lineno}: {exc.msg}") from exc
+        if type(record) is not dict:
+            raise FormatError(
+                f"{path}: line {lineno}: expected a JSON object, got {type(record).__name__}"
+            )
+        records.append(record)
     return records
 
 
@@ -372,7 +469,7 @@ def _read_records(path: Path, from_record: Callable[[dict], T]) -> list[T]:
         return [from_record(r) for r in read_jsonl(path)]
     except KeyError as exc:
         raise FormatError(f"{path}: missing field {exc}") from exc
-    except (FormatError, TypeError, ValueError) as exc:
+    except (FormatError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 

@@ -724,14 +724,20 @@ def _affect_stream(
         for prev, cur in zip(ordered, ordered[1:]):
             if cur.timestamp - prev.timestamp < engine_config.min_inter_scaffold_seconds:
                 bump_spans.append((cur.timestamp, cur.timestamp + CONFUSION_BUMP_WINDOW))
+    # the spans start in order and all have the same width, so they also end
+    # in order: the first span not yet over at a window is the only candidate
+    baselines = [(emotion, profile.affect_baseline[emotion]) for emotion in Emotion]
     count = math.ceil(session_end / AFFECT_PERIOD)
     observations = []
+    span = 0
     for i in range(count):
         ts = i * AFFECT_PERIOD
-        bumped = any(a <= ts <= b for a, b in bump_spans)
+        while span < len(bump_spans) and bump_spans[span][1] < ts:
+            span += 1
+        bumped = span < len(bump_spans) and bump_spans[span][0] <= ts
         likelihoods = {}
-        for emotion in Emotion:
-            value = profile.affect_baseline[emotion] + rng.uniform(-0.02, 0.02)
+        for emotion, baseline in baselines:
+            value = baseline + rng.uniform(-0.02, 0.02)
             if bumped and emotion is Emotion.CONFUSION:
                 value += CONFUSION_BUMP
             likelihoods[emotion] = min(1.0, max(0.0, round(value, 4)))

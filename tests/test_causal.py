@@ -666,7 +666,7 @@ class TestExpertPathFacts:
                     assert (cls is LinkClass.INCORRECT_SHORTCUT) == shortcut
                     if shortcut:
                         expected_shortcuts.append(CausalLink(s, t, sign))
-        assert expert.shortcuts() == expected_shortcuts
+        assert expert.shortcuts() == tuple(expected_shortcuts)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))

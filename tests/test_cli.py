@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 import mapcoach
 from mapcoach import cli, logio
+from mapcoach.analytics import Emotion
 from mapcoach.cli import main
 from mapcoach.pack import default_expert_map
 from mapcoach.simulate import simulate_cohort
@@ -299,8 +302,9 @@ class TestRecordStudentMatchesFile:
 class TestBadEventRecord:
     @pytest.mark.parametrize(
         "field, value",
-        [("t", "nan"), ("t", "inf"), ("duration", -5), ("duration", "nan")],
-        ids=["nan-time", "infinite-time", "negative-duration", "nan-duration"],
+        [("t", "nan"), ("t", "inf"), ("t", 10 ** 400), ("duration", -5), ("duration", "nan")],
+        ids=["nan-time", "infinite-time", "huge-integer-time", "negative-duration",
+             "nan-duration"],
     )
     def test_replay_fails_naming_the_file(self, tmp_path, field, value):
         events = tmp_path / "events"
@@ -347,6 +351,140 @@ class TestQuizScopeInEvents:
         )
 
 
+def rewrite_log(path, change, *, kind=None, every=False):
+    """Apply change(record) to the first record of a JSON-lines log (the
+    first of that kind, if given) or to every record."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    targets = [record for record in records if kind is None or record["kind"] == kind]
+    assert targets, f"{path} has no record to change"
+    for record in targets if every else targets[:1]:
+        change(record)
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+
+
+@pytest.fixture()
+def cohort_copy(small_cohort, tmp_path):
+    """A writable copy of the small replayed cohort."""
+    work = tmp_path / "sim"
+    shutil.copytree(small_cohort, work)
+    return work
+
+
+class TestEventPayloadTypes:
+    @pytest.mark.parametrize(
+        "kind, field, value, message",
+        [("quiz_expl", "question", {"a": [1]}, "field 'question' cannot be dict"),
+         ("quiz_expl", "question", True, "field 'question' cannot be bool"),
+         ("quiz_expl", "question", "1", "field 'question' cannot be str"),
+         ("make_notes", "note", [1, 2], "field 'note' cannot be list"),
+         ("make_notes", "note", 3, "field 'note' cannot be int")],
+        ids=["object-question", "bool-question", "string-question", "list-note", "number-note"],
+    )
+    def test_replay_fails_naming_file_and_field(self, cohort_copy, kind, field, value, message):
+        path = cohort_copy / "events" / "high-000.jsonl"
+        rewrite_log(path, lambda record: record.update({field: value}), kind=kind)
+        proc = run_subprocess(["replay", "--events", cohort_copy / "events",
+                               "--expert", cohort_copy / "expert-map.json",
+                               "--out", cohort_copy / "replay"])
+        assert_error_line(proc)
+        assert proc.stderr == f"error: {path}: {message}\n"
+
+
+class TestAffectAndDeliveryRecords:
+    def report(self, work):
+        return run_subprocess([
+            "report", "--annotated", work / "annotated", "--deliveries", work / "deliveries",
+            "--affect", work / "affect", "--grouping", work / "grouping.json",
+            "--out", work / "report",
+        ])
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [(lambda r: r.update(likelihoods=[1]), "field 'likelihoods' cannot be list"),
+         (lambda r: r.update(likelihoods=None), "field 'likelihoods' cannot be NoneType"),
+         (lambda r: r["likelihoods"].pop("boredom"), "likelihoods miss boredom"),
+         (lambda r: r["likelihoods"].update(confusion=1.5),
+          "likelihood 'confusion' must be in [0, 1], got 1.5"),
+         (lambda r: r["likelihoods"].update(confusion=True), "field 'confusion' cannot be bool"),
+         (lambda r: r["likelihoods"].update(confusion=float("nan")),
+          "likelihood 'confusion' must be in [0, 1], got nan"),
+         (lambda r: r.update(t="0"), "field 't' cannot be str"),
+         (lambda r: r.update(t=float("inf")), "field 't' must be finite, got inf")],
+        ids=["list-likelihoods", "null-likelihoods", "missing-emotion", "likelihood-above-one",
+             "bool-likelihood", "nan-likelihood", "string-time", "infinite-time"],
+    )
+    def test_bad_affect_record_is_an_error_line(self, cohort_copy, change, message):
+        path = cohort_copy / "affect" / "low-000.jsonl"
+        rewrite_log(path, change)
+        proc = self.report(cohort_copy)
+        assert_error_line(proc)
+        assert proc.stderr == f"error: {path}: {message}\n"
+
+    def test_nan_string_confusion_everywhere_is_an_error_line(self, cohort_copy):
+        for path in sorted((cohort_copy / "affect").glob("*.jsonl")):
+            rewrite_log(path, lambda r: r["likelihoods"].update(confusion="nan"), every=True)
+        proc = self.report(cohort_copy)
+        assert_error_line(proc, "field 'confusion' cannot be str")
+        assert not (cohort_copy / "report" / "impact.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("nan", "field 't' cannot be str"), (float("nan"), "field 't' must be finite, got nan"),
+         (True, "field 't' cannot be bool")],
+        ids=["nan-string", "nan", "bool"],
+    )
+    def test_bad_delivery_time_is_an_error_line(self, cohort_copy, value, message):
+        path = cohort_copy / "deliveries" / "high-000.jsonl"
+        rewrite_log(path, lambda r: r.update(t=value))
+        proc = self.report(cohort_copy)
+        assert_error_line(proc)
+        assert proc.stderr == f"error: {path}: {message}\n"
+
+
+class TestOutputPins:
+    """Bytes and error lines pinned when the log readers and writers were
+    rewritten for speed; a change to either shows here."""
+
+    SHA256 = "55ad69bad6c9bfaa0ab7d1bc9b19604b41e9966978a215bad8619182ec18a5be"
+    EVENT = {"student": "s1", "t": 0.0, "duration": 5.0, "kind": "read", "page": "p"}
+
+    def test_simulate_and_replay_write_the_pinned_bytes(self, sim_dir, tmp_path):
+        assert run(["replay", "--events", sim_dir / "events",
+                    "--expert", sim_dir / "expert-map.json", "--out", tmp_path / "replay"]) == 0
+        digest = hashlib.sha256()
+        for root in (sim_dir, tmp_path / "replay"):
+            for path in sorted(p for p in root.rglob("*")
+                               if p.is_file() and p.name != "manifest.json"):
+                digest.update(path.relative_to(root).as_posix().encode() + b"\0"
+                              + path.read_bytes())
+        assert digest.hexdigest() == self.SHA256
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("{} {}", "{path}: line 2: Extra data"),
+         ("[1]", "{path}: line 2: expected a JSON object, got list"),
+         ('{"student": ', "{path}: line 2: Expecting value"),
+         (json.dumps(dict(EVENT, kind="jump")), "'jump' is not a valid ActionKind")],
+        ids=["two-values", "array", "truncated", "unknown-kind"],
+    )
+    def test_events_error_lines(self, tmp_path, line, message):
+        events = tmp_path / "events"
+        events.mkdir()
+        path = events / "s1.jsonl"
+        path.write_text(json.dumps(self.EVENT) + "\n" + line + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert run(["replay", "--events", events, "--out", tmp_path / "out"]) == 1
+        assert err.getvalue() == f"error: {path}: {message.format(path=path)}\n"
+
+    @pytest.mark.parametrize("command", ["mine", "report"])
+    def test_annotated_error_line(self, tmp_path, command):
+        record = dict(TestBadAnnotatedRecord.RECORD, process="XX")
+        proc = run_on_annotated(command, tmp_path, json.dumps(record) + "\n")
+        path = tmp_path / "annotated" / "s1.jsonl"
+        assert proc.stderr == f"error: {path}: 'XX' is not a valid Process\n"
+
+
 class TestWrongJsonTypes:
     EVENT = {"student": "s1", "t": 0.0, "duration": 5.0, "kind": "read", "page": "p"}
 
@@ -388,34 +526,58 @@ class _Drop:
 
 
 DROP = _Drop()
+# Each log's mutable fields: a top-level name, or a (name, key) pair one
+# level into an object or list.
 LOG_FIELDS = {
     "events": ("student", "t", "duration", "kind", "page", "note", "edit", "scope", "question"),
+    "affect": ("student", "t", "likelihoods", *(("likelihoods", e.value) for e in Emotion)),
+    "deliveries": ("student", "kind", "agent", "t", "rule", "prev_index", "cur_index",
+                   "prev_t", "cur_t", "detail", "hints", "transcript",
+                   *(("hints", key) for key in ("link", "source", "target", "concept", "page")),
+                   ("transcript", 0), ("transcript", 1)),
 }
 LOG_FIELDS["annotated"] = (*LOG_FIELDS["events"],
                            "process", "effectiveness", "long", "score", "coherent")
+READERS = {"events": ("replay",), "annotated": ("mine", "report"),
+           "affect": ("report",), "deliveries": ("report",)}
 
 
-def breaks_a_checked_type(field, value):
-    """Whether the mutation leaves a field whose JSON type the readers check
-    missing or of the wrong type."""
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def breaks_a_checked_type(log, field, value):
+    """Whether the mutation leaves a field whose JSON type or range the
+    readers check missing or wrong."""
+    if log in ("affect", "deliveries"):
+        if field == "t":
+            return value is DROP or not is_number(value) or math.isnan(value)
+        if log == "affect" and field == "likelihoods":
+            return True  # no mutation leaves an object of the five emotions
+        if log == "affect" and isinstance(field, tuple):  # one emotion's likelihood
+            return not (is_number(value) and 0 <= value <= 1)
+        return False
     if value is DROP:
         return field in ("t", "duration", "score", "long", "scope")
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if field in ("t", "duration"):
-        return not number or math.isnan(value)
+        return not is_number(value) or math.isnan(value)
     if field == "score":
-        return not number or not isinstance(value, int)
+        return not is_number(value) or not isinstance(value, int)
     if field in ("long", "coherent"):
         return not isinstance(value, bool)
     if field == "scope":
         return not isinstance(value, str)
+    if field == "note":
+        return value is not None and not isinstance(value, str)
+    if field == "question":
+        return value is not None and not (is_number(value) and isinstance(value, int))
     return False
 
 
 @pytest.fixture(scope="module")
-def fuzz_cohort(tmp_path_factory):
+def small_cohort(tmp_path_factory):
     """A simulated 1+1 cohort with its replayed, annotated logs."""
-    root = tmp_path_factory.mktemp("fuzz")
+    root = tmp_path_factory.mktemp("small")
     assert run(["simulate", "--high", 1, "--low", 1, "--seed", 3,
                 "--budget", 600, "--out", root / "sim"]) == 0
     assert run(["replay", "--events", root / "sim" / "events",
@@ -424,38 +586,63 @@ def fuzz_cohort(tmp_path_factory):
     return root / "sim"
 
 
-@settings(max_examples=60, deadline=None)
+def field_slot(record, field):
+    """The object or list that holds a top-level field, or one a level in,
+    and the field's key there; None if the record has no such field."""
+    container, key = (record, field) if isinstance(field, str) else (record.get(field[0]), field[1])
+    if isinstance(container, dict) and key in container:
+        return container, key
+    if isinstance(container, list) and isinstance(key, int) and key < len(container):
+        return container, key
+    return None
+
+
+def assert_no_nan_in_tables(out):
+    for table in Path(out).glob("*.tsv"):
+        assert not re.search(r"\bnan\b", table.read_text(), re.IGNORECASE), table.name
+
+
+@settings(max_examples=100, deadline=None)
 @given(
-    log=st.sampled_from(sorted(LOG_FIELDS)),
-    field=st.sampled_from(LOG_FIELDS["annotated"]),
+    target=st.sampled_from([(log, field) for log in sorted(LOG_FIELDS)
+                            for field in LOG_FIELDS[log]]),
     pick=st.integers(0, 10_000),
     value=st.sampled_from([DROP, "x", 3, -2.5, True, None, [1], {"a": 1}, float("nan")]),
 )
-@example(log="events", field="scope", pick=0, value=3)
-@example(log="annotated", field="score", pick=0, value="x")
-@example(log="annotated", field="long", pick=0, value=None)
-@example(log="annotated", field="coherent", pick=0, value=[1])
-@example(log="events", field="t", pick=0, value=True)
-def test_mutated_log_record_is_read_or_an_error_line(fuzz_cohort, log, field, pick, value):
-    """One field of one record of an events or annotated log is dropped or
-    given a value of another JSON type; replay, mine and report each end in
-    0 or 1, never raise, and fail with an error line when the mutation breaks
-    a type the readers check."""
+@example(target=("events", "scope"), pick=0, value=3)
+@example(target=("annotated", "score"), pick=0, value="x")
+@example(target=("annotated", "long"), pick=0, value=None)
+@example(target=("annotated", "coherent"), pick=0, value=[1])
+@example(target=("events", "t"), pick=0, value=True)
+@example(target=("events", "question"), pick=0, value={"a": 1})
+@example(target=("affect", ("likelihoods", "confusion")), pick=0, value="x")
+@example(target=("affect", "likelihoods"), pick=0, value=[1])
+@example(target=("deliveries", "t"), pick=0, value=float("nan"))
+@example(target=("deliveries", ("transcript", 0)), pick=0, value=3)
+def test_mutated_log_record_is_read_or_an_error_line(small_cohort, target, pick, value):
+    """One field of one record of an events, annotated, affect or delivery
+    log is dropped or given a value of another JSON type, at the top level
+    or one level into an object or list; replay, mine and report each end in
+    0 or 1, never raise and never write NaN into a table, and the commands
+    that read the log fail with an error line when the mutation breaks a
+    type or range the readers check."""
+    log, field = target
     records = [
         (path, i, record)
-        for path in sorted((fuzz_cohort / log).glob("*.jsonl"))
+        for path in sorted((small_cohort / log).glob("*.jsonl"))
         for i, record in enumerate(map(json.loads, path.read_text().splitlines()))
-        if field in record
+        if field_slot(record, field)
     ]
     assume(records)
     path, i, record = records[pick % len(records)]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp) / "sim"
-        shutil.copytree(fuzz_cohort, work)
+        shutil.copytree(small_cohort, work)
+        container, key = field_slot(record, field)
         if value is DROP:
-            del record[field]
+            del container[key]
         else:
-            record[field] = value
+            container[key] = value
         mutated = work / log / path.name
         lines = mutated.read_text().splitlines()
         lines[i] = json.dumps(record)
@@ -469,15 +656,16 @@ def test_mutated_log_record_is_read_or_an_error_line(fuzz_cohort, log, field, pi
                        "--deliveries", work / "deliveries", "--affect", work / "affect",
                        "--grouping", work / "grouping.json", "--out", work / "report"],
         }
-        readers = ("replay",) if log == "events" else ("mine", "report")
         for name, argv in commands.items():
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = run(argv)
             assert code in (0, 1), (name, err.getvalue())
-            if name in readers and breaks_a_checked_type(field, value):
+            if name in READERS[log] and breaks_a_checked_type(log, field, value):
                 assert code == 1, name
                 assert err.getvalue().startswith("error: "), name
+        assert_no_nan_in_tables(work / "report")
+        assert_no_nan_in_tables(work)
 
 
 class TestScore:

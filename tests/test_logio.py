@@ -118,6 +118,66 @@ class TestEventLogs:
         assert "line 2" in str(err.value)
 
 
+class TestCodec:
+    """The reused encoder and decoder and the enum tables behave as
+    json.dumps, json.loads and Enum(value) do, error messages included."""
+
+    @pytest.mark.parametrize(
+        "line",
+        ['{"a": 1} ', '\ufeff{"a": 1}', '{"a": 1}{"b": 2}', '{"a": 1} x', '{"a": [1',
+         '"text"', "NaN", '{"a": 1e999}'],
+    )
+    def test_a_line_reads_as_json_loads_reads_it(self, tmp_path, line):
+        path = tmp_path / "log.jsonl"
+        path.write_text(line + "\n")
+        try:
+            expected = json.loads(line.strip())
+        except json.JSONDecodeError as exc:
+            expected = f"{path}: line 1: {exc.msg}"
+        else:
+            if not isinstance(expected, dict):
+                expected = f"{path}: line 1: expected a JSON object, got {type(expected).__name__}"
+        try:
+            got = logio.read_jsonl(path)[0]
+        except FormatError as exc:
+            got = str(exc)
+        assert got == expected
+
+    def test_a_line_is_decoded_on_its_own(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"a":[1\n2]},{"b":0}\n')
+        with pytest.raises(FormatError, match="line 1: "):
+            logio.read_jsonl(path)
+
+    def test_writes_json_dumps_bytes(self, tmp_path):
+        records = [{"b": 1.5, "a": [True, None, "\u00e9\u2028"]}, {}]
+        path = tmp_path / "log.jsonl"
+        logio.write_jsonl(records, path)
+        assert path.read_text() == "".join(
+            json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records
+        )
+        logio.write_jsonl([], path)
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("value", ["jump", [1], {"a": 1}, None, 3, True])
+    def test_bad_enum_value_raises_enums_own_error(self, value):
+        from mapcoach.annotate import ActionKind
+
+        with pytest.raises(ValueError) as expected:
+            ActionKind(value)
+        record = {"student": "s", "t": 0.0, "duration": 1.0, "kind": value}
+        with pytest.raises(ValueError) as got:
+            logio.event_from_record(record)
+        assert str(got.value) == str(expected.value)
+
+    def test_note_and_question_may_be_null_or_absent(self):
+        record = {"student": "s", "t": 0, "duration": 1, "kind": "quiz_expl"}
+        assert logio.event_from_record(record).question_ref is None
+        event = logio.event_from_record(dict(record, question=None, note=None))
+        assert (event.question_ref, event.note_id) == (None, None)
+        assert logio.event_from_record(dict(record, question=2)).question_ref == 2
+
+
 class TestScopes:
     def test_everything_roundtrip(self):
         scope = QuizScope.everything()

@@ -199,3 +199,31 @@ class TestReplayConsistency:
             log = simulate_session(profile, pack, 900.0)
             annotated = annotate_session(log.events, pack)
             assert annotated[-1].map_score_after == map_score(log.final_map, pack)
+
+
+class TestAffectStream:
+    def test_confusion_bump_covers_the_windows_inside_any_bump_span(self):
+        """Deliveries closer than the minimum gap bump confusion in every
+        20 s window inside [delivery, delivery + 120 s]; the jitter draws
+        are the same with and without the bump."""
+        import random
+        from types import SimpleNamespace
+
+        from mapcoach import simulate
+
+        profile = bundled_profiles()["high"]
+        config = EngineConfig()
+        times = [30.0, 40.0, 100.0, 400.0, 410.0, 415.0, 900.0]
+        deliveries = [SimpleNamespace(timestamp=t) for t in reversed(times)]
+        spans = [(cur, cur + simulate.CONFUSION_BUMP_WINDOW)
+                 for prev, cur in zip(times, times[1:])
+                 if cur - prev < config.min_inter_scaffold_seconds]
+        bumped = simulate._affect_stream(random.Random(5), profile, 1200.0, deliveries, config)
+        plain = simulate._affect_stream(random.Random(5), profile, 1200.0, [], config)
+        assert len(bumped) == len(plain) == 60
+        for a, b in zip(bumped, plain):
+            inside = any(start <= a.timestamp <= end for start, end in spans)
+            assert (a.likelihoods[Emotion.CONFUSION] != b.likelihoods[Emotion.CONFUSION]) is inside
+            assert all(a.likelihoods[e] == b.likelihoods[e]
+                       for e in Emotion if e is not Emotion.CONFUSION)
+        assert sum(any(s <= a.timestamp <= e for s, e in spans) for a in bumped) == 13
