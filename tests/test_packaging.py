@@ -4,8 +4,9 @@ loads nothing from outside it, and pyproject.toml declares no dependency."""
 import os
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
+
+import pytest
 
 import mapcoach
 
@@ -31,5 +32,6 @@ def test_every_module_imports_only_the_standard_library():
 
 
 def test_pyproject_declares_no_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project.get("dependencies", []) == []
