@@ -168,8 +168,8 @@ def apply_edit(cmap: CausalMap, edit: MapEdit) -> CausalMap:
 
 class SessionAnnotator:
     """Streaming annotator: replays edits on an evolving map and labels each
-    event as it arrives.  Used both for offline log annotation and for
-    engine-in-the-loop simulation so the two paths agree exactly."""
+    event as it arrives.  The simulator and replay both reach it through
+    `pipeline.SessionStep`, so the two paths agree exactly."""
 
     def __init__(self, expert: ExpertMap, long_threshold: float = DEFAULT_LONG_THRESHOLD):
         self.expert = expert

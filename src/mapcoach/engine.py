@@ -409,15 +409,6 @@ def load_trees(path) -> dict[ScaffoldKind, ConversationTree]:
     return trees_from_document(json.loads(Path(path).read_text()))
 
 
-def save_trees(trees: dict[ScaffoldKind, ConversationTree], path):
-    import json
-    from pathlib import Path
-
-    Path(path).write_text(
-        json.dumps(trees_to_document(trees), indent=2, sort_keys=True) + "\n"
-    )
-
-
 # -- deliveries ----------------------------------------------------------------
 
 
@@ -510,8 +501,9 @@ class ScaffoldEngine:
     Feed one student's annotated events in timestamp order via observe();
     call finalize() at session end to resolve a still-pending hint1 whose
     window elapsed before the last event.  Disabled kinds are detected and
-    advance internal state exactly as enabled ones, but their deliveries
-    are swallowed, so disabling one kind never changes another's firings.
+    advance internal state exactly as enabled ones; `_deliver` swallows
+    their deliveries before any conversation runs, but each still holds the
+    inter-scaffold window, so disabling one kind can hold back another.
     """
 
     def __init__(
@@ -568,15 +560,14 @@ class ScaffoldEngine:
             self._touched_pairs.clear()
         self._prev = event
         self._prev_index = index
-        return [d for d in out if d.kind not in self.config.disabled_kinds]
+        return out
 
     def finalize(self, session_end: float) -> list[ScaffoldDelivery]:
         """Resolve a pending hint1 whose window elapsed by session end."""
         pending = self._pending_hint1
         if pending is None or session_end < pending.deadline:
             return []
-        out = self._expire_hint1(pending, pending.deadline, None)
-        return [d for d in out if d.kind not in self.config.disabled_kinds]
+        return self._expire_hint1(pending, pending.deadline, None)
 
     # -- internals ----------------------------------------------------------
 
@@ -799,16 +790,19 @@ class ScaffoldEngine:
         at: float,
         **detail,
     ) -> Optional[ScaffoldDelivery]:
-        """Deliver a scaffold at `at` unless the window suppresses it; the
-        trigger context is built only for a delivery."""
+        """Deliver a scaffold at `at` unless the window suppresses it; a
+        disabled kind takes the window, then is dropped here, the one place
+        it is, before its conversation runs or its trigger context is built."""
         if self._suppressed(kind, at):
+            return None
+        self._last_delivery = (kind, at)
+        if kind in self.config.disabled_kinds:
             return None
         transcript = run_conversation(
             self.trees[kind],
             self.responder,
             hints.template_vars() if hints is not None else None,
         )
-        self._last_delivery = (kind, at)
         return ScaffoldDelivery(
             student_id=self.student_id,
             kind=kind,

@@ -444,8 +444,11 @@ def read_jsonl(path: Path) -> list[dict]:
     """The JSON object on each non-blank line; anything else is a
     FormatError naming the file and line."""
     records = []
-    with open(path) as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -464,9 +467,10 @@ def read_jsonl(path: Path) -> list[dict]:
 
 def _read_records(path: Path, from_record: Callable[[dict], T]) -> list[T]:
     """Parse every record of a JSON-lines log; a missing or bad field is a
-    FormatError naming the file."""
+    FormatError naming the file once (read_jsonl's own errors name it)."""
+    records = read_jsonl(path)
     try:
-        return [from_record(r) for r in read_jsonl(path)]
+        return [from_record(r) for r in records]
     except KeyError as exc:
         raise FormatError(f"{path}: missing field {exc}") from exc
     except (FormatError, TypeError, ValueError, OverflowError) as exc:

@@ -1,5 +1,5 @@
-"""Wiring shared by the CLI and tests: run the annotator and engine over a
-recorded event stream, exactly as the simulator runs them in the loop."""
+"""The per-student step that the simulator and replay both run, so a replay
+of a simulated session reproduces its in-loop deliveries."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .annotate import (
+    DEFAULT_LONG_THRESHOLD,
     ActionEvent,
     ActionKind,
     AnnotatedEvent,
@@ -15,6 +16,34 @@ from .annotate import (
 )
 from .causal import ExpertMap, QuizResult, generate_quiz, grade_quiz
 from .engine import ConversationTree, EngineConfig, ScaffoldDelivery, ScaffoldEngine, ScaffoldKind
+
+
+class SessionStep:
+    """One student's step from a raw event to the engine's decision; without
+    an engine it annotates and grades only, at the default long threshold."""
+
+    def __init__(self, expert: ExpertMap, engine: Optional[ScaffoldEngine] = None):
+        self.expert = expert
+        self.engine = engine
+        long_threshold = engine.config.long_threshold if engine else DEFAULT_LONG_THRESHOLD
+        self.annotator = SessionAnnotator(expert, long_threshold=long_threshold)
+        self.last_quiz: Optional[QuizResult] = None
+
+    def feed(self, event: ActionEvent) -> tuple[AnnotatedEvent, list[ScaffoldDelivery]]:
+        """Annotate the event, grade it if it is a quiz (a quiz leaves the map
+        unchanged) and let the engine observe it: (annotated, released)."""
+        annotated = self.annotator.feed(event)
+        current_map = self.annotator.current_map
+        if event.kind is ActionKind.TAKE_QUIZ:
+            scope = event.quiz_scope
+            self.last_quiz = grade_quiz(current_map, generate_quiz(self.expert, scope), scope=scope)
+        if self.engine is None:
+            return annotated, []
+        return annotated, self.engine.observe(annotated, current_map, self.last_quiz)
+
+    def finish(self, session_end: float) -> list[ScaffoldDelivery]:
+        """The deliveries the engine still holds at session end."""
+        return self.engine.finalize(session_end) if self.engine else []
 
 
 @dataclass(frozen=True)
@@ -39,20 +68,15 @@ def replay_events(
     simulated session reproduces its in-loop deliveries exactly under the
     same config.
     """
-    annotator = SessionAnnotator(expert, long_threshold=config.long_threshold)
-    engine = ScaffoldEngine(student_id, expert, config, trees=trees)
-    last_quiz: Optional[QuizResult] = None
+    step = SessionStep(expert, ScaffoldEngine(student_id, expert, config, trees=trees))
     annotated: list[AnnotatedEvent] = []
     deliveries: list[ScaffoldDelivery] = []
     for event in events:
-        ann = annotator.feed(event)
-        if event.kind is ActionKind.TAKE_QUIZ:
-            scope = event.quiz_scope
-            last_quiz = grade_quiz(annotator.current_map, generate_quiz(expert, scope), scope=scope)
-        deliveries.extend(engine.observe(ann, annotator.current_map, last_quiz))
+        ann, released = step.feed(event)
         annotated.append(ann)
+        deliveries.extend(released)
     session_end = events[-1].end if events else 0.0
-    deliveries.extend(engine.finalize(session_end))
+    deliveries.extend(step.finish(session_end))
     annotated = tag_coherence(annotated, expert, lookback=coherence_lookback)
     return ReplayResult(
         student_id=student_id,

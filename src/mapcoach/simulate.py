@@ -23,13 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .analytics import AffectObservation, Emotion
-from .annotate import (
-    ActionEvent,
-    ActionKind,
-    MapEdit,
-    MapEditAction,
-    SessionAnnotator,
-)
+from .annotate import ActionEvent, ActionKind, MapEdit, MapEditAction
 from .causal import (
     CausalLink,
     CausalMap,
@@ -37,12 +31,10 @@ from .causal import (
     ExpertMap,
     LinkClass,
     Marking,
-    QuizResult,
     QuizScope,
     Sign,
     classify_link,
     generate_quiz,
-    grade_quiz,
     is_correct_link,
 )
 from .engine import (
@@ -52,6 +44,7 @@ from .engine import (
     ScaffoldEngine,
     ScaffoldKind,
 )
+from .pipeline import SessionStep
 
 AFFECT_PERIOD = 20.0
 CONFUSION_BUMP = 0.05
@@ -255,10 +248,8 @@ class _Session:
         self.profile = profile
         self.expert = expert
         self.budget = duration_budget
-        self.engine = engine
+        self.step = SessionStep(expert, engine)
         self.rng = random.Random(profile.seed)
-        long_threshold = engine.config.long_threshold if engine else 60.0
-        self.annotator = SessionAnnotator(expert, long_threshold=long_threshold)
         self.t = 0.0
         self.events: list[ActionEvent] = []
         self.deliveries: list[ScaffoldDelivery] = []
@@ -279,7 +270,6 @@ class _Session:
         self._read_links: list[tuple[tuple[str, str], CausalLink]] = []
         self._read_concepts: list[str] = []
         self._expert_links = expert.map.sorted_links()
-        self.last_quiz: Optional[QuizResult] = None
         self.edits_since_quiz = 0
         self.note_counter = 0
         self.forced: deque = deque()
@@ -312,7 +302,7 @@ class _Session:
             if kind is ActionKind.MAP_EDIT and not self._has_edit_move():
                 w = 0.0
             if kind is ActionKind.TAKE_QUIZ:
-                if not self.annotator.current_map.links:
+                if not self.step.annotator.current_map.links:
                     w = 0.0
                 else:
                     w *= 1.0 + self.profile.quiz_propensity * self.edits_since_quiz
@@ -325,7 +315,7 @@ class _Session:
 
     def _correct_candidates(self) -> list[CausalLink]:
         """Expert links from read pages that are absent or wrong-signed on the map."""
-        current = self.annotator.current_map.links
+        current = self.step.annotator.current_map.links
         out = []
         for key, expert_link in self._read_links:
             mine = current.get(key)
@@ -334,13 +324,13 @@ class _Session:
         return out
 
     def _open_shortcuts(self) -> list[CausalLink]:
-        current = self.annotator.current_map.links
+        current = self.step.annotator.current_map.links
         return [link for link in self._shortcuts if link.key not in current]
 
     def _links_by_correctness(self) -> tuple[list[CausalLink], list[CausalLink]]:
         expert_links = self.expert.links
         correct, incorrect = [], []
-        for link in self.annotator.current_map.sorted_links():
+        for link in self.step.annotator.current_map.sorted_links():
             expert_link = expert_links.get((link.source, link.target))
             if expert_link is not None and expert_link.sign is link.sign:
                 correct.append(link)
@@ -351,7 +341,7 @@ class _Session:
     def _has_edit_move(self) -> bool:
         # on a map without links every read expert link is a correct
         # candidate and every shortcut is open
-        return bool(self.annotator.current_map.links or self._read_links or self._shortcuts)
+        return bool(self.step.annotator.current_map.links or self._read_links or self._shortcuts)
 
     def _choose_edit(self) -> Optional[MapEdit]:
         """Pick the next link edit, or None when the drawn move kind has no
@@ -366,7 +356,7 @@ class _Session:
         return self._ineffective_move()
 
     def _effective_move(self) -> Optional[MapEdit]:
-        current = self.annotator.current_map
+        current = self.step.annotator.current_map
         correct = self._correct_candidates()
         correct_on_map, flawed_on_map = self._links_by_correctness()
         if correct and (not flawed_on_map or self.rng.random() < 0.7):
@@ -408,7 +398,7 @@ class _Session:
         """Add a read-page expert link with its sign flipped, or, when every
         one is on the map, flip the sign of a correctly-mapped one (a
         coherent but score-lowering revision)."""
-        current = self.annotator.current_map.links
+        current = self.step.annotator.current_map.links
         adds = [
             MapEdit(
                 MapEditAction.ADD_LINK,
@@ -433,7 +423,7 @@ class _Session:
 
         A candidate list is built only when a draw reads it; building draws
         nothing, so the draws are those of building every list up front."""
-        current = self.annotator.current_map.links
+        current = self.step.annotator.current_map.links
         if self.rng.random() < self.profile.shortcut_share:
             shortcuts = self._open_shortcuts()
             if shortcuts:
@@ -475,14 +465,10 @@ class _Session:
         self.events.append(event)
         self.time_per_kind[event.kind] += event.duration
         self.t = event.end
-        annotated = self.annotator.feed(event)
-        if self.engine is not None:
-            released = self.engine.observe(
-                annotated, self.annotator.current_map, self.last_quiz
-            )
-            for delivery in released:
-                self.deliveries.append(delivery)
-                self._comply(delivery)
+        _, released = self.step.feed(event)
+        for delivery in released:
+            self.deliveries.append(delivery)
+            self._comply(delivery)
 
     def _do_read(self, page: Optional[str] = None):
         if page is None:
@@ -515,7 +501,7 @@ class _Session:
         )
 
     def _uncovered_expert_links(self) -> list[CausalLink]:
-        current = self.annotator.current_map.links
+        current = self.step.annotator.current_map.links
         return [
             l
             for l in self._expert_links
@@ -556,29 +542,23 @@ class _Session:
             scope = QuizScope.everything()
         else:
             scope = QuizScope.for_section(self.rng.choice(self.sections))
-        questions = generate_quiz(self.expert, scope)
-        duration = self.profile.quiz_duration.draw(self.rng)
-        # grade against the map as it stands when the quiz is requested
-        result = grade_quiz(self.annotator.current_map, questions, scope=scope)
-        self.last_quiz = result
         self.edits_since_quiz = 0
         self._emit(
             ActionEvent(
                 student_id=self.profile.student_id,
                 timestamp=self.t,
                 kind=ActionKind.TAKE_QUIZ,
-                duration=duration,
+                duration=self.profile.quiz_duration.draw(self.rng),
                 quiz_scope=scope,
             )
         )
         self._expl_burst()
 
     def _expl_burst(self):
-        """Review quiz answers until the explanation time share catches up."""
-        if self.last_quiz is None:
-            return
+        """Review the answers of the quiz just graded until the explanation
+        time share catches up."""
         mix = self.profile.activity_mix[ActionKind.QUIZ_EXPL]
-        quiz = self.last_quiz
+        quiz = self.step.last_quiz
         # the first incorrect answer, else the first question
         question = next(
             (
@@ -606,7 +586,7 @@ class _Session:
             n += 1
 
     def _do_mark(self, source: str, target: str, marking: Marking):
-        link = self.annotator.current_map.get_link(source, target)
+        link = self.step.annotator.current_map.get_link(source, target)
         if link is None or link.marking is marking:
             return
         self._emit(
@@ -622,7 +602,7 @@ class _Session:
         )
 
     def _do_delete(self, source: str, target: str):
-        if self.annotator.current_map.get_link(source, target) is None:
+        if self.step.annotator.current_map.get_link(source, target) is None:
             return
         self._do_edit(MapEdit(MapEditAction.DELETE_LINK, source=source, target=target))
 
@@ -636,7 +616,7 @@ class _Session:
         if kind in (ScaffoldKind.HINT2, ScaffoldKind.ENC2):
             self.forced.append(("quiz",))
         elif kind is ScaffoldKind.HINT1:
-            for link in self.annotator.current_map.sorted_links():
+            for link in self.step.annotator.current_map.sorted_links():
                 if link.marking is Marking.UNMARKED and is_correct_link(link, self.expert):
                     self.forced.append(("mark", link.source, link.target, Marking.MARKED_CORRECT))
                     break
@@ -650,7 +630,7 @@ class _Session:
     def _run_forced(self, action: tuple):
         name = action[0]
         if name == "quiz":
-            if self.annotator.current_map.links:
+            if self.step.annotator.current_map.links:
                 self._do_quiz()
         elif name == "mark":
             self._do_mark(action[1], action[2], action[3])
@@ -692,18 +672,16 @@ class _Session:
             else:
                 self._do_quiz()
         session_end = self.events[-1].end
-        if self.engine is not None:
-            for delivery in self.engine.finalize(session_end):
-                self.deliveries.append(delivery)
+        self.deliveries.extend(self.step.finish(session_end))
         affect = _affect_stream(
             self.rng, profile, session_end, self.deliveries,
-            self.engine.config if self.engine else None,
+            self.step.engine.config if self.step.engine else None,
         )
         return SessionLog(
             student_id=profile.student_id,
             events=tuple(self.events),
             affect=tuple(affect),
-            final_map=self.annotator.current_map,
+            final_map=self.step.annotator.current_map,
             deliveries=tuple(self.deliveries),
             session_end=session_end,
         )

@@ -461,9 +461,9 @@ class TestOutputPins:
 
     @pytest.mark.parametrize(
         "line, message",
-        [("{} {}", "{path}: line 2: Extra data"),
-         ("[1]", "{path}: line 2: expected a JSON object, got list"),
-         ('{"student": ', "{path}: line 2: Expecting value"),
+        [("{} {}", "line 2: Extra data"),
+         ("[1]", "line 2: expected a JSON object, got list"),
+         ('{"student": ', "line 2: Expecting value"),
          (json.dumps(dict(EVENT, kind="jump")), "'jump' is not a valid ActionKind")],
         ids=["two-values", "array", "truncated", "unknown-kind"],
     )
@@ -475,7 +475,7 @@ class TestOutputPins:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             assert run(["replay", "--events", events, "--out", tmp_path / "out"]) == 1
-        assert err.getvalue() == f"error: {path}: {message.format(path=path)}\n"
+        assert err.getvalue() == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("command", ["mine", "report"])
     def test_annotated_error_line(self, tmp_path, command):
@@ -696,7 +696,7 @@ class TestConfigSurfaces:
     def test_simulate_with_profiles_and_trees_files(self, tmp_path, capsys):
         import json as _json
 
-        from mapcoach.engine import default_trees, save_trees
+        from mapcoach.engine import default_trees, trees_to_document
         from mapcoach.simulate import bundled_profiles, profiles_to_document
 
         profiles_path = tmp_path / "profiles.json"
@@ -704,7 +704,7 @@ class TestConfigSurfaces:
             _json.dumps(profiles_to_document(bundled_profiles()), indent=2)
         )
         trees_path = tmp_path / "trees.json"
-        save_trees(default_trees(), trees_path)
+        trees_path.write_text(_json.dumps(trees_to_document(default_trees())))
         out = tmp_path / "sim"
         assert run(["simulate", "--high", 1, "--low", 1, "--seed", 3,
                     "--budget", 500, "--profiles", profiles_path,

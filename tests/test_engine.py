@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import trigger_scripts as scripts
@@ -17,7 +19,7 @@ from mapcoach.engine import (
     first_option,
     run_conversation,
 )
-from mapcoach.pipeline import replay_events
+from mapcoach.pipeline import SessionStep, replay_events
 from mapcoach.verify import verify_session
 
 
@@ -255,6 +257,52 @@ class TestEngineProperties:
         hint6_base = next(d for d in base if d.kind is ScaffoldKind.HINT6)
         hint6_filtered = filtered[0]
         assert hint6_base.timestamp == hint6_filtered.timestamp
+
+    def test_a_disabled_kind_runs_no_conversation(self, expert, golden):
+        for kind, (events, config) in golden.items():
+            for disabled in (frozenset(), frozenset({kind})):
+                asked = []
+
+                def responder(node):
+                    asked.append(node.id)
+                    return 0
+
+                engine = ScaffoldEngine(
+                    scripts.SID, expert, replace(config, disabled_kinds=disabled),
+                    responder=responder,
+                )
+                step = SessionStep(expert, engine)
+                released = [d for event in events for d in step.feed(event)[1]]
+                released += step.finish(events[-1].end)
+                if disabled:
+                    assert released == [] and asked == [], kind
+                else:
+                    assert [d.kind for d in released] == [kind]
+                    assert asked == [s.node for s in released[0].transcript]
+
+    def test_a_swallowed_delivery_still_holds_the_window(self, expert):
+        # hint2 at the first edit, then enc2 17 s later, inside the 60 s window
+        s = (
+            scripts._Script()
+            .concepts(expert)
+            .read("pa", 12.0)
+            .add("a", "b", scripts.DEC)
+            .read("pb", 12.0)
+            .add("b", "c", scripts.INC)
+        )
+        config = EngineConfig(long_threshold=10.0)
+        no_hint2 = frozenset({ScaffoldKind.HINT2})
+
+        def kinds(**changes):
+            result = replay_events(scripts.SID, s.events, expert, replace(config, **changes))
+            return [d.kind for d in result.deliveries]
+
+        assert kinds() == [ScaffoldKind.HINT2]
+        assert kinds(min_inter_scaffold_seconds=10.0) == [ScaffoldKind.HINT2, ScaffoldKind.ENC2]
+        assert kinds(disabled_kinds=no_hint2) == []
+        assert kinds(disabled_kinds=no_hint2, min_inter_scaffold_seconds=10.0) == [
+            ScaffoldKind.ENC2
+        ]
 
     def test_golden_deliveries_verify_offline(self, expert, golden):
         for kind, (events, config) in golden.items():

@@ -117,6 +117,27 @@ class TestEventLogs:
             logio.read_events(path)
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "reader",
+        ["read_events", "read_annotated", "read_deliveries", "read_affect", "load_outcomes"],
+    )
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"{} {}\n", "line 1: Extra data"),
+         (b"[1]\n", "line 1: expected a JSON object, got list"),
+         (b"{}\n", "missing field"),
+         (b"\xff\n", "codec can't decode byte 0xff")],
+        ids=["two-values", "array", "missing-field", "not-utf-8"],
+    )
+    def test_a_bad_log_names_its_file_once(self, tmp_path, reader, content, message):
+        path = tmp_path / "s1.jsonl"
+        path.write_bytes(content)
+        with pytest.raises(FormatError) as err:
+            getattr(logio, reader)(path)
+        text = str(err.value)
+        assert text.startswith(f"{path}: ") and message in text
+        assert text.count(str(path)) == 1
+
 
 class TestCodec:
     """The reused encoder and decoder and the enum tables behave as
@@ -207,11 +228,11 @@ class TestTreeDocuments:
             default_trees,
             load_trees,
             run_conversation,
-            save_trees,
+            trees_to_document,
         )
 
         path = tmp_path / "trees.json"
-        save_trees(default_trees(), path)
+        path.write_text(json.dumps(trees_to_document(default_trees())))
         loaded = load_trees(path)
         for kind in ScaffoldKind:
             assert run_conversation(loaded[kind]) == run_conversation(default_trees()[kind])

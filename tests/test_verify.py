@@ -3,6 +3,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trigger_scripts as scripts
 from mapcoach import verify
@@ -152,3 +154,35 @@ class TestOnDemandGrading:
             total_quizzes += len(quizzes)
             total_read += len(read)
         assert 0 < total_read < total_quizzes
+
+
+@st.composite
+def engine_configs(draw):
+    return EngineConfig(
+        min_inter_scaffold_seconds=draw(st.floats(0.5, 200.0)),
+        hint1_window_events=draw(st.integers(1, 20)),
+        hint1_window_seconds=draw(st.floats(1.0, 900.0)),
+        long_threshold=draw(st.floats(5.0, 300.0)),
+        enc3_every=draw(st.integers(1, 7)),
+        disabled_kinds=draw(st.frozensets(st.sampled_from(list(ScaffoldKind)))),
+    )
+
+
+class TestConfigSpace:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        config=engine_configs(),
+        seed=st.integers(0, 10**6),
+        budget=st.floats(300.0, 1200.0),
+    )
+    def test_replay_gives_the_in_loop_deliveries_and_they_verify(
+        self, pack, config, seed, budget
+    ):
+        cohort = simulate_cohort(
+            2, 2, seed=seed, expert=pack, duration_budget=budget, engine_config=config
+        )
+        for session in cohort.sessions:
+            result = replay_events(session.student_id, session.events, pack, config)
+            assert result.deliveries == session.deliveries
+            assert not {d.kind for d in result.deliveries} & config.disabled_kinds
+            assert verify_session(result.annotated, result.deliveries, pack, config) == []
