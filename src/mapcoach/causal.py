@@ -163,7 +163,7 @@ class CausalMap:
 
     def _compiled(self) -> "_Adjacency":
         if self._adjacency is None:
-            self._adjacency = _Adjacency(self.sorted_links())
+            self._adjacency = _Adjacency(self._links)
         return self._adjacency
 
     # -- functional updates ------------------------------------------------
@@ -282,13 +282,13 @@ class ExpertMap:
         answer_query."""
         facts = self._paths.get((source, target))
         if facts is None:
-            reach = _walk(self.map, source, (target,), DEFAULT_MAX_PATHS).get(target, _Reach())
-            links = tuple(map(self.map._compiled().links.__getitem__, reach.links))
+            counts, votes, indices, multi_signs = _walk(self.map, source, target, DEFAULT_MAX_PATHS)
+            links = tuple(map(self.map._compiled().links.__getitem__, indices))
             facts = self._paths[(source, target)] = PathFacts(
-                count=reach.count,
-                vote=reach.vote,
+                count=counts.get(target, 0),
+                vote=votes.get(target, 0),
                 reached=frozenset(link.target for link in links),
-                multi_signs=frozenset(reach.multi_signs),
+                multi_signs=frozenset(multi_signs),
                 links=links,
             )
         return facts
@@ -352,16 +352,36 @@ def classify_link(link: CausalLink, expert: ExpertMap) -> LinkClass:
 
 
 class _Adjacency:
-    """A map's links compiled for walking: forward entries (target, sign
-    factor, link index) in sorted link order, and each concept's sources."""
+    """A map's links compiled for walking: the links in sorted (source,
+    target) order and each concept's forward entries (target, sign factor,
+    link index) in that order.  Each concept's sources, which only a walk
+    to one target reads, are listed on first use."""
 
-    def __init__(self, links: list[CausalLink]):
-        self.links = links
-        self.forward: dict[str, list[tuple[str, int, int]]] = {}
-        self.reverse: dict[str, list[str]] = {}
-        for index, link in enumerate(links):
-            self.forward.setdefault(link.source, []).append((link.target, link.sign.factor, index))
-            self.reverse.setdefault(link.target, []).append(link.source)
+    __slots__ = ("links", "forward", "_sources")
+
+    def __init__(self, links: Mapping[tuple[str, str], CausalLink]):
+        ordered: list[CausalLink] = []
+        increase = Sign.INCREASE
+        forward: dict[str, list[tuple[str, int, int]]] = {}
+        last, entries = None, []
+        for index, key in enumerate(sorted(links)):
+            link = links[key]
+            ordered.append(link)
+            source, target = key
+            if source != last:
+                last = source
+                entries = forward[source] = []
+            entries.append((target, 1 if link.sign is increase else -1, index))
+        self.links, self.forward = ordered, forward
+        self._sources: Optional[dict[str, list[str]]] = None
+
+    def sources(self) -> dict[str, list[str]]:
+        if self._sources is None:
+            sources: dict[str, list[str]] = {}
+            for link in self.links:
+                sources.setdefault(link.target, []).append(link.source)
+            self._sources = sources
+        return self._sources
 
 
 def _answer(vote: int) -> QueryAnswer:
@@ -372,63 +392,64 @@ def _answer(vote: int) -> QueryAnswer:
     return QueryAnswer.CANNOT_DETERMINE
 
 
-class _Reach:
-    """What one walk found on the simple paths to one of its targets; the
-    link and multi-link sign records stay empty unless the walk keeps them."""
-
-    __slots__ = ("count", "vote", "links", "multi_signs")
-
-    def __init__(self):
-        self.count = 0  # number of paths
-        self.vote = 0  # sum of path signs
-        self.links: dict[int, None] = {}  # link indices, in the order the walk first meets them
-        self.multi_signs: set[int] = set()  # signs of the paths with two or more links
-
-
 def _walk(
     cmap: CausalMap,
     source: str,
-    targets: Iterable[str],
+    target: Optional[str],
     max_paths: int,
-    *,
-    links: bool = True,
-) -> dict[str, _Reach]:
-    """Walk every simple path from source to each target, depth first in
-    sorted link order.
+) -> tuple[dict[str, int], dict[str, int], dict[int, None], set[int]]:
+    """Walk the simple paths from source, depth first in sorted link order.
 
-    The walk steps only onto concepts that can reach a target without
-    passing through source, and past a target only when there are others,
-    so each target's paths, and their order, are those of a walk to that
-    target alone.  It raises PathExplosion when a target has more than
-    max_paths paths, or after max_paths link steps per concept of the map:
-    a walk to one target without dead ends takes at most (number of paths)
-    x (path length) steps, so only dead-end blow-ups meet that budget.
-    The walk keeps its own stack, so a path may be longer than the
-    interpreter's recursion limit.  Returns what it found for each target
-    that it reached: the path count and vote, and, when `links` is set,
-    the links of the paths and the signs of the multi-link paths.
+    With a target, the walk is pruned: it steps only onto concepts that can
+    reach the target without passing through source, never past the
+    target, and counts, votes and records the links of the paths to the
+    target alone.  Without one, it is unpruned: it steps onto every concept
+    not already on the path, and counts and votes the paths to every
+    concept it reaches, recording no links.  A pruned walk's paths, and
+    their order, are those of the unpruned walk that end at its target, and
+    it takes a subset of the unpruned walk's steps.
+
+    Either walk raises PathExplosion when a counted concept has more than
+    max_paths paths, or after max_paths link steps per concept of the map.
+    A pruned walk without dead ends takes at most (number of paths) x (path
+    length) steps, so only dead-end blow-ups meet that budget; an unpruned
+    walk counts a path at every step, so the path bound stops it first.  The walk
+    keeps its own stack, so a path may be longer than the interpreter's
+    recursion limit.  Returns the path count and the vote (sum of path
+    signs) of each counted concept it reached, the indices into the
+    compiled links of the paths' links in the order the walk first meets
+    them, and the signs of the multi-link paths; the last two stay empty
+    for an unpruned walk.
     """
     adjacency = cmap._compiled()
-    forward, reverse = adjacency.forward, adjacency.reverse
-    reaches: dict[str, _Reach] = {}
-    if source not in forward:
-        return reaches
-    wanted = set(targets)
-    wanted.discard(source)
-    through = len(wanted) > 1
-    # the concepts that can reach a target without passing through source
-    # and are not on the current path
-    open_ = set(wanted)
-    frontier = list(wanted)
-    while frontier:
-        for pred in reverse.get(frontier.pop(), ()):
-            if pred not in open_ and pred != source:
-                open_.add(pred)
-                frontier.append(pred)
-    budget = max_paths * len(cmap.concepts)
+    forward = adjacency.forward
+    counts: dict[str, int] = {}
+    votes: dict[str, int] = {}
+    links: dict[int, None] = {}
+    multi_signs: set[int] = set()
+    if source not in forward or source == target:
+        return counts, votes, links, multi_signs
+    if target is None:
+        # every concept not on the current path
+        open_ = set(cmap._concepts)
+    else:
+        # the concepts that can reach target without passing through source
+        # and are not on the current path
+        sources = adjacency.sources()
+        open_ = {target}
+        frontier = [target]
+        while frontier:
+            for pred in sources.get(frontier.pop(), ()):
+                if pred not in open_ and pred != source:
+                    open_.add(pred)
+                    frontier.append(pred)
+    open_.discard(source)
+    budget = max_paths * len(cmap._concepts)
     steps = 0
-    path: list[int] = []  # indices of the links from source to the current concept
-    frames: list[tuple] = []  # (links left, sign, concept) of each concept the path left
+    # one frame per concept on the current path after source: the links left
+    # and the path sign at its predecessor, the concept, and the index of
+    # the link into it
+    frames: list[tuple] = []
     links_left = iter(forward[source])
     path_sign = 1
     while True:
@@ -438,36 +459,31 @@ def _walk(
             steps += 1
             if steps > budget:
                 raise PathExplosion(
-                    f"more than {budget} link steps searching paths from {source!r}"
-                    f" to {', '.join(map(repr, sorted(wanted)))}"
+                    f"more than {budget} link steps searching paths from {source!r} to {target!r}"
                 )
             sign = path_sign * factor
-            reach = None
-            if nxt in wanted:
-                reach = reaches.get(nxt)
-                if reach is None:
-                    reach = reaches[nxt] = _Reach()
-                reach.count += 1
-                if reach.count > max_paths:
+            if target is None or nxt == target:
+                count = counts[nxt] = counts.get(nxt, 0) + 1
+                if count > max_paths:
                     raise PathExplosion(f"more than {max_paths} paths from {source!r} to {nxt!r}")
-                reach.vote += sign
-                if links:
-                    if path:
-                        reach.multi_signs.add(sign)
-                    reach.links.update(dict.fromkeys(path))
-                    reach.links[index] = None
-            if (reach is None or through) and nxt in forward:
+                votes[nxt] = votes.get(nxt, 0) + sign
+                if target is not None:
+                    if frames:
+                        multi_signs.add(sign)
+                        for frame in frames:
+                            links[frame[3]] = None
+                    links[index] = None
+                    continue
+            if nxt in forward:
                 open_.remove(nxt)
-                path.append(index)
-                frames.append((links_left, path_sign, nxt))
+                frames.append((links_left, path_sign, nxt, index))
                 links_left, path_sign = iter(forward[nxt]), sign
                 break
         else:
             if not frames:
-                return reaches
-            links_left, path_sign, left = frames.pop()
+                return counts, votes, links, multi_signs
+            links_left, path_sign, left, _ = frames.pop()
             open_.add(left)
-            path.pop()
 
 
 @dataclass(frozen=True)
@@ -491,20 +507,21 @@ def answer_query(
     decides the answer, with a zero sum (including "no paths") reported as
     cannot-determine.  The search is bounded rather than truncated: more
     than max_paths paths, or more than max_paths link steps per concept of
-    the map, raises PathExplosion.  It steps only onto concepts that can
-    still reach the target, so the step budget is met only by maps whose
-    dead ends blow up, never by one with at most max_paths paths and no
-    dead ends.
+    the map, raises PathExplosion.  It is _walk's pruned walk: it steps only
+    onto concepts that can still reach the target, so the step budget is
+    met only by maps whose dead ends blow up, never by one with at most
+    max_paths paths and no dead ends.  The used links are those of every
+    path to the target.
     """
     if not cmap.has_concept(source):
         raise UnknownConcept(source)
     if not cmap.has_concept(target):
         raise UnknownConcept(target)
-    reach = _walk(cmap, source, (target,), max_paths).get(target)
-    if reach is None:
+    _, votes, indices, _ = _walk(cmap, source, target, max_paths)
+    if not indices:
         return _NO_PATHS
-    used = frozenset(map(cmap._compiled().links.__getitem__, reach.links))
-    return QueryResult(_answer(reach.vote), used)
+    used = frozenset(map(cmap._compiled().links.__getitem__, indices))
+    return QueryResult(_answer(votes[target]), used)
 
 
 # -- quizzes -----------------------------------------------------------------
@@ -618,40 +635,44 @@ def grade_quiz(
 
     A question whose concepts are missing from the student map is answered
     cannot-determine.  Grading is binary: the answer must equal the expert
-    answer exactly.  The questions that share a source are answered by one
-    bounded walk (see answer_query) that counts and votes paths without
-    recording their links; answer_query names the links behind an answer.
-    If any such walk raises PathExplosion, the quiz is graded question by
-    question, in order, through answer_query, so the result, or the
-    exception, is the one per-question grading gives.
+    answer exactly.  The questions are answered in order; the first
+    question from a source walks that source once, unpruned, and the votes
+    it leaves answer every question from it (see _walk).  That walk keeps
+    answer_query's bound, and a pruned walk to one target takes a subset
+    of its steps and finds the same paths, so when it finishes its votes
+    are answer_query's answers.  When it raises PathExplosion, the
+    questions from that source are answered one by one through
+    answer_query, so the result, or the exception, is always the one
+    per-question grading gives.
     """
     if not questions:
         raise EmptyQuiz("cannot grade an empty quiz")
-    concepts = student.concepts
-    targets: dict[str, set[str]] = {}
-    for q in questions:
-        if q.source in concepts and q.target in concepts:
-            targets.setdefault(q.source, set()).add(q.target)
-    votes: dict[tuple[str, str], int] = {}
-    try:
-        for s, ts in targets.items():
-            for t, reach in _walk(student, s, ts, max_paths, links=False).items():
-                votes[s, t] = reach.vote
-    except PathExplosion:
-        # each answer of answer_query as the vote that gives it
-        vote_for = {QueryAnswer.TARGET_INCREASES: 1, QueryAnswer.TARGET_DECREASES: -1}
-        votes = {
-            (q.source, q.target):
-                vote_for.get(answer_query(student, q.source, q.target, max_paths).answer, 0)
-            for q in questions
-            if q.source in concepts and q.target in concepts
-        }
+    concepts = student._concepts
     increases, decreases = QueryAnswer.TARGET_INCREASES, QueryAnswer.TARGET_DECREASES
+    cannot = QueryAnswer.CANNOT_DETERMINE
+    votes_from: dict[str, Optional[dict[str, int]]] = {}  # None: the walk raised
     answers = []
     n_correct = 0
     for q in questions:
-        vote = votes.get((q.source, q.target), 0)
-        answer = increases if vote > 0 else decreases if vote < 0 else QueryAnswer.CANNOT_DETERMINE
+        source, target = q.source, q.target
+        answer = cannot
+        if source in concepts and target in concepts:
+            if source in votes_from:
+                votes = votes_from[source]
+            else:
+                try:
+                    votes = _walk(student, source, None, max_paths)[1]
+                except PathExplosion:
+                    votes = None
+                votes_from[source] = votes
+            if votes is None:
+                answer = answer_query(student, source, target, max_paths).answer
+            else:
+                vote = votes.get(target, 0)
+                if vote > 0:
+                    answer = increases
+                elif vote < 0:
+                    answer = decreases
         if answer is q.expert_answer:
             n_correct += 1
         answers.append(answer)

@@ -27,8 +27,8 @@ from . import __version__, logio
 from .analytics import StudentRecord, scaffold_impact
 from .annotate import ReplayError
 from .causal import EmptyQuiz, Grade, MapError, generate_quiz, grade_quiz, map_score
-from .engine import EngineConfig, ScaffoldKind, delivery_counts, load_trees
-from .logio import FormatError, scope_from_str
+from .engine import EngineConfig, ScaffoldKind, delivery_counts
+from .logio import FormatError, load_trees, scope_from_str
 from .mining import TokenSequence, mine
 from .pack import default_expert_map
 from .pipeline import replay_events
@@ -92,7 +92,7 @@ def _read_engine_config(path: Path) -> dict:
     a CliError naming it."""
     defaults = {f.name: f.default for f in dataclasses.fields(EngineConfig)}
     try:
-        settings = json.loads(path.read_text())
+        settings = logio.read_json(path)
         if not isinstance(settings, dict):
             raise ValueError("expected a JSON object of engine settings")
         for key, value in settings.items():
@@ -199,7 +199,7 @@ def _draw_outcome(student_id: str, group: str, cohort_seed: int) -> dict:
 def _load_profiles(path: Path):
     from .simulate import profiles_from_document
 
-    profiles = profiles_from_document(json.loads(Path(path).read_text()))
+    profiles = profiles_from_document(logio.read_json(path))
     if set(profiles) != {"high", "low"}:
         raise CliError("profiles file must define exactly 'high' and 'low'")
     return profiles

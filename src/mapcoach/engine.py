@@ -402,13 +402,6 @@ def trees_from_document(doc: dict) -> dict[ScaffoldKind, ConversationTree]:
     return trees
 
 
-def load_trees(path) -> dict[ScaffoldKind, ConversationTree]:
-    import json
-    from pathlib import Path
-
-    return trees_from_document(json.loads(Path(path).read_text()))
-
-
 # -- deliveries ----------------------------------------------------------------
 
 

@@ -72,11 +72,13 @@ from .causal import (
 )
 from .engine import (
     Agent,
+    ConversationTree,
     ScaffoldDelivery,
     ScaffoldKind,
     TargetHints,
     TranscriptStep,
     TriggerContext,
+    trees_from_document,
 )
 
 MAP_FORMAT = "mapcoach-map/1"
@@ -103,6 +105,12 @@ def _by_value(enum: type[E]) -> Callable[[object], E]:
     return member
 
 
+def _values(enum: type[E]) -> dict[E, str]:
+    """member -> member.value, built once: a lookup here costs a fraction of
+    a `.value` read."""
+    return {member: member.value for member in enum}
+
+
 _sign = _by_value(Sign)
 _marking = _by_value(Marking)
 _edit_action = _by_value(MapEditAction)
@@ -113,14 +121,23 @@ _emotion = _by_value(Emotion)
 _scaffold_kind = _by_value(ScaffoldKind)
 _agent = _by_value(Agent)
 
+_SIGN_VALUE = _values(Sign)
+_MARKING_VALUE = _values(Marking)
+_EDIT_ACTION_VALUE = _values(MapEditAction)
+_ACTION_KIND_VALUE = _values(ActionKind)
+_PROCESS_VALUE = _values(Process)
+_EFFECTIVENESS_VALUE = _values(Effectiveness)
+_SCAFFOLD_KIND_VALUE = _values(ScaffoldKind)
+_AGENT_VALUE = _values(Agent)
+
 
 # -- map documents ---------------------------------------------------------
 
 
 def link_to_record(link: CausalLink) -> dict:
-    record = {"source": link.source, "target": link.target, "sign": link.sign.value}
+    record = {"source": link.source, "target": link.target, "sign": _SIGN_VALUE[link.sign]}
     if link.marking is not Marking.UNMARKED:
-        record["marking"] = link.marking.value
+        record["marking"] = _MARKING_VALUE[link.marking]
     if link.source_page is not None:
         record["page"] = link.source_page
     return record
@@ -166,9 +183,20 @@ def save_map(cmap: CausalMap, path: Path):
     Path(path).write_text(dumps_map(cmap))
 
 
+def read_json(path: Path):
+    """The JSON document in a file, with json.loads's own errors; nesting
+    deeper than the decoder's recursion limit is a FormatError naming the
+    file."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise FormatError(f"{path}: JSON nested too deeply") from exc
+
+
 def load_map(path: Path) -> CausalMap:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = read_json(path)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     try:
@@ -197,7 +225,7 @@ def scope_from_str(text: str) -> QuizScope:
 
 def _edit_to_record(edit: MapEdit) -> dict:
     a = edit.action
-    record: dict = {"action": a.value}
+    record: dict = {"action": _EDIT_ACTION_VALUE[a]}
     if a is MapEditAction.ADD_CONCEPT:
         c = edit.concept
         record["concept"] = {"id": c.id, "name": c.name, "section": c.section}
@@ -212,7 +240,7 @@ def _edit_to_record(edit: MapEdit) -> dict:
         record["new"] = link_to_record(edit.new)
     elif a is MapEditAction.MARK_LINK:
         record["source"], record["target"] = edit.source, edit.target
-        record["marking"] = edit.marking.value
+        record["marking"] = _MARKING_VALUE[edit.marking]
     return record
 
 
@@ -242,7 +270,7 @@ def event_to_record(event: ActionEvent) -> dict:
         "student": event.student_id,
         "t": event.timestamp,
         "duration": event.duration,
-        "kind": event.kind.value,
+        "kind": _ACTION_KIND_VALUE[event.kind],
     }
     if event.kind is ActionKind.READ:
         record["page"] = event.page
@@ -302,8 +330,8 @@ def event_from_record(record: dict) -> ActionEvent:
 
 def annotated_to_record(event: AnnotatedEvent) -> dict:
     record = event_to_record(event.base)
-    record["process"] = event.process.value
-    record["effectiveness"] = event.effectiveness.value
+    record["process"] = _PROCESS_VALUE[event.process]
+    record["effectiveness"] = _EFFECTIVENESS_VALUE[event.effectiveness]
     record["long"] = event.long
     record["score"] = event.map_score_after
     if event.coherent is not None:
@@ -373,8 +401,8 @@ def affect_from_record(record: dict) -> AffectObservation:
 def delivery_to_record(d: ScaffoldDelivery) -> dict:
     record = {
         "student": d.student_id,
-        "kind": d.kind.value,
-        "agent": d.agent.value,
+        "kind": _SCAFFOLD_KIND_VALUE[d.kind],
+        "agent": _AGENT_VALUE[d.agent],
         "t": d.timestamp,
         "rule": d.trigger.rule,
         "prev_index": d.trigger.prev_index,
@@ -441,8 +469,9 @@ def _decode(line: str):
 
 
 def read_jsonl(path: Path) -> list[dict]:
-    """The JSON object on each non-blank line; anything else is a
-    FormatError naming the file and line."""
+    """The JSON object on each non-blank line; anything else, a line nested
+    deeper than the decoder's recursion limit included, is a FormatError
+    naming the file and line."""
     records = []
     try:
         with open(path) as fh:
@@ -457,6 +486,8 @@ def read_jsonl(path: Path) -> list[dict]:
             record = _decode(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise FormatError(f"{path}: line {lineno}: JSON nested too deeply") from exc
         if type(record) is not dict:
             raise FormatError(
                 f"{path}: line {lineno}: expected a JSON object, got {type(record).__name__}"
@@ -509,6 +540,14 @@ def read_affect(path: Path) -> list[AffectObservation]:
     return _read_records(path, affect_from_record)
 
 
+# -- conversation trees ------------------------------------------------------------
+
+
+def load_trees(path: Path) -> dict[ScaffoldKind, ConversationTree]:
+    """A conversation-tree document (see engine.trees_from_document)."""
+    return trees_from_document(read_json(path))
+
+
 # -- grouping and outcomes -----------------------------------------------------------
 
 
@@ -520,7 +559,7 @@ def load_grouping(path: Path) -> dict[str, str]:
     """Student id -> group name; anything but a JSON object of strings is a
     FormatError naming the file."""
     try:
-        grouping = json.loads(Path(path).read_text())
+        grouping = read_json(path)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     if not isinstance(grouping, dict) or not all(

@@ -268,32 +268,39 @@ class TestWalk:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10_000), st.sampled_from((1, 2, 3, 5, 50, DEFAULT_MAX_PATHS)))
     def test_vote_only_walk_counts_and_votes_as_the_full_walk(self, seed, max_paths):
+        """The unpruned walk counts and votes every concept's brute-force
+        paths, and raises only when one has more than max_paths; where it
+        finishes, the link-recording walk to each target finishes with that
+        target's count and vote."""
         rng = random.Random(seed)
         m = oracles.random_map(rng, max_concepts=7, max_links=18)
         ids = sorted(m.concepts)
         source = rng.choice(ids)
         targets = rng.sample(ids, rng.randint(1, len(ids)))
-        outcomes = []
-        for links in (False, True):
-            try:
-                reaches = _walk(m, source, targets, max_paths, links=links)
-            except PathExplosion as exc:
-                outcomes.append(str(exc))
-                continue
-            outcomes.append({t: (r.count, r.vote) for t, r in reaches.items()})
-            if not links:
-                assert not any(r.links or r.multi_signs for r in reaches.values())
-        assert outcomes[0] == outcomes[1]
-        if isinstance(outcomes[0], str):
-            return
         edges = oracles.edge_dict(m)
         expected = {}
-        for t in targets:
+        for t in ids:
             paths = oracles.brute_simple_paths(edges, source, t)
             if paths:
                 votes = [math.prod(edges[pair] for pair in path) for path in paths]
                 expected[t] = (len(paths), sum(votes))
-        assert outcomes[0] == expected
+        exploded = any(count > max_paths for count, _ in expected.values())
+        try:
+            counts, votes, links, multi_signs = _walk(m, source, None, max_paths)
+        except PathExplosion:
+            assert exploded
+        else:
+            assert not exploded
+            assert not links and not multi_signs
+            assert {t: (counts[t], votes[t]) for t in counts} == expected
+        for t in targets:
+            try:
+                counts, votes, _, _ = _walk(m, source, t, max_paths)
+            except PathExplosion:
+                assert exploded
+                continue
+            assert set(counts) <= {t}
+            assert ((counts[t], votes[t]) if counts else None) == expected.get(t)
 
 
 class TestScoreClassifyConsistency:
@@ -447,14 +454,51 @@ def _graded(result):
     return got, result.score, result.n_correct
 
 
+def _random_cyclic_map(rng, max_concepts):
+    """A random map with at least one cycle when it has a link."""
+    m = oracles.random_map(rng, max_concepts=max_concepts, max_links=3 * max_concepts)
+    links = m.sorted_links()
+    if links and m.get_link(links[0].target, links[0].source) is None:
+        m = m.with_link(CausalLink(links[0].target, links[0].source, rng.choice((INC, DEC))))
+    return m
+
+
+def _same_as_grading_each(student, questions, max_paths):
+    """Assert grade_quiz equals _grade_each, or raises its exception."""
+    try:
+        expected = _grade_each(student, questions, max_paths)
+    except MapError as exc:
+        with pytest.raises(MapError) as raised:
+            grade_quiz(student, questions, max_paths=max_paths)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+        return
+    assert _graded(grade_quiz(student, questions, max_paths=max_paths)) == expected
+
+
 class TestGroupedGrading:
     def test_grouped_walk_that_meets_the_step_budget_falls_back(self):
-        # one walk for both questions from s passes through t1 into a clique
-        # whose only way out is back to t1; each question alone does not
+        # the walk from s passes through t1 into a clique whose only way out
+        # is back to t1, and raises; each question alone does not
         m = with_clique("t1", ("s", "t1", INC), ("s", "t2", DEC), back_to_hub=True)
         questions = [
             QuizQuestion("s", "t1", QueryAnswer.TARGET_INCREASES),
             QuizQuestion("s", "t2", QueryAnswer.TARGET_DECREASES),
+        ]
+        start = time.perf_counter()
+        result = grade_quiz(m, questions)
+        assert time.perf_counter() - start < 1.0
+        assert result.score == 100.0
+        assert _graded(result) == _grade_each(m, questions, DEFAULT_MAX_PATHS)
+
+    def test_dead_end_clique_off_a_quiz_source_falls_back(self):
+        # s reaches a 10-clique that leads to no question target: the walk
+        # from s enters it and raises, and the questions from s fall back
+        m = with_clique("s", ("s", "t", INC), ("t", "u", DEC), ("u", "s", INC))
+        questions = [
+            QuizQuestion("s", "t", QueryAnswer.TARGET_INCREASES),
+            QuizQuestion("t", "u", QueryAnswer.TARGET_DECREASES),
+            QuizQuestion("s", "u", QueryAnswer.TARGET_DECREASES),
         ]
         start = time.perf_counter()
         result = grade_quiz(m, questions)
@@ -473,16 +517,42 @@ class TestGroupedGrading:
             QuizQuestion(rng.choice(sources), rng.choice(ids), rng.choice(list(QueryAnswer)))
             for _ in range(rng.randint(1, 12))
         ]
-        try:
-            expected = _grade_each(student, questions, max_paths)
-        except MapError as exc:
-            with pytest.raises(MapError) as raised:
-                grade_quiz(student, questions, max_paths=max_paths)
-            assert type(raised.value) is type(exc)
-            assert str(raised.value) == str(exc)
-            return
-        result = grade_quiz(student, questions, max_paths=max_paths)
-        assert _graded(result) == expected
+        _same_as_grading_each(student, questions, max_paths)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from((1, 2, 3, 4, 5, DEFAULT_MAX_PATHS)))
+    def test_every_pair_quiz_on_cyclic_maps_equals_grading_each_question(self, seed, max_paths):
+        rng = random.Random(seed)
+        student = _random_cyclic_map(rng, max_concepts=9)
+        ids = sorted(student.concepts)
+        questions = [
+            QuizQuestion(s, t, rng.choice(list(QueryAnswer)))
+            for s in ids
+            for t in ids
+            if s != t
+        ]
+        _same_as_grading_each(student, questions, max_paths)
+
+    def test_engine_in_the_loop_cohort_quizzes_equal_grading_each_question(
+        self, pack, monkeypatch
+    ):
+        from mapcoach import pipeline
+        from mapcoach.engine import EngineConfig
+        from mapcoach.simulate import simulate_cohort
+
+        graded = []
+
+        def recording(student, questions, **kwargs):
+            result = grade_quiz(student, questions, **kwargs)
+            graded.append((student, list(questions), result))
+            return result
+
+        monkeypatch.setattr(pipeline, "grade_quiz", recording)
+        simulate_cohort(2, 2, seed=7, expert=pack, duration_budget=1500.0,
+                        engine_config=EngineConfig())
+        assert graded
+        for student, questions, result in graded:
+            assert _graded(result) == _grade_each(student, questions, DEFAULT_MAX_PATHS)
 
 
 def mark(m, source, target, marking):

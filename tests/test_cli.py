@@ -485,6 +485,43 @@ class TestOutputPins:
         assert proc.stderr == f"error: {path}: 'XX' is not a valid Process\n"
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+class TestDeeplyNestedJson:
+    """JSON nested past the decoder's recursion limit is an error line
+    naming the file, not a RecursionError traceback."""
+
+    def test_events_line(self, tmp_path):
+        events = tmp_path / "events"
+        events.mkdir()
+        path = events / "s1.jsonl"
+        path.write_text(json.dumps(TestOutputPins.EVENT) + "\n" + DEEP + "\n")
+        proc = run_subprocess(["replay", "--events", events, "--out", tmp_path / "out"])
+        assert_error_line(proc)
+        assert proc.stderr == f"error: {path}: line 2: JSON nested too deeply\n"
+
+    def test_expert_map(self, sim_dir, tmp_path):
+        expert = tmp_path / "expert.json"
+        expert.write_text(DEEP)
+        proc = run_subprocess(["replay", "--events", sim_dir / "events", "--expert", expert,
+                               "--out", tmp_path / "out"])
+        assert_error_line(proc)
+        assert proc.stderr == f"error: {expert}: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize("flag", ["--engine-config", "--profiles", "--trees"])
+    def test_simulate_settings_files(self, tmp_path, capsys, flag):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP)
+        assert run(["simulate", flag, path, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize("command", ["mine", "report"])
+    def test_grouping(self, tmp_path, command):
+        proc = run_on_annotated(command, tmp_path, "", grouping_text=DEEP)
+        assert proc.stderr == f"error: {tmp_path / 'grouping.json'}: JSON nested too deeply\n"
+
+
 class TestWrongJsonTypes:
     EVENT = {"student": "s1", "t": 0.0, "duration": 5.0, "kind": "read", "page": "p"}
 

@@ -226,10 +226,10 @@ class TestTreeDocuments:
         from mapcoach.engine import (
             ScaffoldKind,
             default_trees,
-            load_trees,
             run_conversation,
             trees_to_document,
         )
+        from mapcoach.logio import load_trees
 
         path = tmp_path / "trees.json"
         path.write_text(json.dumps(trees_to_document(default_trees())))

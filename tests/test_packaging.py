@@ -1,12 +1,12 @@
 """The package runs on the standard library alone: importing every module
 loads nothing from outside it, and pyproject.toml declares no dependency."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 import mapcoach
 
@@ -31,7 +31,34 @@ def test_every_module_imports_only_the_standard_library():
     assert sorted(loaded - {"mapcoach"} - sys.stdlib_module_names) == []
 
 
+def project_dependencies(text: str) -> list:
+    """The `dependencies` of a pyproject's [project] table, read with tomllib
+    where the standard library has it (Python 3.11 on)."""
+    try:
+        import tomllib
+    except ImportError:
+        return _dependencies_without_tomllib(text)
+    return tomllib.loads(text)["project"].get("dependencies", [])
+
+
+def _dependencies_without_tomllib(text: str) -> list:
+    """The [project] table's `dependencies` array of strings, for Python
+    3.10; an array it cannot read fails the check."""
+    table = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert table is not None, "pyproject.toml has no [project] table"
+    entry = re.search(r"^dependencies\s*=\s*(\[.*?\])", table.group(1), re.M | re.S)
+    return [] if entry is None else ast.literal_eval(entry.group(1))
+
+
 def test_pyproject_declares_no_dependencies():
-    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    assert project.get("dependencies", []) == []
+    assert project_dependencies((ROOT / "pyproject.toml").read_text()) == []
+
+
+def test_dependencies_are_read_without_tomllib(monkeypatch):
+    monkeypatch.setitem(sys.modules, "tomllib", None)
+    text = (ROOT / "pyproject.toml").read_text()
+    assert project_dependencies(text) == []
+    assert "\ndependencies = []\n" in text
+    declared = text.replace("\ndependencies = []\n", '\ndependencies = [\n  "numpy>=1.24",\n]\n')
+    assert project_dependencies(declared) == ["numpy>=1.24"]
+    assert project_dependencies(text.replace("\ndependencies = []\n", "\n")) == []
