@@ -9,7 +9,7 @@ from mapcoach import logio
 from mapcoach.analytics import Emotion
 from mapcoach.annotate import ActionKind, annotate_session
 from mapcoach.causal import map_score
-from mapcoach.engine import EngineConfig, ScaffoldEngine
+from mapcoach.engine import EngineConfig, ScaffoldEngine, ScaffoldKind
 from mapcoach.simulate import (
     DurationModel,
     StudentProfile,
@@ -22,6 +22,42 @@ from mapcoach.simulate import (
 
 def records(events):
     return [logio.event_to_record(e) for e in events]
+
+
+def cohort_digest(cohort):
+    """SHA-256 over every session's event, affect and delivery records."""
+    digest = hashlib.sha256()
+    for session in cohort.sessions:
+        lines = [
+            *(logio.event_to_record(e) for e in session.events),
+            *(logio.affect_to_record(session.student_id, o) for o in session.affect),
+            *(logio.delivery_to_record(d) for d in session.deliveries),
+        ]
+        for record in lines:
+            digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def clamp_profiles():
+    """High and low profiles whose affect baselines sit at 0.0 and 1.0, so
+    the jitter and the confusion bump reach both clamps, and whose flawed
+    links are all shortcuts (high) or all wrong signs (low)."""
+    base = bundled_profiles()
+    common = dict(
+        activity_mix={ActionKind.READ: 0.5, ActionKind.MAKE_NOTES: 0.0, ActionKind.MAP_EDIT: 0.3,
+                      ActionKind.TAKE_QUIZ: 0.2, ActionKind.QUIZ_EXPL: 0.0},
+        read_duration=DurationModel(90.0, 20.0),
+        read_effectiveness=0.3,
+        scaffold_compliance={ScaffoldKind.HINT3: 1.0},
+    )
+    high_ones = {Emotion.CONFUSION, Emotion.DELIGHT}
+    low_ones = {Emotion.ENGAGED_CONCENTRATION, Emotion.BOREDOM}
+    return {
+        "high": replace(base["high"], affect_baseline={e: float(e in high_ones) for e in Emotion},
+                        shortcut_share=1.0, wrong_sign_share=0.0, **common),
+        "low": replace(base["low"], affect_baseline={e: float(e in low_ones) for e in Emotion},
+                       shortcut_share=0.0, wrong_sign_share=1.0, **common),
+    }
 
 
 class TestDeterminism:
@@ -57,18 +93,30 @@ class TestDeterminism:
             3, 3, seed=7, expert=pack, duration_budget=1500,
             engine_config=EngineConfig(min_inter_scaffold_seconds=15),
         )
-        digest = hashlib.sha256()
-        for session in cohort.sessions:
-            lines = [
-                *(logio.event_to_record(e) for e in session.events),
-                *(logio.affect_to_record(session.student_id, o) for o in session.affect),
-                *(logio.delivery_to_record(d) for d in session.deliveries),
-            ]
-            for record in lines:
-                digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
-        assert digest.hexdigest() == (
+        assert cohort_digest(cohort) == (
             "8298e5a8dba54d720da735a9feddb54c58b8fb292d05d8ee890018d7e62d7a49"
         )
+
+    @pytest.mark.parametrize(
+        "n, seed, budget, config, profiles, expected",
+        [
+            (3, 7, 1500, None, None, "6241bf85bc7836fdf8420d34f5d36808c257f5a1133c864c29b5e90f31c7581e"),
+            (2, 19, 2400, EngineConfig(), clamp_profiles(), "14ff43a269f7dda7990bc68f88300c1c7300873943c181fdbd402e9bc65bed1d"),
+            (3, 7, 1500,
+             EngineConfig(min_inter_scaffold_seconds=5,
+                          disabled_kinds=frozenset({ScaffoldKind.HINT2, ScaffoldKind.ENC1})),
+             None, "afa0deca78b95cb3c1f7456c49c96a371f32c24df108caa5107063de82a21f53"),
+        ],
+        ids=["no-engine", "clamps-and-flawed-shares", "hint2-enc1-disabled-5s"],
+    )
+    def test_more_cohort_outputs_are_pinned(self, pack, n, seed, budget, config, profiles,
+                                             expected):
+        """More of the simulator's draws pinned: without the engine, on
+        affect baselines at the clamps with one-sided flawed-link shares,
+        and with two scaffold kinds disabled under a short window."""
+        cohort = simulate_cohort(n, n, seed=seed, expert=pack, duration_budget=budget,
+                                 engine_config=config, profiles=profiles)
+        assert cohort_digest(cohort) == expected
 
     def test_engine_in_loop_is_deterministic(self, pack):
         config = EngineConfig()
