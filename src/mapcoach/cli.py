@@ -199,7 +199,7 @@ def _draw_outcome(student_id: str, group: str, cohort_seed: int) -> dict:
 def _load_profiles(path: Path):
     from .simulate import profiles_from_document
 
-    profiles = profiles_from_document(logio.read_json(path))
+    profiles = logio.load_document(path, profiles_from_document)
     if set(profiles) != {"high", "low"}:
         raise CliError("profiles file must define exactly 'high' and 'low'")
     return profiles

@@ -383,23 +383,44 @@ def trees_to_document(trees: dict[ScaffoldKind, ConversationTree]) -> dict:
 
 
 def trees_from_document(doc: dict) -> dict[ScaffoldKind, ConversationTree]:
-    """Parse a tree document; kinds missing from it keep their bundled tree."""
+    """Parse a tree document; kinds missing from it keep their bundled tree.
+    A missing field raises KeyError, a field of the wrong JSON type
+    TypeError, an unknown kind ValueError and a malformed tree
+    MalformedTree."""
     trees = default_trees()
-    for kind_name, spec in doc.items():
+    for kind_name, spec in json_typed(doc, dict, "a tree document").items():
         kind = ScaffoldKind(kind_name)
-        nodes = [
-            ConversationNode(
-                id=n["id"],
-                prompt=n["prompt"],
-                responses=tuple(
-                    ResponseOption(text=r["text"], goto=None if r.get("exit") else r["goto"])
-                    for r in n["responses"]
-                ),
-            )
-            for n in spec["nodes"]
-        ]
-        trees[kind] = ConversationTree(spec["root"], nodes)
+        where = f"tree {kind_name!r}"
+        spec = json_typed(spec, dict, where)
+        nodes = [_node_from_document(json_typed(n, dict, f"a node of {where}"))
+                 for n in json_typed(spec["nodes"], list, f"{where} nodes")]
+        trees[kind] = ConversationTree(json_typed(spec["root"], str, f"{where} root"), nodes)
     return trees
+
+
+def _node_from_document(n: dict) -> ConversationNode:
+    node_id = json_typed(n["id"], str, "a node id")
+    where = f"node {node_id!r}"
+    responses = []
+    for r in json_typed(n["responses"], list, f"{where} responses"):
+        r = json_typed(r, dict, f"a response of {where}")
+        text = json_typed(r["text"], str, f"a response of {where}")
+        goto = None if r.get("exit") else json_typed(r["goto"], str, f"a goto of {where}")
+        responses.append(ResponseOption(text, goto))
+    prompt = json_typed(n["prompt"], str, f"{where} prompt")
+    return ConversationNode(node_id, prompt, tuple(responses))
+
+
+_JSON_TYPE_NAMES = {dict: "object", list: "array", str: "string"}
+
+
+def json_typed(value, kind: type, what: str):
+    """value, when it has the JSON type kind (dict, list or str); otherwise
+    a TypeError naming what was expected."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be a JSON {_JSON_TYPE_NAMES[kind]}, "
+                        f"got {type(value).__name__}")
+    return value
 
 
 # -- deliveries ----------------------------------------------------------------

@@ -66,6 +66,7 @@ from .causal import (
     CausalMap,
     Concept,
     ExpertMap,
+    MapError,
     Marking,
     QuizScope,
     Sign,
@@ -73,11 +74,13 @@ from .causal import (
 from .engine import (
     Agent,
     ConversationTree,
+    MalformedTree,
     ScaffoldDelivery,
     ScaffoldKind,
     TargetHints,
     TranscriptStep,
     TriggerContext,
+    json_typed,
     trees_from_document,
 )
 
@@ -165,14 +168,21 @@ def map_to_document(cmap: CausalMap) -> dict:
 
 
 def map_from_document(doc: dict) -> CausalMap:
-    if doc.get("format") != MAP_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MAP_FORMAT:
         raise FormatError(f"not a {MAP_FORMAT} document")
     concepts = [
         Concept(id=c["id"], name=c["name"], section=c["section"])
-        for c in doc["concepts"]
+        for c in _objects(doc["concepts"], "concepts")
     ]
-    links = [link_from_record(r) for r in doc["links"]]
+    links = [link_from_record(r) for r in _objects(doc["links"], "links")]
     return CausalMap(concepts, links)
+
+
+def _objects(value, what: str) -> list[dict]:
+    """value, when it is a JSON array of objects; otherwise a TypeError."""
+    for item in json_typed(value, list, what):
+        json_typed(item, dict, f"each of {what}")
+    return value
 
 
 def dumps_map(cmap: CausalMap) -> str:
@@ -194,15 +204,24 @@ def read_json(path: Path):
         raise FormatError(f"{path}: JSON nested too deeply") from exc
 
 
-def load_map(path: Path) -> CausalMap:
+def load_document(path: Path, parse: Callable[[object], T]) -> T:
+    """parse applied to the JSON document in a file. A decode error, a
+    missing field (KeyError) or a document parse rejects is a FormatError
+    naming the file."""
     try:
         doc = read_json(path)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     try:
-        return map_from_document(doc)
-    except (KeyError, ValueError) as exc:
+        return parse(doc)
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing field {exc}") from exc
+    except (FormatError, MalformedTree, MapError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def load_map(path: Path) -> CausalMap:
+    return load_document(path, map_from_document)
 
 
 def load_expert_map(path: Path) -> ExpertMap:
@@ -545,7 +564,7 @@ def read_affect(path: Path) -> list[AffectObservation]:
 
 def load_trees(path: Path) -> dict[ScaffoldKind, ConversationTree]:
     """A conversation-tree document (see engine.trees_from_document)."""
-    return trees_from_document(read_json(path))
+    return load_document(path, trees_from_document)
 
 
 # -- grouping and outcomes -----------------------------------------------------------

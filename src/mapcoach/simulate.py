@@ -18,8 +18,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .analytics import AffectObservation, Emotion
@@ -43,6 +45,7 @@ from .engine import (
     ScaffoldDelivery,
     ScaffoldEngine,
     ScaffoldKind,
+    json_typed,
 )
 from .pipeline import SessionStep
 
@@ -198,22 +201,28 @@ def profiles_to_document(profiles: dict[str, StudentProfile]) -> dict:
 
 
 def profiles_from_document(doc: dict) -> dict[str, StudentProfile]:
+    """Profiles by name. A missing field raises KeyError; a field of the
+    wrong JSON type or value, TypeError or ValueError."""
     profiles = {}
-    for name, p in doc.items():
+    for name, p in json_typed(doc, dict, "a profiles document").items():
+        p = json_typed(p, dict, f"profile {name!r}")
+        mix, compliance, affect = (
+            json_typed(value, dict, f"profile {name!r} {field}")
+            for field, value in (("activity_mix", p["activity_mix"]),
+                                 ("scaffold_compliance", p.get("scaffold_compliance", {})),
+                                 ("affect_baseline", p["affect_baseline"])))
         profiles[name] = StudentProfile(
             student_id=name,
-            activity_mix={ActionKind(k): v for k, v in p["activity_mix"].items()},
+            activity_mix={ActionKind(k): v for k, v in mix.items()},
             read_effectiveness=p["read_effectiveness"],
             quiz_propensity=p["quiz_propensity"],
-            scaffold_compliance={
-                ScaffoldKind(k): v for k, v in p.get("scaffold_compliance", {}).items()
-            },
+            scaffold_compliance={ScaffoldKind(k): v for k, v in compliance.items()},
             read_duration=DurationModel(*p["read_duration"]),
             edit_duration=DurationModel(*p["edit_duration"]),
             quiz_duration=DurationModel(*p["quiz_duration"]),
             note_duration=DurationModel(*p["note_duration"]),
             expl_duration=DurationModel(*p["expl_duration"]),
-            affect_baseline={Emotion(k): v for k, v in p["affect_baseline"].items()},
+            affect_baseline={Emotion(k): v for k, v in affect.items()},
             wrong_sign_share=p.get("wrong_sign_share", 0.8),
             shortcut_share=p.get("shortcut_share", 0.3),
         )
@@ -263,13 +272,13 @@ class _Session:
                  profile.edit_duration, profile.quiz_duration),
             )
         ]
-        # the pages read so far, with their expert links as (key, link) in
+        self._expert_signs = {key: link.sign for key, link in expert.links.items()}
+        # the pages read so far, with their expert links as (key, sign) in
         # sorted page then key order and the concepts those links join,
         # sorted; updated when a read reaches a page not read before
         self._read_pages: set[str] = set()
-        self._read_links: list[tuple[tuple[str, str], CausalLink]] = []
+        self._read_links: list[tuple[tuple[str, str], Sign]] = []
         self._read_concepts: list[str] = []
-        self._expert_links = expert.map.sorted_links()
         self.edits_since_quiz = 0
         self.note_counter = 0
         self.forced: deque = deque()
@@ -298,50 +307,47 @@ class _Session:
             w = 0.0
             if mix > 0:
                 share = time_per_kind[kind] / total if total > 0 else 0.0
-                w = max(1e-6, mix + self.STEER_GAIN * (mix - share)) / mean
-            if kind is ActionKind.MAP_EDIT and not self._has_edit_move():
-                w = 0.0
-            if kind is ActionKind.TAKE_QUIZ:
-                if not self.step.annotator.current_map.links:
-                    w = 0.0
-                else:
-                    w *= 1.0 + self.profile.quiz_propensity * self.edits_since_quiz
+                w = mix + self.STEER_GAIN * (mix - share)
+                w = (w if w > 1e-6 else 1e-6) / mean  # max(1e-6, w) / mean
             weights.append(w)
-        if sum(weights) <= 0:
+        # weights follow CHOICE_KINDS; on a map without links every read
+        # expert link is a correct candidate and every shortcut is open
+        links = self.step.annotator.current_map.links
+        if not (links or self._read_links or self._shortcuts):
+            weights[2] = 0.0
+        if links:
+            weights[3] *= 1.0 + self.profile.quiz_propensity * self.edits_since_quiz
+        else:
+            weights[3] = 0.0
+        if not any(weights):
             return ActionKind.READ
-        return self.rng.choices(self.CHOICE_KINDS, weights=weights)[0]
+        return _weighted_choice(self.rng, self.CHOICE_KINDS, weights)
 
     # -- edit move selection --------------------------------------------------
 
-    def _correct_candidates(self) -> list[CausalLink]:
-        """Expert links from read pages that are absent or wrong-signed on the map."""
+    def _correct_candidates(self) -> list[tuple[tuple[str, str], Sign, Optional[CausalLink]]]:
+        """Expert links from read pages that are absent or wrong-signed on the
+        map, as (key, expert sign, link on the map or None) for _link_edit."""
         current = self.step.annotator.current_map.links
-        out = []
-        for key, expert_link in self._read_links:
-            mine = current.get(key)
-            if mine is None or mine.sign is not expert_link.sign:
-                out.append(expert_link)
-        return out
+        return [(key, sign, mine) for key, sign in self._read_links
+                if (mine := current.get(key)) is None or mine.sign is not sign]
 
     def _open_shortcuts(self) -> list[CausalLink]:
         current = self.step.annotator.current_map.links
         return [link for link in self._shortcuts if link.key not in current]
 
     def _links_by_correctness(self) -> tuple[list[CausalLink], list[CausalLink]]:
-        expert_links = self.expert.links
+        """The map's links in key order, split into correct and incorrect."""
+        current = self.step.annotator.current_map.links
+        expert_signs = self._expert_signs
         correct, incorrect = [], []
-        for link in self.step.annotator.current_map.sorted_links():
-            expert_link = expert_links.get((link.source, link.target))
-            if expert_link is not None and expert_link.sign is link.sign:
+        for key in sorted(current):
+            link = current[key]
+            if expert_signs.get(key) is link.sign:
                 correct.append(link)
             else:
                 incorrect.append(link)
         return correct, incorrect
-
-    def _has_edit_move(self) -> bool:
-        # on a map without links every read expert link is a correct
-        # candidate and every shortcut is open
-        return bool(self.step.annotator.current_map.links or self._read_links or self._shortcuts)
 
     def _choose_edit(self) -> Optional[MapEdit]:
         """Pick the next link edit, or None when the drawn move kind has no
@@ -356,18 +362,10 @@ class _Session:
         return self._ineffective_move()
 
     def _effective_move(self) -> Optional[MapEdit]:
-        current = self.step.annotator.current_map
         correct = self._correct_candidates()
         correct_on_map, flawed_on_map = self._links_by_correctness()
         if correct and (not flawed_on_map or self.rng.random() < 0.7):
-            expert_link = self.rng.choice(correct)
-            link = CausalLink(
-                source=expert_link.source, target=expert_link.target, sign=expert_link.sign
-            )
-            mine = current.links.get(link.key)
-            if mine is not None:
-                return MapEdit(MapEditAction.MODIFY_LINK, old=mine, new=link)
-            return MapEdit(MapEditAction.ADD_LINK, link=link)
+            return _link_edit(*self.rng.choice(correct))
         if flawed_on_map:
             victim = self.rng.choice(flawed_on_map)
             return MapEdit(MapEditAction.DELETE_LINK, source=victim.source, target=victim.target)
@@ -394,29 +392,17 @@ class _Session:
             return MapEdit(MapEditAction.DELETE_LINK, source=victim.source, target=victim.target)
         return None
 
-    def _wrong_sign_edits(self) -> list[MapEdit]:
+    def _wrong_sign_edits(self) -> list[tuple[tuple[str, str], Sign, Optional[CausalLink]]]:
         """Add a read-page expert link with its sign flipped, or, when every
         one is on the map, flip the sign of a correctly-mapped one (a
-        coherent but score-lowering revision)."""
+        coherent but score-lowering revision); each candidate carries the
+        expert sign, which the drawn edit flips."""
         current = self.step.annotator.current_map.links
-        adds = [
-            MapEdit(
-                MapEditAction.ADD_LINK,
-                link=CausalLink(source=key[0], target=key[1], sign=expert_link.sign.flipped()),
-            )
-            for key, expert_link in self._read_links
-            if key not in current
-        ]
+        adds = [(key, sign, None) for key, sign in self._read_links if key not in current]
         if adds:
             return adds
-        out = []
-        for key, expert_link in self._read_links:
-            mine = current.get(key)
-            if mine is None or mine.sign is not expert_link.sign:
-                continue
-            flipped = CausalLink(source=key[0], target=key[1], sign=mine.sign.flipped())
-            out.append(MapEdit(MapEditAction.MODIFY_LINK, old=mine, new=flipped))
-        return out
+        return [(key, sign, mine) for key, sign in self._read_links
+                if (mine := current.get(key)) is not None and mine.sign is sign]
 
     def _draw_flawed(self) -> Optional[MapEdit]:
         """Draw a flawed link edit: a shortcut, a wrong sign or a wrong pair.
@@ -432,7 +418,8 @@ class _Session:
         if self.rng.random() < self.profile.wrong_sign_share:
             wrong_sign = self._wrong_sign_edits()
             if wrong_sign:
-                return self.rng.choice(wrong_sign)
+                key, sign, mine = self.rng.choice(wrong_sign)
+                return _link_edit(key, sign.flipped(), mine)
         read_concepts = self._read_concepts
         expert_links = self.expert.links
         wrong_pair = []
@@ -453,7 +440,8 @@ class _Session:
         if wrong_sign is None:
             wrong_sign = self._wrong_sign_edits()
         if wrong_sign:
-            return self.rng.choice(wrong_sign)
+            key, sign, mine = self.rng.choice(wrong_sign)
+            return _link_edit(key, sign.flipped(), mine)
         shortcuts = self._open_shortcuts()
         if shortcuts:
             return MapEdit(MapEditAction.ADD_LINK, link=self.rng.choice(shortcuts))
@@ -472,12 +460,13 @@ class _Session:
 
     def _do_read(self, page: Optional[str] = None):
         if page is None:
-            needed = sorted(
-                {
-                    l.source_page
-                    for l in self._uncovered_expert_links()
-                }
-            )
+            # pages of the expert links absent or wrong-signed on the map
+            current = self.step.annotator.current_map.links
+            needed = sorted({
+                link.source_page
+                for key, link in self.expert.links.items()
+                if (mine := current.get(key)) is None or mine.sign is not link.sign
+            })
             if needed and self.rng.random() < 0.8:
                 page = self.rng.choice(needed)
             else:
@@ -485,7 +474,7 @@ class _Session:
         if page not in self._read_pages:
             self._read_pages.add(page)
             self._read_links = [
-                (key, self.expert.links[key])
+                (key, self._expert_signs[key])
                 for p in sorted(self._read_pages)
                 for key in sorted(self.expert.links_on_page(p))
             ]
@@ -499,14 +488,6 @@ class _Session:
                 page=page,
             )
         )
-
-    def _uncovered_expert_links(self) -> list[CausalLink]:
-        current = self.step.annotator.current_map.links
-        return [
-            l
-            for l in self._expert_links
-            if (l.key not in current or current[l.key].sign is not l.sign)
-        ]
 
     def _do_notes(self):
         self.note_counter += 1
@@ -704,7 +685,9 @@ def _affect_stream(
                 bump_spans.append((cur.timestamp, cur.timestamp + CONFUSION_BUMP_WINDOW))
     # the spans start in order and all have the same width, so they also end
     # in order: the first span not yet over at a window is the only candidate
-    baselines = [(emotion, profile.affect_baseline[emotion]) for emotion in Emotion]
+    baselines = [(emotion, profile.affect_baseline[emotion], emotion is Emotion.CONFUSION)
+                 for emotion in Emotion]
+    student_id, draw = profile.student_id, rng.random
     count = math.ceil(session_end / AFFECT_PERIOD)
     observations = []
     span = 0
@@ -714,15 +697,32 @@ def _affect_stream(
             span += 1
         bumped = span < len(bump_spans) and bump_spans[span][0] <= ts
         likelihoods = {}
-        for emotion, baseline in baselines:
-            value = baseline + rng.uniform(-0.02, 0.02)
-            if bumped and emotion is Emotion.CONFUSION:
+        for emotion, baseline, confusion in baselines:
+            # rng.uniform(-0.02, 0.02) is -0.02 + (0.02 - -0.02) * random(), exactly
+            value = baseline + (-0.02 + 0.04 * draw())
+            if bumped and confusion:
                 value += CONFUSION_BUMP
-            likelihoods[emotion] = min(1.0, max(0.0, round(value, 4)))
-        observations.append(
-            AffectObservation(student_id=profile.student_id, timestamp=ts, likelihoods=likelihoods)
-        )
+            value = round(value, 4)
+            # min(1.0, max(0.0, value)), -0.0 included
+            likelihoods[emotion] = 0.0 if value <= 0.0 else 1.0 if value > 1.0 else value
+        observations.append(AffectObservation(student_id, ts, likelihoods))
     return observations
+
+
+def _weighted_choice(rng: random.Random, population: Sequence, weights: Sequence[float]):
+    """rng.choices(population, weights=weights)[0] by choices' own algorithm,
+    one random() * total bisected into the accumulated weights."""
+    cum_weights = list(accumulate(weights))
+    return population[bisect(cum_weights, rng.random() * cum_weights[-1], 0, len(weights) - 1)]
+
+
+def _link_edit(key: tuple[str, str], sign: Sign, mine: Optional[CausalLink]) -> MapEdit:
+    """Add the link key with sign, or give mine, the map's link on that
+    pair, that sign."""
+    link = CausalLink(source=key[0], target=key[1], sign=sign)
+    if mine is None:
+        return MapEdit(MapEditAction.ADD_LINK, link=link)
+    return MapEdit(MapEditAction.MODIFY_LINK, old=mine, new=link)
 
 
 def simulate_session(

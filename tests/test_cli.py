@@ -522,6 +522,52 @@ class TestDeeplyNestedJson:
         assert proc.stderr == f"error: {tmp_path / 'grouping.json'}: JSON nested too deeply\n"
 
 
+def _tree(responses):
+    return {"enc1": {"root": "x", "nodes": [{"id": "x", "prompt": "p", "responses": responses}]}}
+
+
+def _short_read_duration_profiles():
+    from mapcoach.simulate import bundled_profiles, profiles_to_document
+
+    doc = profiles_to_document(bundled_profiles())
+    doc["high"]["read_duration"] = [40]
+    return doc
+
+
+class TestMalformedDocuments:
+    """A settings or map file holding valid JSON of the wrong shape is one
+    error line naming the file, not a traceback."""
+
+    DOCUMENTS = {
+        "array": [1],
+        "tree-without-nodes": {"enc1": {"root": "x"}},
+        "node-without-exit": _tree([{"text": "again", "goto": "x"}]),
+        "goto-missing-node": _tree([{"text": "bye", "exit": True}, {"text": "on", "goto": "y"}]),
+        "profile-not-an-object": {"high": 3},
+        "number": 3,
+        "string": "x",
+        "null": None,
+        "read-duration-without-spread": _short_read_duration_profiles(),
+    }
+
+    @pytest.mark.parametrize("document", DOCUMENTS.values(), ids=DOCUMENTS.keys())
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--trees", "{path}", "--out", "{out}"],
+         ["simulate", "--profiles", "{path}", "--out", "{out}"],
+         ["replay", "--events", "{out}", "--expert", "{path}", "--out", "{out}"],
+         ["score", "--student-map", "{path}"]],
+        ids=["simulate-trees", "simulate-profiles", "replay-expert", "score-student-map"],
+    )
+    def test_is_one_error_line_naming_the_file(self, tmp_path, capsys, argv, document):
+        path = tmp_path / "document.json"
+        path.write_text(json.dumps(document))
+        out = tmp_path / "out"
+        assert run([a.format(path=path, out=out) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+
 class TestWrongJsonTypes:
     EVENT = {"student": "s1", "t": 0.0, "duration": 5.0, "kind": "read", "page": "p"}
 

@@ -1,11 +1,14 @@
 import hashlib
 import json
 import math
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from mapcoach import logio
+from mapcoach import logio, simulate
 from mapcoach.analytics import Emotion
 from mapcoach.annotate import ActionKind, annotate_session
 from mapcoach.causal import map_score
@@ -254,10 +257,7 @@ class TestAffectStream:
         """Deliveries closer than the minimum gap bump confusion in every
         20 s window inside [delivery, delivery + 120 s]; the jitter draws
         are the same with and without the bump."""
-        import random
         from types import SimpleNamespace
-
-        from mapcoach import simulate
 
         profile = bundled_profiles()["high"]
         config = EngineConfig()
@@ -275,3 +275,31 @@ class TestAffectStream:
             assert all(a.likelihoods[e] == b.likelihoods[e]
                        for e in Emotion if e is not Emotion.CONFUSION)
         assert sum(any(s <= a.timestamp <= e for s, e in spans) for a in bumped) == 13
+
+
+class TestInlinedDraws:
+    """The simulator spells out two stdlib draws for speed; these hold them
+    to the stdlib, so a Python whose random module changes either fails
+    here instead of quietly changing simulated output."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64),
+        weights=st.lists(
+            st.one_of(st.sampled_from([0.0, 1e-6]),
+                      st.floats(min_value=0.0, max_value=1e12)),
+            min_size=4, max_size=4,
+        ),
+    )
+    def test_activity_draw_is_random_choices(self, seed, weights):
+        assume(sum(weights) > 0)
+        kinds = simulate._Session.CHOICE_KINDS
+        rng, twin = random.Random(seed), random.Random(seed)
+        assert simulate._weighted_choice(rng, kinds, weights) == twin.choices(
+            kinds, weights=weights)[0]
+        assert rng.getstate() == twin.getstate()
+
+    @given(seed=st.integers(min_value=0, max_value=2**64))
+    def test_affect_jitter_is_random_uniform(self, seed):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert -0.02 + 0.04 * rng.random() == twin.uniform(-0.02, 0.02)
