@@ -16,6 +16,7 @@ from .causal import (
     MapError,
     Marking,
     QuizScope,
+    is_correct_link,
     map_score,
 )
 
@@ -137,27 +138,22 @@ def apply_edit(cmap: CausalMap, edit: MapEdit) -> CausalMap:
     """Apply one edit to a map, raising MapError on inconsistent edits.
 
     Deleting a concept drops its incident links; modifying a link keeps the
-    old link's marking attached to the replacement."""
+    old link's marking attached to the replacement.  The endpoints of an
+    added or replacing link are checked once, by the map update itself."""
     a = edit.action
     if a is MapEditAction.ADD_CONCEPT:
         return cmap.with_concept(edit.concept)
     if a is MapEditAction.DELETE_CONCEPT:
         return cmap.without_concept(edit.concept_id)
     if a is MapEditAction.ADD_LINK:
-        link = edit.link
-        if not (cmap.has_concept(link.source) and cmap.has_concept(link.target)):
-            raise MapError(f"link {link.display()} references a missing concept")
-        return cmap.with_link(link)
+        return cmap.with_link(edit.link)
     if a is MapEditAction.DELETE_LINK:
         return cmap.without_link(edit.source, edit.target)
     if a is MapEditAction.MODIFY_LINK:
         old = cmap.get_link(edit.old.source, edit.old.target)
         if old is None or old.triple != edit.old.triple:
             raise MapError(f"no link {edit.old.display()} to modify")
-        new = replace(edit.new, marking=old.marking)
-        if not (cmap.has_concept(new.source) and cmap.has_concept(new.target)):
-            raise MapError(f"link {new.display()} references a missing concept")
-        return cmap.with_replaced_link(old.key, new)
+        return cmap.with_replaced_link(old.key, replace(edit.new, marking=old.marking))
     if a is MapEditAction.MARK_LINK:
         link = cmap.get_link(edit.source, edit.target)
         if link is None:
@@ -169,7 +165,14 @@ def apply_edit(cmap: CausalMap, edit: MapEdit) -> CausalMap:
 class SessionAnnotator:
     """Streaming annotator: replays edits on an evolving map and labels each
     event as it arrives.  The simulator and replay both reach it through
-    `pipeline.SessionStep`, so the two paths agree exactly."""
+    `pipeline.SessionStep`, so the two paths agree exactly.
+
+    The map score (`causal.map_score`, correct links minus incorrect ones)
+    is kept up to date from the pairs each edit touches: an added or a
+    deleted link counts +1 if it is correct and -1 if not, a modified link
+    swaps its old pair's count for its new pair's, and marks and added
+    concepts change nothing.  Deleting a concept, which drops every
+    incident link and already copies the map's links, rescores the map."""
 
     def __init__(self, expert: ExpertMap, long_threshold: float = DEFAULT_LONG_THRESHOLD):
         self.expert = expert
@@ -183,27 +186,39 @@ class SessionAnnotator:
         if self._last_timestamp is not None and event.timestamp < self._last_timestamp:
             raise ReplayError(self._index, "events out of timestamp order")
         self._last_timestamp = event.timestamp
+        kind = event.kind
         effectiveness = Effectiveness.NEUTRAL
-        if event.kind is ActionKind.MAP_EDIT:
+        if kind is ActionKind.MAP_EDIT:
+            edit = event.edit
             try:
-                new_map = apply_edit(self.current_map, event.edit)
+                new_map = apply_edit(self.current_map, edit)
             except MapError as exc:
                 raise ReplayError(self._index, str(exc)) from exc
-            new_score = map_score(new_map, self.expert)
+            new_score = self._score_after(edit, new_map)
             if new_score > self.score:
                 effectiveness = Effectiveness.EFF
             elif new_score < self.score:
                 effectiveness = Effectiveness.INEFF
             self.current_map, self.score = new_map, new_score
-        long = event.kind is ActionKind.READ and event.duration >= self.long_threshold
+        long = kind is ActionKind.READ and event.duration >= self.long_threshold
         self._index += 1
-        return AnnotatedEvent(
-            base=event,
-            process=PROCESS_FOR_KIND[event.kind],
-            effectiveness=effectiveness,
-            long=long,
-            map_score_after=self.score,
-        )
+        return AnnotatedEvent(event, PROCESS_FOR_KIND[kind], effectiveness, long, self.score)
+
+    def _score_after(self, edit: MapEdit, new_map: CausalMap) -> int:
+        """The map score once `edit`, already applied as `new_map`, is made."""
+        a = edit.action
+        if a is MapEditAction.ADD_LINK:
+            return self.score + self._worth(edit.link)
+        if a is MapEditAction.DELETE_LINK:
+            return self.score - self._worth(self.current_map.get_link(edit.source, edit.target))
+        if a is MapEditAction.MODIFY_LINK:
+            return self.score + self._worth(edit.new) - self._worth(edit.old)
+        if a is MapEditAction.DELETE_CONCEPT:
+            return map_score(new_map, self.expert)
+        return self.score
+
+    def _worth(self, link: CausalLink) -> int:
+        return 1 if is_correct_link(link, self.expert) else -1
 
 
 def annotate_session(

@@ -128,10 +128,10 @@ class CausalMap:
         self._adjacency: Optional[_Adjacency] = None
 
     def _check_link(self, link: CausalLink):
+        if link.source not in self._concepts or link.target not in self._concepts:
+            raise MapError(f"link {link.display()} references a missing concept")
         if link.source == link.target:
             raise MapError(f"self-loop on {link.source!r}")
-        if link.source not in self._concepts or link.target not in self._concepts:
-            raise MapError(f"link {link.display()} has an endpoint outside the map")
 
     @property
     def concepts(self) -> Mapping[str, Concept]:

@@ -2,7 +2,9 @@
 detects the nine inflection-point triggers, resolves competing cases, and
 delivers conversation-tree scaffolds.
 
-Trigger summary (evaluated on the previous/current event pair):
+Trigger summary (evaluated on the previous/current event pair; the
+previous event's kind, read, map edit or quiz, picks the one family that
+can fire):
 
   hint2  read-long -> ineffective map edit        (teachable agent)
   enc2   read-long -> effective map edit          (mentor)
@@ -536,6 +538,7 @@ class ScaffoldEngine:
         self._index = 0
         self._prev: Optional[AnnotatedEvent] = None
         self._prev_index = -1
+        self._prev_time = -math.inf
         self._last_delivery: Optional[tuple[ScaffoldKind, float]] = None
         self._ineff_occasions = 0
         self._last_hint5_pair: Optional[tuple[str, str]] = None
@@ -552,28 +555,30 @@ class ScaffoldEngine:
         last_quiz: Optional[QuizResult] = None,
     ) -> list[ScaffoldDelivery]:
         """Process one event; returns the deliveries it released (possibly a
-        deferred hint1 plus at most one pair-triggered scaffold)."""
-        if self._prev is not None and event.timestamp < self._prev.timestamp:
-            raise OutOfOrderEvent(
-                f"event at {event.timestamp} after event at {self._prev.timestamp}"
-            )
+        deferred hint1 plus at most one pair-triggered scaffold).  One rule
+        family per previous-event kind is tested (`_detect`), and the
+        pending hint1 only while one is armed."""
+        base = event.base
+        at, kind = base.timestamp, base.kind
+        if at < self._prev_time:
+            raise OutOfOrderEvent(f"event at {at} after event at {self._prev_time}")
         index = self._index
-        self._index += 1
-        out: list[ScaffoldDelivery] = []
-        out.extend(self._resolve_pending_hint1(event))
-        candidate = self._detect(event, index, student_map, last_quiz)
+        self._index = index + 1
+        out = self._resolve_pending_hint1(event) if self._pending_hint1 is not None else []
+        candidate = self._detect(event, kind, index, student_map, last_quiz)
         if candidate is not None:
             out.append(candidate)
         # bookkeeping that must happen regardless of what fired
-        if event.kind is ActionKind.MAP_EDIT:
-            pair = event.base.edit.touched_pair()
+        if kind is ActionKind.MAP_EDIT:
+            pair = base.edit.touched_pair()
             if pair is not None:
                 self._touched_pairs.add(pair)
-        if event.kind is ActionKind.TAKE_QUIZ and last_quiz is not None:
+        elif kind is ActionKind.TAKE_QUIZ and last_quiz is not None:
             self._prev_quiz_score = last_quiz.score
             self._touched_pairs.clear()
         self._prev = event
         self._prev_index = index
+        self._prev_time = at
         return out
 
     def finalize(self, session_end: float) -> list[ScaffoldDelivery]:
@@ -586,9 +591,8 @@ class ScaffoldEngine:
     # -- internals ----------------------------------------------------------
 
     def _resolve_pending_hint1(self, event: AnnotatedEvent) -> list[ScaffoldDelivery]:
+        """Expire, cancel or count down the pending hint1 at `event`."""
         pending = self._pending_hint1
-        if pending is None:
-            return []
         if event.timestamp > pending.deadline:
             return self._expire_hint1(pending, pending.deadline, None)
         if _is_correct_marking(event):
@@ -613,52 +617,63 @@ class ScaffoldEngine:
     def _detect(
         self,
         event: AnnotatedEvent,
+        kind: ActionKind,
         index: int,
         student_map: CausalMap,
         last_quiz: Optional[QuizResult],
     ) -> Optional[ScaffoldDelivery]:
+        """The scaffold the previous event and `event` trigger, if any.
+
+        Each rule family is keyed on one previous-event kind: a read leads
+        to hint2/enc2, a map edit followed by a quiz to the hint5 family
+        (ineffective) or enc1/hint1 (effective), a quiz to hint6."""
         prev = self._prev
         if prev is None:
             return None
-
-        if _is_long_read(prev) and _is_edit(event, Effectiveness.INEFF):
-            return self._deliver_on_pair(ScaffoldKind.HINT2, event, index, None,
-                                         "read_long->edit_ineff")
-
-        if _is_long_read(prev) and _is_edit(event, Effectiveness.EFF):
-            return self._deliver_on_pair(ScaffoldKind.ENC2, event, index, None,
-                                         "read_long->edit_eff")
-
-        if _is_edit(prev, Effectiveness.INEFF) and event.kind is ActionKind.TAKE_QUIZ:
-            if self._suppressed(ScaffoldKind.HINT5, event.timestamp):
+        prev_kind = prev.base.kind
+        if prev_kind is ActionKind.READ:
+            if not prev.long or kind is not ActionKind.MAP_EDIT:
                 return None
-            return self._resolve_ineff_quiz(prev, event, index, student_map, last_quiz)
+            if event.effectiveness is Effectiveness.INEFF:
+                return self._deliver_on_pair(ScaffoldKind.HINT2, event, index, None,
+                                             "read_long->edit_ineff")
+            if event.effectiveness is Effectiveness.EFF:
+                return self._deliver_on_pair(ScaffoldKind.ENC2, event, index, None,
+                                             "read_long->edit_eff")
+            return None
+
+        if prev_kind is ActionKind.MAP_EDIT:
+            if kind is not ActionKind.TAKE_QUIZ:
+                return None
+            if prev.effectiveness is Effectiveness.INEFF:
+                if self._suppressed(ScaffoldKind.HINT5, event.base.timestamp):
+                    return None
+                return self._resolve_ineff_quiz(prev, event, index, student_map, last_quiz)
+            if (
+                prev.effectiveness is Effectiveness.EFF
+                and last_quiz is not None
+                and last_quiz.n_correct >= 1
+            ):
+                improved = (
+                    self._prev_quiz_score is not None
+                    and last_quiz.score > self._prev_quiz_score
+                )
+                if improved:
+                    return self._deliver_on_pair(ScaffoldKind.ENC1, event, index, None,
+                                                 "edit_eff->quiz_improved")
+                self._arm_hint1(index, event, student_map, last_quiz)
+            return None
 
         if (
-            prev.kind is ActionKind.TAKE_QUIZ
-            and _is_long_read(event)
+            prev_kind is ActionKind.TAKE_QUIZ
+            and kind is ActionKind.READ
+            and event.long
             and last_quiz is not None
             and last_quiz.n_incorrect >= 1
         ):
             hints = self._hint6_targets(student_map, last_quiz)
             return self._deliver_on_pair(ScaffoldKind.HINT6, event, index, hints,
                                          "quiz->read_long")
-
-        if (
-            _is_edit(prev, Effectiveness.EFF)
-            and event.kind is ActionKind.TAKE_QUIZ
-            and last_quiz is not None
-            and last_quiz.n_correct >= 1
-        ):
-            improved = (
-                self._prev_quiz_score is not None
-                and last_quiz.score > self._prev_quiz_score
-            )
-            if improved:
-                return self._deliver_on_pair(ScaffoldKind.ENC1, event, index, None,
-                                             "edit_eff->quiz_improved")
-            self._arm_hint1(index, event, student_map, last_quiz)
-            return None
         return None
 
     def _resolve_ineff_quiz(
@@ -789,7 +804,7 @@ class ScaffoldEngine:
     ) -> Optional[ScaffoldDelivery]:
         """Deliver a scaffold triggered by the previous event and `event`."""
         return self._deliver(
-            kind, hints, rule, self._prev_index, self._prev.timestamp, index, event.timestamp,
+            kind, hints, rule, self._prev_index, self._prev_time, index, event.base.timestamp,
             **detail,
         )
 
@@ -826,14 +841,6 @@ class ScaffoldEngine:
             transcript=tuple(transcript),
             target_hints=hints,
         )
-
-
-def _is_long_read(event: AnnotatedEvent) -> bool:
-    return event.kind is ActionKind.READ and event.long
-
-
-def _is_edit(event: AnnotatedEvent, effectiveness: Effectiveness) -> bool:
-    return event.kind is ActionKind.MAP_EDIT and event.effectiveness is effectiveness
 
 
 def _is_correct_marking(event: AnnotatedEvent) -> bool:

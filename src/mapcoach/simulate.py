@@ -85,6 +85,11 @@ class StudentProfile:
     seed: int = 0
 
     def __post_init__(self):
+        for name, given, members in (("activity_mix", self.activity_mix, ActionKind),
+                                     ("affect_baseline", self.affect_baseline, Emotion)):
+            missing = [m.value for m in members if m not in given]
+            if missing:
+                raise ValueError(f"{name} lacks {', '.join(missing)}")
         total = sum(self.activity_mix.values())
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"activity_mix sums to {total}, expected 1")

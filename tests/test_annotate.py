@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from mapcoach import annotate as annotate_module
 from mapcoach.annotate import (
     ActionEvent,
     ActionKind,
@@ -14,6 +16,7 @@ from mapcoach.annotate import (
     PROCESS_FOR_KIND,
     Process,
     ReplayError,
+    SessionAnnotator,
     annotate_session,
     apply_edit,
     collapse,
@@ -173,6 +176,113 @@ class TestAnnotateSession:
             apply_edit, [e.edit for e in events if e.kind is ActionKind.MAP_EDIT], CausalMap()
         )
         assert sum(deltas) == annotated[-1].map_score_after == map_score(final, tiny_expert)
+
+
+def link_edit(t, action, **fields):
+    return ev(t, ActionKind.MAP_EDIT, edit=MapEdit(action, **fields))
+
+
+_CONCEPT_IDS = "abcde"  # e is on no expert link
+_OPS = ("add_concept", "delete_concept", "add_link", "delete_link", "modify_same",
+        "modify_other", "mark")
+_STEPS = st.lists(
+    st.tuples(st.sampled_from(_OPS), st.integers(0, 19), st.booleans(), st.sampled_from(Marking)),
+    max_size=40,
+)
+
+
+def _edit_for(cmap, op, i, flip, marking):
+    """A valid edit of kind `op` on `cmap`, picked by `i`, or None when the
+    map has nothing to apply it to.  Concept deletes pick a concept with an
+    incident link."""
+    sign = DEC if flip else INC
+    links = cmap.sorted_links()
+    free = [(s, t) for s in sorted(cmap.concepts) for t in sorted(cmap.concepts)
+            if s != t and (s, t) not in cmap.links]
+    if op == "add_concept":
+        absent = [c for c in _CONCEPT_IDS if c not in cmap.concepts]
+        if absent:
+            c = absent[i % len(absent)]
+            return MapEdit(MapEditAction.ADD_CONCEPT, concept=Concept(c, c.upper(), "s1"))
+        return None
+    if op == "delete_concept":
+        linked = sorted({c for link in links for c in link.key})
+        if linked:
+            return MapEdit(MapEditAction.DELETE_CONCEPT, concept_id=linked[i % len(linked)])
+        return None
+    if op == "add_link":
+        if free:
+            s, t = free[i % len(free)]
+            return MapEdit(MapEditAction.ADD_LINK, link=CausalLink(s, t, sign))
+        return None
+    if not links:
+        return None
+    link = links[i % len(links)]
+    if op == "delete_link":
+        return MapEdit(MapEditAction.DELETE_LINK, source=link.source, target=link.target)
+    if op == "mark":
+        return MapEdit(MapEditAction.MARK_LINK, source=link.source, target=link.target,
+                       marking=marking)
+    if op == "modify_same":
+        new = CausalLink(link.source, link.target, link.sign.flipped() if flip else link.sign)
+        return MapEdit(MapEditAction.MODIFY_LINK, old=link, new=new)
+    if free:
+        s, t = free[(i * 7) % len(free)]
+        return MapEdit(MapEditAction.MODIFY_LINK, old=link, new=CausalLink(s, t, sign))
+    return None
+
+
+class TestIncrementalScore:
+    @settings(max_examples=120, deadline=None)
+    @given(_STEPS)
+    def test_score_after_every_edit_is_the_brute_force_score(self, tiny_expert, steps):
+        annotator = SessionAnnotator(tiny_expert)
+        expert_triples = oracles.triples(tiny_expert.map)
+        for c in "abcd":
+            annotator.feed(add_concept(0.0, c))
+        for op, i, flip, marking in steps:
+            edit = _edit_for(annotator.current_map, op, i, flip, marking)
+            if edit is None:
+                continue
+            before = annotator.score
+            annotated = annotator.feed(ev(0.0, ActionKind.MAP_EDIT, edit=edit))
+            after = annotated.map_score_after
+            assert after == oracles.brute_map_score(
+                oracles.triples(annotator.current_map), expert_triples
+            )
+            assert annotated.effectiveness is (
+                Effectiveness.EFF if after > before
+                else Effectiveness.INEFF if after < before
+                else Effectiveness.NEUTRAL
+            )
+
+    def test_link_edits_never_rescore_the_map(self, tiny_expert, monkeypatch):
+        calls = []
+
+        def counted(student, expert):
+            calls.append(student)
+            return map_score(student, expert)
+
+        monkeypatch.setattr(annotate_module, "map_score", counted)
+        events, t = setup_events(tiny_expert)
+        events += [
+            add_link(t, "a", "b", INC),
+            add_link(t + 1, "b", "c", DEC),
+            link_edit(t + 2, MapEditAction.MODIFY_LINK,
+                      old=CausalLink("b", "c", DEC), new=CausalLink("b", "c", INC)),
+            link_edit(t + 3, MapEditAction.MODIFY_LINK,
+                      old=CausalLink("a", "b", INC), new=CausalLink("c", "d", INC)),
+            link_edit(t + 4, MapEditAction.MARK_LINK, source="b", target="c",
+                      marking=Marking.MARKED_CORRECT),
+            delete_link(t + 5, "c", "d"),
+            read(t + 6),
+        ]
+        annotator = SessionAnnotator(tiny_expert)
+        scores = [annotator.feed(e).map_score_after for e in events]
+        assert calls == []
+        assert scores[-7:] == [1, 0, 2, 0, 0, 1, 1]
+        annotator.feed(delete_concept(t + 40, "b"))
+        assert len(calls) == 1 and annotator.score == 0
 
 
 class TestCoherence:

@@ -568,6 +568,51 @@ class TestMalformedDocuments:
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
 
 
+def _expl_folded_into_read(mix):
+    mix = dict(mix, read=mix["read"] + mix["quiz_expl"])
+    del mix["quiz_expl"]
+    return mix
+
+
+class TestIncompleteProfiles:
+    """A profile whose activity mix or affect baseline lacks a member is one
+    error line naming the file and the missing members, not a traceback
+    once the simulation reaches them."""
+
+    CASES = {
+        "no-affect-baseline": (
+            "high", "affect_baseline", lambda baseline: {},
+            "affect_baseline lacks engaged_concentration, boredom, delight, confusion, "
+            "frustration",
+        ),
+        "missing-emotion": (
+            "low", "affect_baseline",
+            lambda baseline: {k: v for k, v in baseline.items() if k != "confusion"},
+            "affect_baseline lacks confusion",
+        ),
+        "missing-activity-kind": (
+            "high", "activity_mix", _expl_folded_into_read, "activity_mix lacks quiz_expl",
+        ),
+    }
+
+    @pytest.mark.parametrize("name, field, change, message", CASES.values(), ids=CASES.keys())
+    def test_is_one_error_line_naming_the_missing_members(
+        self, tmp_path, capsys, name, field, change, message
+    ):
+        from mapcoach.simulate import bundled_profiles, profiles_to_document
+
+        doc = profiles_to_document(bundled_profiles())
+        doc[name][field] = change(doc[name][field])
+        if field == "activity_mix":
+            assert sum(doc[name][field].values()) == pytest.approx(1.0)
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps(doc))
+        assert run(["simulate", "--profiles", path, "--budget", 300,
+                    "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestWrongJsonTypes:
     EVENT = {"student": "s1", "t": 0.0, "duration": 5.0, "kind": "read", "page": "p"}
 

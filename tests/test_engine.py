@@ -3,8 +3,27 @@ from dataclasses import replace
 import pytest
 
 import trigger_scripts as scripts
-from mapcoach.annotate import ActionKind, MapEdit, MapEditAction, annotate_session
-from mapcoach.causal import CausalLink, CausalMap, Concept, ExpertMap, Marking
+from mapcoach.annotate import (
+    PROCESS_FOR_KIND,
+    ActionEvent,
+    ActionKind,
+    AnnotatedEvent,
+    Effectiveness,
+    MapEdit,
+    MapEditAction,
+    annotate_session,
+)
+from mapcoach.causal import (
+    CausalLink,
+    CausalMap,
+    Concept,
+    ExpertMap,
+    Marking,
+    QueryAnswer,
+    QuizQuestion,
+    QuizScope,
+    grade_quiz,
+)
 from mapcoach.engine import (
     Agent,
     ConversationNode,
@@ -220,6 +239,109 @@ class TestGoldenTriggers:
         )[0]
         with pytest.raises(OutOfOrderEvent):
             engine.observe(stale, None, None)
+
+
+# Every annotated event shape the engine can be shown: (kind, effectiveness,
+# long).  The edits are marks "could be wrong": they add no link since the
+# previous quiz and are no shortcut, so of the ineffective edit -> quiz cases
+# only the alternation one can apply, and its first occasion is a hint5.
+SHAPES = {
+    "read-long": (ActionKind.READ, Effectiveness.NEUTRAL, True),
+    "read-short": (ActionKind.READ, Effectiveness.NEUTRAL, False),
+    "note": (ActionKind.MAKE_NOTES, Effectiveness.NEUTRAL, False),
+    "edit-eff": (ActionKind.MAP_EDIT, Effectiveness.EFF, False),
+    "edit-ineff": (ActionKind.MAP_EDIT, Effectiveness.INEFF, False),
+    "edit-neutral": (ActionKind.MAP_EDIT, Effectiveness.NEUTRAL, False),
+    "quiz": (ActionKind.TAKE_QUIZ, Effectiveness.NEUTRAL, False),
+    "quiz-expl": (ActionKind.QUIZ_EXPL, Effectiveness.NEUTRAL, False),
+}
+
+# The quiz graded last when the pair is seen: (links on the map of an
+# earlier quiz, links on the map of the quiz taken at the pair, what the
+# latter shows).  None: no quiz graded.  The questions are a -> b and a -> d.
+_HALF = (("a", "b", scripts.INC),)
+_FULL = (("a", "b", scripts.INC), ("a", "d", scripts.DEC))
+QUIZZES = {
+    "no-quiz": (None, None, set()),
+    "all-wrong": (None, (), {"incorrect"}),
+    "mixed": (None, _HALF, {"incorrect", "correct"}),
+    "mixed-improved": ((), _HALF, {"incorrect", "correct", "improved"}),
+    "all-right": (_FULL, _FULL, {"correct"}),
+    "all-right-improved": (_HALF, _FULL, {"correct", "improved"}),
+}
+
+# README "Scaffold triggers", one row per rule: previous shape, current
+# shape, what the quiz graded last must show and must not show, the kind
+# that fires.  hint1 is armed at the pair and delivered when its window
+# runs out.
+TRIGGER_TABLE = [
+    ("read-long", "edit-ineff", set(), set(), ScaffoldKind.HINT2),
+    ("read-long", "edit-eff", set(), set(), ScaffoldKind.ENC2),
+    ("edit-ineff", "quiz", set(), set(), ScaffoldKind.HINT5),
+    ("quiz", "read-long", {"incorrect"}, set(), ScaffoldKind.HINT6),
+    ("edit-eff", "quiz", {"correct"}, {"improved"}, ScaffoldKind.HINT1),
+    ("edit-eff", "quiz", {"improved"}, set(), ScaffoldKind.ENC1),
+]
+
+
+def _table_kinds(prev: str, cur: str, quiz: str) -> list:
+    shows = QUIZZES[quiz][2]
+    return [kind for p, c, needs, excludes, kind in TRIGGER_TABLE
+            if (p, c) == (prev, cur) and needs <= shows and not excludes & shows]
+
+
+def _shaped(shape: str, t: float) -> AnnotatedEvent:
+    kind, effectiveness, long = SHAPES[shape]
+    payload = {
+        ActionKind.READ: {"page": "pa"},
+        ActionKind.MAKE_NOTES: {"note_id": "n1"},
+        ActionKind.MAP_EDIT: {"edit": MapEdit(MapEditAction.MARK_LINK, source="a", target="b",
+                                              marking=Marking.MARKED_COULD_BE_WRONG)},
+        ActionKind.TAKE_QUIZ: {"quiz_scope": QuizScope.everything()},
+        ActionKind.QUIZ_EXPL: {"question_ref": 0},
+    }[kind]
+    base = ActionEvent(scripts.SID, t, kind, 90.0 if long else 10.0, **payload)
+    return AnnotatedEvent(base, PROCESS_FOR_KIND[kind], effectiveness, long, 0)
+
+
+def _graded(expert, links):
+    student = CausalMap(expert.map.concepts.values(),
+                        [CausalLink(s, t, sign) for s, t, sign in links or ()])
+    questions = (QuizQuestion("a", "b", QueryAnswer.TARGET_INCREASES),
+                 QuizQuestion("a", "d", QueryAnswer.TARGET_DECREASES))
+    return student, None if links is None else grade_quiz(student, questions)
+
+
+class TestTriggerTable:
+    """Every (previous event, current event) shape, under every kind of quiz
+    graded last, fires what README's trigger table says, or nothing."""
+
+    @pytest.mark.parametrize("prev", SHAPES)
+    @pytest.mark.parametrize("cur", SHAPES)
+    def test_pair_fires_what_the_table_says(self, expert, prev, cur):
+        config = EngineConfig()
+        fired, expected = {}, {}
+        for quiz, (earlier_links, links, shows) in QUIZZES.items():
+            student, graded = _graded(expert, links)
+            earlier = _graded(expert, earlier_links)[1]
+            if graded is not None:
+                assert shows == {fact for fact, holds in (
+                    ("incorrect", graded.n_incorrect >= 1),
+                    ("correct", graded.n_correct >= 1),
+                    ("improved", earlier is not None and graded.score > earlier.score),
+                ) if holds}
+            # an earlier quiz and a note lead in; neither pair they make fires
+            steps = [] if earlier is None else [("quiz", 0.0, earlier)]
+            steps += [("note", 100.0, earlier),
+                      (prev, 200.0, graded if prev == "quiz" else earlier),
+                      (cur, 300.0, graded if "quiz" in (prev, cur) else earlier)]
+            engine = ScaffoldEngine(scripts.SID, expert, config)
+            released = [d for shape, t, last in steps
+                        for d in engine.observe(_shaped(shape, t), student, last)]
+            released += engine.finalize(300.0 + config.hint1_window_seconds)
+            fired[quiz] = [d.kind for d in released]
+            expected[quiz] = _table_kinds(prev, cur, quiz)
+        assert fired == expected
 
 
 class TestEngineProperties:
