@@ -38,7 +38,6 @@ class OutcomeRecord:
     pre: float
     post: float
     max_score: float
-    final_map_score: int = 0
 
     @property
     def nlg(self) -> float:
@@ -222,7 +221,7 @@ class ImpactCell:
     ordinal: Optional[int]  # None = pooled across ordinals
     phase: Phase
     mean_slope: Optional[float]
-    n_students: int
+    n_intervals: int
     affect_means: dict[Emotion, float] = field(default_factory=dict)
 
 
@@ -234,8 +233,8 @@ def scaffold_impact(
     """Average map-score slope and affect in before/after intervals, per
     scaffold kind, per group, per ordinal (1..max_ordinal) and pooled.
 
-    Slopes average over students with at least two edits in the interval;
-    a cell with no eligible students reports mean_slope None.
+    Slopes average over the intervals with at least two edits, one slope
+    each; a cell with no such interval reports mean_slope None.
     """
     # (group, kind, ordinal-or-None, phase) -> accumulators
     slopes: dict[tuple, list[float]] = {}
@@ -278,7 +277,7 @@ def scaffold_impact(
                 ordinal=ordinal,
                 phase=phase,
                 mean_slope=statistics.fmean(slope_values) if slope_values else None,
-                n_students=len(slope_values),
+                n_intervals=len(slope_values),
                 affect_means=affect_means,
             )
         )

@@ -153,12 +153,15 @@ def apply_edit(cmap: CausalMap, edit: MapEdit) -> CausalMap:
         old = cmap.get_link(edit.old.source, edit.old.target)
         if old is None or old.triple != edit.old.triple:
             raise MapError(f"no link {edit.old.display()} to modify")
-        return cmap.with_replaced_link(old.key, replace(edit.new, marking=old.marking))
+        new = edit.new
+        return cmap.with_replaced_link(old.key, CausalLink(
+            new.source, new.target, new.sign, old.marking, new.source_page))
     if a is MapEditAction.MARK_LINK:
         link = cmap.get_link(edit.source, edit.target)
         if link is None:
             raise MapError(f"no link {edit.source}->{edit.target} to mark")
-        return cmap.with_replaced_link(link.key, replace(link, marking=edit.marking))
+        return cmap.with_replaced_link(link.key, CausalLink(
+            link.source, link.target, link.sign, edit.marking, link.source_page))
     raise MapError(f"unknown edit action {a}")
 
 

@@ -214,9 +214,10 @@ _TEMPLATE_DEFAULTS = {
 }
 
 
-def _tree(root: str, *nodes: tuple[str, str, list[tuple[str, Optional[str]]]]) -> ConversationTree:
+def _tree(*nodes: tuple[str, str, list[tuple[str, Optional[str]]]]) -> ConversationTree:
+    """A tree rooted at its first node."""
     return ConversationTree(
-        root,
+        nodes[0][0],
         [
             ConversationNode(
                 id=node_id,
@@ -232,7 +233,6 @@ def default_trees() -> dict[ScaffoldKind, ConversationTree]:
     """Bundled conversation trees, one per scaffold kind."""
     return {
         ScaffoldKind.HINT2: _tree(
-            "h2-1",
             (
                 "h2-1",
                 "Hi, I think you just added a causal link on your map after "
@@ -247,7 +247,6 @@ def default_trees() -> dict[ScaffoldKind, ConversationTree]:
             ),
         ),
         ScaffoldKind.HINT3: _tree(
-            "h3-1",
             (
                 "h3-1",
                 "From the quiz results, looks like Betty may have some incorrect "
@@ -263,7 +262,6 @@ def default_trees() -> dict[ScaffoldKind, ConversationTree]:
             ),
         ),
         ScaffoldKind.HINT4: _tree(
-            "h4-1",
             (
                 "h4-1",
                 "From the quiz, it seems you may have an incorrect shortcut link on "
@@ -279,7 +277,6 @@ def default_trees() -> dict[ScaffoldKind, ConversationTree]:
             ),
         ),
         ScaffoldKind.HINT5: _tree(
-            "h5-1",
             (
                 "h5-1",
                 "Some of Betty's quiz answers were graded incorrect. That usually "
@@ -300,7 +297,6 @@ def default_trees() -> dict[ScaffoldKind, ConversationTree]:
             ),
         ),
         ScaffoldKind.HINT6: _tree(
-            "h6-1",
             (
                 "h6-1",
                 "You are missing a link that comes out of '$concept'. "
@@ -315,7 +311,6 @@ def default_trees() -> dict[ScaffoldKind, ConversationTree]:
             ),
         ),
         ScaffoldKind.HINT1: _tree(
-            "h1-1",
             (
                 "h1-1",
                 "If Betty got an answer graded correct, remember to mark those links "
@@ -331,7 +326,6 @@ def default_trees() -> dict[ScaffoldKind, ConversationTree]:
             ),
         ),
         ScaffoldKind.ENC1: _tree(
-            "e1-1",
             (
                 "e1-1",
                 "Wow! I think I have some correct links on the map. "
@@ -340,7 +334,6 @@ def default_trees() -> dict[ScaffoldKind, ConversationTree]:
             ),
         ),
         ScaffoldKind.ENC2: _tree(
-            "e2-1",
             (
                 "e2-1",
                 "Looks like you're doing a good job teaching correct causal links to "
@@ -349,7 +342,6 @@ def default_trees() -> dict[ScaffoldKind, ConversationTree]:
             ),
         ),
         ScaffoldKind.ENC3: _tree(
-            "e3-1",
             (
                 "e3-1",
                 "Sometimes I find all this a little tricky. But with you to teach me, "

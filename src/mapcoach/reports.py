@@ -208,9 +208,9 @@ def impact_table(cells: Sequence[ImpactCell]) -> str:
                 group,
                 "pooled" if ordinal is None else str(ordinal),
                 _fmt(before.mean_slope if before else None),
-                str(before.n_students if before else 0),
+                str(before.n_intervals if before else 0),
                 _fmt(after.mean_slope if after else None),
-                str(after.n_students if after else 0),
+                str(after.n_intervals if after else 0),
                 _fmt(
                     100.0 * before.affect_means[Emotion.CONFUSION]
                     if before and before.affect_means
@@ -230,9 +230,9 @@ def impact_table(cells: Sequence[ImpactCell]) -> str:
         "group",
         "ordinal",
         "slope before",
-        "n before",
+        "intervals before",
         "slope after",
-        "n after",
+        "intervals after",
         "confusion% before",
         "confusion% after",
     ]

@@ -21,8 +21,9 @@ import random
 from bisect import bisect
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .analytics import AffectObservation, Emotion
 from .annotate import ActionEvent, ActionKind, MapEdit, MapEditAction
@@ -65,6 +66,13 @@ class DurationModel:
 
     def draw(self, rng: random.Random) -> float:
         return round(max(1.0, rng.gauss(self.mean, self.spread)), 1)
+
+
+# durations of the concept layout that opens a session and of a forced marking
+LAYOUT_DURATION = DurationModel(4.0, 1.5)
+MARK_DURATION = DurationModel(5.0, 2.0)
+DURATION_FIELDS = ("read_duration", "edit_duration", "quiz_duration", "note_duration",
+                   "expl_duration")
 
 
 @dataclass(frozen=True)
@@ -193,11 +201,7 @@ def profiles_to_document(profiles: dict[str, StudentProfile]) -> dict:
             "read_effectiveness": p.read_effectiveness,
             "quiz_propensity": p.quiz_propensity,
             "scaffold_compliance": {k.value: v for k, v in p.scaffold_compliance.items()},
-            "read_duration": [p.read_duration.mean, p.read_duration.spread],
-            "edit_duration": [p.edit_duration.mean, p.edit_duration.spread],
-            "quiz_duration": [p.quiz_duration.mean, p.quiz_duration.spread],
-            "note_duration": [p.note_duration.mean, p.note_duration.spread],
-            "expl_duration": [p.expl_duration.mean, p.expl_duration.spread],
+            **{f: [getattr(p, f).mean, getattr(p, f).spread] for f in DURATION_FIELDS},
             "affect_baseline": {k.value: v for k, v in p.affect_baseline.items()},
             "wrong_sign_share": p.wrong_sign_share,
             "shortcut_share": p.shortcut_share,
@@ -222,11 +226,7 @@ def profiles_from_document(doc: dict) -> dict[str, StudentProfile]:
             read_effectiveness=p["read_effectiveness"],
             quiz_propensity=p["quiz_propensity"],
             scaffold_compliance={ScaffoldKind(k): v for k, v in compliance.items()},
-            read_duration=DurationModel(*p["read_duration"]),
-            edit_duration=DurationModel(*p["edit_duration"]),
-            quiz_duration=DurationModel(*p["quiz_duration"]),
-            note_duration=DurationModel(*p["note_duration"]),
-            expl_duration=DurationModel(*p["expl_duration"]),
+            **{f: DurationModel(*p[f]) for f in DURATION_FIELDS},
             affect_baseline={Emotion(k): v for k, v in affect.items()},
             wrong_sign_share=p.get("wrong_sign_share", 0.8),
             shortcut_share=p.get("shortcut_share", 0.3),
@@ -286,7 +286,7 @@ class _Session:
         self._read_concepts: list[str] = []
         self.edits_since_quiz = 0
         self.note_counter = 0
-        self.forced: deque = deque()
+        self.forced: deque[Callable[[], None]] = deque()
         self.pages = expert.page_ids()
         self.sections = []
         for section in sorted(expert.sections()):
@@ -454,9 +454,13 @@ class _Session:
 
     # -- event emission ----------------------------------------------------------
 
-    def _emit(self, event: ActionEvent):
+    def _emit(self, kind: ActionKind, duration_model: DurationModel, **payload):
+        """Append one event of kind, its duration drawn after every draw the
+        caller made, and feed it through the session step."""
+        event = ActionEvent(student_id=self.profile.student_id, timestamp=self.t, kind=kind,
+                            duration=duration_model.draw(self.rng), **payload)
         self.events.append(event)
-        self.time_per_kind[event.kind] += event.duration
+        self.time_per_kind[kind] += event.duration
         self.t = event.end
         _, released = self.step.feed(event)
         for delivery in released:
@@ -484,27 +488,12 @@ class _Session:
                 for key in sorted(self.expert.links_on_page(p))
             ]
             self._read_concepts = sorted({c for key, _ in self._read_links for c in key})
-        self._emit(
-            ActionEvent(
-                student_id=self.profile.student_id,
-                timestamp=self.t,
-                kind=ActionKind.READ,
-                duration=self.profile.read_duration.draw(self.rng),
-                page=page,
-            )
-        )
+        self._emit(ActionKind.READ, self.profile.read_duration, page=page)
 
     def _do_notes(self):
         self.note_counter += 1
-        self._emit(
-            ActionEvent(
-                student_id=self.profile.student_id,
-                timestamp=self.t,
-                kind=ActionKind.MAKE_NOTES,
-                duration=self.profile.note_duration.draw(self.rng),
-                note_id=f"n{self.note_counter}",
-            )
-        )
+        self._emit(ActionKind.MAKE_NOTES, self.profile.note_duration,
+                   note_id=f"n{self.note_counter}")
 
     def _do_edit(self, edit: Optional[MapEdit] = None):
         if edit is None:
@@ -513,15 +502,7 @@ class _Session:
             self._do_read()
             return
         self.edits_since_quiz += 1
-        self._emit(
-            ActionEvent(
-                student_id=self.profile.student_id,
-                timestamp=self.t,
-                kind=ActionKind.MAP_EDIT,
-                duration=self.profile.edit_duration.draw(self.rng),
-                edit=edit,
-            )
-        )
+        self._emit(ActionKind.MAP_EDIT, self.profile.edit_duration, edit=edit)
 
     def _do_quiz(self):
         if self.rng.random() < 0.7 or not self.sections:
@@ -529,16 +510,12 @@ class _Session:
         else:
             scope = QuizScope.for_section(self.rng.choice(self.sections))
         self.edits_since_quiz = 0
-        self._emit(
-            ActionEvent(
-                student_id=self.profile.student_id,
-                timestamp=self.t,
-                kind=ActionKind.TAKE_QUIZ,
-                duration=self.profile.quiz_duration.draw(self.rng),
-                quiz_scope=scope,
-            )
-        )
+        self._emit(ActionKind.TAKE_QUIZ, self.profile.quiz_duration, quiz_scope=scope)
         self._expl_burst()
+
+    def _do_quiz_on_links(self):
+        if self.step.annotator.current_map.links:
+            self._do_quiz()
 
     def _expl_burst(self):
         """Review the answers of the quiz just graded until the explanation
@@ -560,32 +537,16 @@ class _Session:
             and self.t < self.budget
             and self.time_per_kind[ActionKind.QUIZ_EXPL] < mix * sum(self.time_per_kind.values())
         ):
-            self._emit(
-                ActionEvent(
-                    student_id=self.profile.student_id,
-                    timestamp=self.t,
-                    kind=ActionKind.QUIZ_EXPL,
-                    duration=self.profile.expl_duration.draw(self.rng),
-                    question_ref=question,
-                )
-            )
+            self._emit(ActionKind.QUIZ_EXPL, self.profile.expl_duration, question_ref=question)
             n += 1
 
     def _do_mark(self, source: str, target: str, marking: Marking):
         link = self.step.annotator.current_map.get_link(source, target)
         if link is None or link.marking is marking:
             return
-        self._emit(
-            ActionEvent(
-                student_id=self.profile.student_id,
-                timestamp=self.t,
-                kind=ActionKind.MAP_EDIT,
-                duration=round(max(1.0, self.rng.gauss(5.0, 2.0)), 1),
-                edit=MapEdit(
-                    MapEditAction.MARK_LINK, source=source, target=target, marking=marking
-                ),
-            )
-        )
+        self._emit(ActionKind.MAP_EDIT, MARK_DURATION,
+                   edit=MapEdit(MapEditAction.MARK_LINK, source=source, target=target,
+                                marking=marking))
 
     def _do_delete(self, source: str, target: str):
         if self.step.annotator.current_map.get_link(source, target) is None:
@@ -595,35 +556,27 @@ class _Session:
     # -- compliance ------------------------------------------------------------
 
     def _comply(self, delivery: ScaffoldDelivery):
+        """Maybe queue the action a delivery asks for; the main loop runs it
+        before drawing the next activity."""
         p = self.profile.scaffold_compliance.get(delivery.kind, 0.0)
         if p <= 0.0 or self.rng.random() >= p:
             return
         kind, hints = delivery.kind, delivery.target_hints
         if kind in (ScaffoldKind.HINT2, ScaffoldKind.ENC2):
-            self.forced.append(("quiz",))
+            self.forced.append(self._do_quiz_on_links)
         elif kind is ScaffoldKind.HINT1:
             for link in self.step.annotator.current_map.sorted_links():
                 if link.marking is Marking.UNMARKED and is_correct_link(link, self.expert):
-                    self.forced.append(("mark", link.source, link.target, Marking.MARKED_CORRECT))
+                    self.forced.append(partial(self._do_mark, link.source, link.target,
+                                               Marking.MARKED_CORRECT))
                     break
         elif kind is ScaffoldKind.HINT3 and hints and hints.source and hints.target:
-            self.forced.append(("mark", hints.source, hints.target, Marking.MARKED_COULD_BE_WRONG))
+            self.forced.append(partial(self._do_mark, hints.source, hints.target,
+                                       Marking.MARKED_COULD_BE_WRONG))
         elif kind in (ScaffoldKind.HINT4, ScaffoldKind.HINT5) and hints and hints.source and hints.target:
-            self.forced.append(("delete", hints.source, hints.target))
+            self.forced.append(partial(self._do_delete, hints.source, hints.target))
         elif kind is ScaffoldKind.HINT6 and hints and hints.page:
-            self.forced.append(("read", hints.page))
-
-    def _run_forced(self, action: tuple):
-        name = action[0]
-        if name == "quiz":
-            if self.step.annotator.current_map.links:
-                self._do_quiz()
-        elif name == "mark":
-            self._do_mark(action[1], action[2], action[3])
-        elif name == "delete":
-            self._do_delete(action[1], action[2])
-        elif name == "read":
-            self._do_read(action[1])
+            self.forced.append(partial(self._do_read, hints.page))
 
     # -- main loop ----------------------------------------------------------------
 
@@ -635,18 +588,11 @@ class _Session:
             for concept in self.expert.map.sorted_concepts():
                 if self.t >= self.budget:
                     break
-                self._emit(
-                    ActionEvent(
-                        student_id=profile.student_id,
-                        timestamp=self.t,
-                        kind=ActionKind.MAP_EDIT,
-                        duration=round(max(1.0, self.rng.gauss(4.0, 1.5)), 1),
-                        edit=MapEdit(MapEditAction.ADD_CONCEPT, concept=concept),
-                    )
-                )
+                self._emit(ActionKind.MAP_EDIT, LAYOUT_DURATION,
+                           edit=MapEdit(MapEditAction.ADD_CONCEPT, concept=concept))
         while self.t < self.budget:
             if self.forced:
-                self._run_forced(self.forced.popleft())
+                self.forced.popleft()()
                 continue
             kind = self._choose_activity()
             if kind is ActionKind.READ:

@@ -246,4 +246,4 @@ class TestScaffoldImpact:
         )
         cells = scaffold_impact([record], {"s": "Low"})
         assert all(c.mean_slope is None for c in cells)
-        assert all(c.n_students == 0 for c in cells)
+        assert all(c.n_intervals == 0 for c in cells)

@@ -109,14 +109,19 @@ class TestDeterminism:
              EngineConfig(min_inter_scaffold_seconds=5,
                           disabled_kinds=frozenset({ScaffoldKind.HINT2, ScaffoldKind.ENC1})),
              None, "afa0deca78b95cb3c1f7456c49c96a371f32c24df108caa5107063de82a21f53"),
+            (2, 1, 3600, EngineConfig(min_inter_scaffold_seconds=15), None,
+             "bd08bd41a9fd1e2a129ceeb686eeb2173bd7e1ff997e3fcb0c1c862cae53f382"),
         ],
-        ids=["no-engine", "clamps-and-flawed-shares", "hint2-enc1-disabled-5s"],
+        ids=["no-engine", "clamps-and-flawed-shares", "hint2-enc1-disabled-5s",
+             "every-forced-action"],
     )
     def test_more_cohort_outputs_are_pinned(self, pack, n, seed, budget, config, profiles,
                                              expected):
         """More of the simulator's draws pinned: without the engine, on
         affect baselines at the clamps with one-sided flawed-link shares,
-        and with two scaffold kinds disabled under a short window."""
+        with two scaffold kinds disabled under a short window, and on a
+        cohort whose compliance forces quizzes, both markings, reads and
+        deletes."""
         cohort = simulate_cohort(n, n, seed=seed, expert=pack, duration_budget=budget,
                                  engine_config=config, profiles=profiles)
         assert cohort_digest(cohort) == expected
