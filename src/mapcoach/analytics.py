@@ -5,6 +5,7 @@ slope, and affect aggregation."""
 from __future__ import annotations
 
 import statistics
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence
@@ -194,6 +195,12 @@ def affect_aggregate(
     hits = [o for o in observations if start <= o.timestamp <= end]
     if not hits:
         raise NoObservationsInSpan(f"no observations in ({start}, {end})")
+    return _mean_likelihoods(hits)
+
+
+def _mean_likelihoods(hits: Sequence[AffectObservation]) -> dict[Emotion, float]:
+    # fmean sums with fsum, which is exact, so the means do not depend on
+    # the order of hits
     return {
         emotion: statistics.fmean(o.likelihoods[emotion] for o in hits)
         for emotion in Emotion
@@ -225,6 +232,40 @@ class ImpactCell:
     affect_means: dict[Emotion, float] = field(default_factory=dict)
 
 
+class _Timeline:
+    """One student's map edits and affect observations, each sorted by time
+    once, so that an interval is two bisections rather than a scan of the
+    whole log.  `edit_scores` and `affect_means` give what
+    interval_edit_scores and affect_aggregate give on the unsorted logs."""
+
+    def __init__(self, annotated: Sequence[AnnotatedEvent], affect: Sequence[AffectObservation]):
+        # (time, log position, score): equal times keep their log order
+        edits = sorted(
+            (e.timestamp, position, e.map_score_after)
+            for position, e in enumerate(annotated)
+            if e.kind is ActionKind.MAP_EDIT
+        )
+        self._edit_times = [t for t, _, _ in edits]
+        self._edits = [(position, score) for _, position, score in edits]
+        self._affect = sorted(affect, key=lambda o: o.timestamp)
+        self._affect_times = [o.timestamp for o in self._affect]
+
+    def edit_scores(self, span: tuple[float, float]) -> list[int]:
+        """The scores of the edits in [start, end), in log order."""
+        times = self._edit_times
+        hits = self._edits[bisect_left(times, span[0]) : bisect_left(times, span[1])]
+        hits.sort()
+        return [score for _, score in hits]
+
+    def affect_means(self, span: tuple[float, float]) -> Optional[dict[Emotion, float]]:
+        """The mean likelihoods over [start, end], or None with no
+        observation there."""
+        start, end = span
+        times = self._affect_times
+        hits = self._affect[bisect_left(times, start) : bisect_right(times, end)]
+        return _mean_likelihoods(hits) if hits else None
+
+
 def scaffold_impact(
     records: Sequence[StudentRecord],
     grouping: Mapping[str, str],
@@ -243,20 +284,17 @@ def scaffold_impact(
         group = grouping.get(record.student_id)
         if group is None:
             continue
-        intervals = segment_intervals(record.deliveries, record.session_end)
-        for iv in intervals:
+        timeline = _Timeline(record.annotated, record.affect)
+        for iv in segment_intervals(record.deliveries, record.session_end):
             keys = [(group, iv.kind, None, iv.phase)]
             if iv.ordinal <= max_ordinal:
                 keys.append((group, iv.kind, iv.ordinal, iv.phase))
-            scores = interval_edit_scores(record.annotated, iv.span)
+            scores = timeline.edit_scores(iv.span)
             if len(scores) >= 2:
                 slope = map_score_slope(scores)
                 for key in keys:
                     slopes.setdefault(key, []).append(slope)
-            try:
-                means = affect_aggregate(record.affect, iv.span)
-            except NoObservationsInSpan:
-                means = None
+            means = timeline.affect_means(iv.span)
             if means is not None:
                 for key in keys:
                     affects.setdefault(key, []).append(means)

@@ -163,7 +163,7 @@ class CausalMap:
 
     def _compiled(self) -> "_Adjacency":
         if self._adjacency is None:
-            self._adjacency = _Adjacency(self._links)
+            self._adjacency = _Adjacency(self._concepts, self._links)
         return self._adjacency
 
     # -- functional updates ------------------------------------------------
@@ -233,6 +233,9 @@ class PathFacts:
     links: tuple[CausalLink, ...]  # distinct links, in the order the walk first meets them
 
 
+_NO_FACTS = PathFacts(0, 0, frozenset(), frozenset(), ())
+
+
 class ExpertMap:
     """A causal map acting as ground truth, with page provenance per link.
 
@@ -282,15 +285,21 @@ class ExpertMap:
         answer_query."""
         facts = self._paths.get((source, target))
         if facts is None:
-            counts, votes, indices, multi_signs = _walk(self.map, source, target, DEFAULT_MAX_PATHS)
-            links = tuple(map(self.map._compiled().links.__getitem__, indices))
-            facts = self._paths[(source, target)] = PathFacts(
-                count=counts.get(target, 0),
-                vote=votes.get(target, 0),
-                reached=frozenset(link.target for link in links),
-                multi_signs=frozenset(multi_signs),
-                links=links,
-            )
+            adjacency = self.map._compiled()
+            s, t = adjacency.number.get(source), adjacency.number.get(target)
+            if s is None or t is None:
+                facts = _NO_FACTS
+            else:
+                counts, votes, indices, multi_signs = _walk(adjacency, s, t, DEFAULT_MAX_PATHS)
+                links = tuple(map(adjacency.links.__getitem__, indices))
+                facts = PathFacts(
+                    count=counts[t],
+                    vote=votes[t],
+                    reached=frozenset(link.target for link in links),
+                    multi_signs=frozenset(multi_signs),
+                    links=links,
+                )
+            self._paths[(source, target)] = facts
         return facts
 
     def shortcuts(self) -> tuple[CausalLink, ...]:
@@ -352,34 +361,36 @@ def classify_link(link: CausalLink, expert: ExpertMap) -> LinkClass:
 
 
 class _Adjacency:
-    """A map's links compiled for walking: the links in sorted (source,
-    target) order and each concept's forward entries (target, sign factor,
-    link index) in that order.  Each concept's sources, which only a walk
-    to one target reads, are listed on first use."""
+    """A map compiled for walking.  The concepts are numbered in sorted id
+    order: `names[n]` is concept n and `number[name]` its number.  The
+    links are listed in sorted (source, target) order, and `forward[n]`
+    holds concept n's entries (target number, sign factor, link index) in
+    that order.  Each concept's source numbers, which only a walk to one
+    target reads, are listed on first use."""
 
-    __slots__ = ("links", "forward", "_sources")
+    __slots__ = ("names", "number", "links", "forward", "_sources")
 
-    def __init__(self, links: Mapping[tuple[str, str], CausalLink]):
+    def __init__(self, concepts: Iterable[str], links: Mapping[tuple[str, str], CausalLink]):
+        names = sorted(concepts)
+        number = {name: n for n, name in enumerate(names)}
         ordered: list[CausalLink] = []
         increase = Sign.INCREASE
-        forward: dict[str, list[tuple[str, int, int]]] = {}
-        last, entries = None, []
+        forward: list[list[tuple[int, int, int]]] = [[] for _ in names]
         for index, key in enumerate(sorted(links)):
             link = links[key]
             ordered.append(link)
-            source, target = key
-            if source != last:
-                last = source
-                entries = forward[source] = []
-            entries.append((target, 1 if link.sign is increase else -1, index))
-        self.links, self.forward = ordered, forward
-        self._sources: Optional[dict[str, list[str]]] = None
+            forward[number[key[0]]].append(
+                (number[key[1]], 1 if link.sign is increase else -1, index)
+            )
+        self.names, self.number, self.links, self.forward = names, number, ordered, forward
+        self._sources: Optional[list[list[int]]] = None
 
-    def sources(self) -> dict[str, list[str]]:
+    def sources(self) -> list[list[int]]:
         if self._sources is None:
-            sources: dict[str, list[str]] = {}
-            for link in self.links:
-                sources.setdefault(link.target, []).append(link.source)
+            sources: list[list[int]] = [[] for _ in self.names]
+            for source, entries in enumerate(self.forward):
+                for target, _, _ in entries:
+                    sources[target].append(source)
             self._sources = sources
         return self._sources
 
@@ -393,12 +404,13 @@ def _answer(vote: int) -> QueryAnswer:
 
 
 def _walk(
-    cmap: CausalMap,
-    source: str,
-    target: Optional[str],
+    adjacency: _Adjacency,
+    source: int,
+    target: Optional[int],
     max_paths: int,
-) -> tuple[dict[str, int], dict[str, int], dict[int, None], set[int]]:
-    """Walk the simple paths from source, depth first in sorted link order.
+) -> tuple[list[int], list[int], dict[int, None], set[int]]:
+    """Walk the simple paths from concept number source, depth first in
+    sorted link order.
 
     With a target, the walk is pruned: it steps only onto concepts that can
     reach the target without passing through source, never past the
@@ -415,36 +427,38 @@ def _walk(
     length) steps, so only dead-end blow-ups meet that budget; an unpruned
     walk counts a path at every step, so the path bound stops it first.  The walk
     keeps its own stack, so a path may be longer than the interpreter's
-    recursion limit.  Returns the path count and the vote (sum of path
-    signs) of each counted concept it reached, the indices into the
-    compiled links of the paths' links in the order the walk first meets
-    them, and the signs of the multi-link paths; the last two stay empty
-    for an unpruned walk.
+    recursion limit.  Concepts are numbers throughout; their names are
+    looked up only for the PathExplosion message.  Returns the path count
+    and the vote (sum of path signs) of each concept by number, zero for a
+    concept it did not count, the indices into the compiled links of the
+    paths' links in the order the walk first meets them, and the signs of
+    the multi-link paths; the last two stay empty for an unpruned walk.
     """
-    adjacency = cmap._compiled()
     forward = adjacency.forward
-    counts: dict[str, int] = {}
-    votes: dict[str, int] = {}
+    n = len(forward)
+    counts = [0] * n
+    votes = [0] * n
     links: dict[int, None] = {}
     multi_signs: set[int] = set()
-    if source not in forward or source == target:
+    if not forward[source] or source == target:
         return counts, votes, links, multi_signs
     if target is None:
         # every concept not on the current path
-        open_ = set(cmap._concepts)
+        open_ = [True] * n
     else:
         # the concepts that can reach target without passing through source
         # and are not on the current path
         sources = adjacency.sources()
-        open_ = {target}
+        open_ = [False] * n
+        open_[target] = True
         frontier = [target]
         while frontier:
-            for pred in sources.get(frontier.pop(), ()):
-                if pred not in open_ and pred != source:
-                    open_.add(pred)
+            for pred in sources[frontier.pop()]:
+                if not open_[pred] and pred != source:
+                    open_[pred] = True
                     frontier.append(pred)
-    open_.discard(source)
-    budget = max_paths * len(cmap._concepts)
+    open_[source] = False
+    budget = max_paths * n
     steps = 0
     # one frame per concept on the current path after source: the links left
     # and the path sign at its predecessor, the concept, and the index of
@@ -454,19 +468,24 @@ def _walk(
     path_sign = 1
     while True:
         for nxt, factor, index in links_left:
-            if nxt not in open_:
+            if not open_[nxt]:
                 continue
             steps += 1
             if steps > budget:
+                names = adjacency.names
                 raise PathExplosion(
-                    f"more than {budget} link steps searching paths from {source!r} to {target!r}"
+                    f"more than {budget} link steps searching paths from {names[source]!r} "
+                    f"to {None if target is None else names[target]!r}"
                 )
             sign = path_sign * factor
             if target is None or nxt == target:
-                count = counts[nxt] = counts.get(nxt, 0) + 1
+                count = counts[nxt] = counts[nxt] + 1
                 if count > max_paths:
-                    raise PathExplosion(f"more than {max_paths} paths from {source!r} to {nxt!r}")
-                votes[nxt] = votes.get(nxt, 0) + sign
+                    names = adjacency.names
+                    raise PathExplosion(
+                        f"more than {max_paths} paths from {names[source]!r} to {names[nxt]!r}"
+                    )
+                votes[nxt] += sign
                 if target is not None:
                     if frames:
                         multi_signs.add(sign)
@@ -474,8 +493,8 @@ def _walk(
                             links[frame[3]] = None
                     links[index] = None
                     continue
-            if nxt in forward:
-                open_.remove(nxt)
+            if forward[nxt]:
+                open_[nxt] = False
                 frames.append((links_left, path_sign, nxt, index))
                 links_left, path_sign = iter(forward[nxt]), sign
                 break
@@ -483,7 +502,7 @@ def _walk(
             if not frames:
                 return counts, votes, links, multi_signs
             links_left, path_sign, left, _ = frames.pop()
-            open_.add(left)
+            open_[left] = True
 
 
 @dataclass(frozen=True)
@@ -517,11 +536,13 @@ def answer_query(
         raise UnknownConcept(source)
     if not cmap.has_concept(target):
         raise UnknownConcept(target)
-    _, votes, indices, _ = _walk(cmap, source, target, max_paths)
+    adjacency = cmap._compiled()
+    t = adjacency.number[target]
+    _, votes, indices, _ = _walk(adjacency, adjacency.number[source], t, max_paths)
     if not indices:
         return _NO_PATHS
-    used = frozenset(map(cmap._compiled().links.__getitem__, indices))
-    return QueryResult(_answer(votes[target]), used)
+    used = frozenset(map(adjacency.links.__getitem__, indices))
+    return QueryResult(_answer(votes[t]), used)
 
 
 # -- quizzes -----------------------------------------------------------------
@@ -647,28 +668,29 @@ def grade_quiz(
     """
     if not questions:
         raise EmptyQuiz("cannot grade an empty quiz")
-    concepts = student._concepts
+    adjacency = student._compiled()
+    number = adjacency.number
     increases, decreases = QueryAnswer.TARGET_INCREASES, QueryAnswer.TARGET_DECREASES
     cannot = QueryAnswer.CANNOT_DETERMINE
-    votes_from: dict[str, Optional[dict[str, int]]] = {}  # None: the walk raised
+    votes_from: dict[int, Optional[list[int]]] = {}  # None: the walk raised
     answers = []
     n_correct = 0
     for q in questions:
-        source, target = q.source, q.target
+        source, target = number.get(q.source), number.get(q.target)
         answer = cannot
-        if source in concepts and target in concepts:
+        if source is not None and target is not None:
             if source in votes_from:
                 votes = votes_from[source]
             else:
                 try:
-                    votes = _walk(student, source, None, max_paths)[1]
+                    votes = _walk(adjacency, source, None, max_paths)[1]
                 except PathExplosion:
                     votes = None
                 votes_from[source] = votes
             if votes is None:
-                answer = answer_query(student, source, target, max_paths).answer
+                answer = answer_query(student, q.source, q.target, max_paths).answer
             else:
-                vote = votes.get(target, 0)
+                vote = votes[target]
                 if vote > 0:
                     answer = increases
                 elif vote < 0:

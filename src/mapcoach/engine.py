@@ -198,7 +198,9 @@ def run_conversation(
         seen.add(node.id)
         choice = responder(node)
         option = node.responses[choice]
-        prompt = Template(node.prompt).safe_substitute(variables)
+        prompt = node.prompt
+        if "$" in prompt:
+            prompt = Template(prompt).safe_substitute(variables)
         transcript.append(TranscriptStep(node=node.id, prompt=prompt, response=option.text))
         if option.goto is None:
             return transcript
@@ -741,9 +743,10 @@ class ScaffoldEngine:
         if quiz is None:
             return None
         concepts: set[str] = set()
-        for item in quiz.incorrect_items():
-            concepts.add(item.question.source)
-            concepts.add(item.question.target)
+        for q, answer in zip(quiz.questions, quiz.answers):
+            if answer is not q.expert_answer:
+                concepts.add(q.source)
+                concepts.add(q.target)
         candidates = [
             link
             for link in student_map.sorted_links()
@@ -763,8 +766,9 @@ class ScaffoldEngine:
     ) -> Optional[TargetHints]:
         """Name the source page of an expert link implicated by an incorrect
         answer and missing or wrong-signed on the student map."""
-        for item in quiz.incorrect_items():
-            q = item.question
+        for q, answer in zip(quiz.questions, quiz.answers):
+            if answer is q.expert_answer:
+                continue
             for expert_link in self.expert.paths(q.source, q.target).links:
                 student_link = student_map.links.get(expert_link.key)
                 if student_link is None or student_link.sign is not expert_link.sign:

@@ -133,6 +133,17 @@ _EFFECTIVENESS_VALUE = _values(Effectiveness)
 _SCAFFOLD_KIND_VALUE = _values(ScaffoldKind)
 _AGENT_VALUE = _values(Agent)
 
+# members as module globals: a global read costs a fraction of a class
+# attribute read
+_READ, _MAKE_NOTES, _MAP_EDIT, _TAKE_QUIZ, _QUIZ_EXPL = (
+    ActionKind.READ, ActionKind.MAKE_NOTES, ActionKind.MAP_EDIT, ActionKind.TAKE_QUIZ,
+    ActionKind.QUIZ_EXPL,
+)
+_ADD_CONCEPT, _DELETE_CONCEPT, _ADD_LINK, _DELETE_LINK, _MODIFY_LINK, _MARK_LINK = (
+    MapEditAction.ADD_CONCEPT, MapEditAction.DELETE_CONCEPT, MapEditAction.ADD_LINK,
+    MapEditAction.DELETE_LINK, MapEditAction.MODIFY_LINK, MapEditAction.MARK_LINK,
+)
+
 
 # -- map documents ---------------------------------------------------------
 
@@ -245,19 +256,19 @@ def scope_from_str(text: str) -> QuizScope:
 def _edit_to_record(edit: MapEdit) -> dict:
     a = edit.action
     record: dict = {"action": _EDIT_ACTION_VALUE[a]}
-    if a is MapEditAction.ADD_CONCEPT:
+    if a is _ADD_CONCEPT:
         c = edit.concept
         record["concept"] = {"id": c.id, "name": c.name, "section": c.section}
-    elif a is MapEditAction.DELETE_CONCEPT:
+    elif a is _DELETE_CONCEPT:
         record["concept_id"] = edit.concept_id
-    elif a is MapEditAction.ADD_LINK:
+    elif a is _ADD_LINK:
         record["link"] = link_to_record(edit.link)
-    elif a is MapEditAction.DELETE_LINK:
+    elif a is _DELETE_LINK:
         record["source"], record["target"] = edit.source, edit.target
-    elif a is MapEditAction.MODIFY_LINK:
+    elif a is _MODIFY_LINK:
         record["old"] = link_to_record(edit.old)
         record["new"] = link_to_record(edit.new)
-    elif a is MapEditAction.MARK_LINK:
+    elif a is _MARK_LINK:
         record["source"], record["target"] = edit.source, edit.target
         record["marking"] = _MARKING_VALUE[edit.marking]
     return record
@@ -265,16 +276,16 @@ def _edit_to_record(edit: MapEdit) -> dict:
 
 def _edit_from_record(record: dict) -> MapEdit:
     a = _edit_action(record["action"])
-    if a is MapEditAction.ADD_CONCEPT:
+    if a is _ADD_CONCEPT:
         c = record["concept"]
         return MapEdit(a, concept=Concept(id=c["id"], name=c["name"], section=c["section"]))
-    if a is MapEditAction.DELETE_CONCEPT:
+    if a is _DELETE_CONCEPT:
         return MapEdit(a, concept_id=record["concept_id"])
-    if a is MapEditAction.ADD_LINK:
+    if a is _ADD_LINK:
         return MapEdit(a, link=link_from_record(record["link"]))
-    if a is MapEditAction.DELETE_LINK:
+    if a is _DELETE_LINK:
         return MapEdit(a, source=record["source"], target=record["target"])
-    if a is MapEditAction.MODIFY_LINK:
+    if a is _MODIFY_LINK:
         return MapEdit(a, old=link_from_record(record["old"]), new=link_from_record(record["new"]))
     return MapEdit(
         a,
@@ -285,21 +296,22 @@ def _edit_from_record(record: dict) -> MapEdit:
 
 
 def event_to_record(event: ActionEvent) -> dict:
+    kind = event.kind
     record = {
         "student": event.student_id,
         "t": event.timestamp,
         "duration": event.duration,
-        "kind": _ACTION_KIND_VALUE[event.kind],
+        "kind": _ACTION_KIND_VALUE[kind],
     }
-    if event.kind is ActionKind.READ:
+    if kind is _READ:
         record["page"] = event.page
-    elif event.kind is ActionKind.MAKE_NOTES:
+    elif kind is _MAKE_NOTES:
         record["note"] = event.note_id
-    elif event.kind is ActionKind.MAP_EDIT:
+    elif kind is _MAP_EDIT:
         record["edit"] = _edit_to_record(event.edit)
-    elif event.kind is ActionKind.TAKE_QUIZ:
+    elif kind is _TAKE_QUIZ:
         record["scope"] = event.quiz_scope.display()
-    elif event.kind is ActionKind.QUIZ_EXPL:
+    elif kind is _QUIZ_EXPL:
         record["question"] = event.question_ref
     return record
 
@@ -341,8 +353,8 @@ def event_from_record(record: dict) -> ActionEvent:
         kind=kind,
         page=page,
         note_id=note,
-        edit=_edit_from_record(record["edit"]) if kind is ActionKind.MAP_EDIT else None,
-        quiz_scope=scope_from_str(record["scope"]) if kind is ActionKind.TAKE_QUIZ else None,
+        edit=_edit_from_record(record["edit"]) if kind is _MAP_EDIT else None,
+        quiz_scope=scope_from_str(record["scope"]) if kind is _TAKE_QUIZ else None,
         question_ref=question,
     )
 

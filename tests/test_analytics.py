@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +14,15 @@ from mapcoach.analytics import (
     Phase,
     StudentRecord,
     affect_aggregate,
+    interval_edit_scores,
     map_score_slope,
     median_split,
     nlg,
     scaffold_impact,
     segment_intervals,
 )
+from mapcoach import analytics
+from mapcoach.annotate import ActionEvent, ActionKind, AnnotatedEvent, Effectiveness, Process
 from mapcoach.causal import Sign
 from mapcoach.engine import (
     ScaffoldDelivery,
@@ -247,3 +252,74 @@ class TestScaffoldImpact:
         cells = scaffold_impact([record], {"s": "Low"})
         assert all(c.mean_slope is None for c in cells)
         assert all(c.n_intervals == 0 for c in cells)
+
+
+def _event(t, kind, score):
+    base = ActionEvent(student_id="s", timestamp=t, kind=kind, duration=1.0)
+    return AnnotatedEvent(base, Process.SC, Effectiveness.NEUTRAL, False, score)
+
+
+class _Scans:
+    """The per-interval scans that scaffold_impact's timeline replaces."""
+
+    def __init__(self, annotated, affect):
+        self.annotated, self.affect = annotated, affect
+
+    def edit_scores(self, span):
+        return interval_edit_scores(self.annotated, span)
+
+    def affect_means(self, span):
+        try:
+            return affect_aggregate(self.affect, span)
+        except NoObservationsInSpan:
+            return None
+
+
+class TestIndexedTimeline:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_cells_equal_the_per_interval_scans(self, seed):
+        """Logs out of time order, with edits, reads and observations on a
+        coarse grid of times, so many fall exactly on an interval bound."""
+        rng = random.Random(seed)
+        grid = [5.0 * i for i in range(21)]
+        records = []
+        for student in ("s1", "s2", "s3"):
+            annotated = [
+                _event(rng.choice(grid), rng.choice((ActionKind.MAP_EDIT, ActionKind.READ)),
+                       rng.randint(-5, 5))
+                for _ in range(rng.randint(0, 30))
+            ]
+            affect = [obs(rng.choice(grid), rng.random()) for _ in range(rng.randint(0, 12))]
+            deliveries = [
+                delivery(rng.choice(grid), rng.choice(list(ScaffoldKind)), student)
+                for _ in range(rng.randint(0, 6))
+            ]
+            records.append(StudentRecord(student, annotated, deliveries, affect, session_end=100.0))
+        grouping = {"s1": "High", "s2": "Low", "s3": "High"}
+        indexed = scaffold_impact(records, grouping)
+        for record in records:
+            timeline = analytics._Timeline(record.annotated, record.affect)
+            scans = _Scans(record.annotated, record.affect)
+            for iv in segment_intervals(record.deliveries, record.session_end):
+                assert timeline.edit_scores(iv.span) == scans.edit_scores(iv.span)
+                assert timeline.affect_means(iv.span) == scans.affect_means(iv.span)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analytics, "_Timeline", _Scans)
+            scanned = scaffold_impact(records, grouping)
+        assert indexed == scanned
+
+    def test_edits_on_a_bound_belong_to_the_interval_that_starts_there(self):
+        annotated = [
+            _event(20.0, ActionKind.MAP_EDIT, 3),
+            _event(10.0, ActionKind.MAP_EDIT, 1),
+            _event(20.0, ActionKind.MAP_EDIT, 4),
+            _event(10.0, ActionKind.MAP_EDIT, 2),
+        ]
+        timeline = analytics._Timeline(annotated, [obs(20.0, 0.5), obs(10.0, 0.25)])
+        assert timeline.edit_scores((0.0, 20.0)) == [1, 2]
+        assert timeline.edit_scores((20.0, 30.0)) == [3, 4]
+        assert timeline.edit_scores((10.0, 30.0)) == [3, 1, 4, 2]
+        assert timeline.edit_scores((30.0, 10.0)) == []
+        assert timeline.affect_means((10.0, 20.0))[Emotion.CONFUSION] == 0.375
+        assert timeline.affect_means((20.0, 10.0)) is None

@@ -285,22 +285,28 @@ class TestWalk:
                 votes = [math.prod(edges[pair] for pair in path) for path in paths]
                 expected[t] = (len(paths), sum(votes))
         exploded = any(count > max_paths for count, _ in expected.values())
+        adjacency = m._compiled()
+        names, number = adjacency.names, adjacency.number
+        assert names == ids
         try:
-            counts, votes, links, multi_signs = _walk(m, source, None, max_paths)
+            counts, votes, links, multi_signs = _walk(adjacency, number[source], None, max_paths)
         except PathExplosion:
             assert exploded
         else:
             assert not exploded
             assert not links and not multi_signs
-            assert {t: (counts[t], votes[t]) for t in counts} == expected
+            got = {names[n]: (counts[n], votes[n]) for n in range(len(names)) if counts[n]}
+            assert got == expected
         for t in targets:
             try:
-                counts, votes, _, _ = _walk(m, source, t, max_paths)
+                counts, votes, _, _ = _walk(adjacency, number[source], number[t], max_paths)
             except PathExplosion:
                 assert exploded
                 continue
-            assert set(counts) <= {t}
-            assert ((counts[t], votes[t]) if counts else None) == expected.get(t)
+            reached = {names[n] for n in range(len(names)) if counts[n]}
+            assert reached <= {t}
+            got = (counts[number[t]], votes[number[t]]) if reached else None
+            assert got == expected.get(t)
 
 
 class TestScoreClassifyConsistency:
@@ -555,6 +561,39 @@ class TestGroupedGrading:
             assert _graded(result) == _grade_each(student, questions, DEFAULT_MAX_PATHS)
 
 
+class TestNumberedConcepts:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from((1, 2, 3, 5, DEFAULT_MAX_PATHS)))
+    def test_grading_equals_grading_each_question(self, seed, max_paths):
+        """Concept ids inserted in shuffled order, so their sorted numbers
+        differ from the insertion order, some concepts without any link,
+        and questions that name concepts the map lacks."""
+        rng = random.Random(seed)
+        names = [f"{letter}{i}" for letter in "zqbma" for i in (7, 10, 2)]
+        ids = rng.sample(names, rng.randint(2, 9))
+        linked = ids[: rng.randint(1, len(ids))]
+        pairs = [(s, t) for s in linked for t in linked if s != t]
+        links = [
+            CausalLink(s, t, rng.choice((INC, DEC)))
+            for s, t in rng.sample(pairs, rng.randint(0, min(16, len(pairs))))
+        ]
+        student = CausalMap([Concept(i, i, "s") for i in ids], links)
+        named = ids + ["absent", "zz9"]
+        questions = [
+            QuizQuestion(rng.choice(named), rng.choice(named), rng.choice(list(QueryAnswer)))
+            for _ in range(rng.randint(1, 14))
+        ]
+        _same_as_grading_each(student, questions, max_paths)
+        edges = oracles.edge_dict(student)
+        answers = {"increases": QueryAnswer.TARGET_INCREASES,
+                   "decreases": QueryAnswer.TARGET_DECREASES,
+                   "cannot": QueryAnswer.CANNOT_DETERMINE}
+        for q in questions:
+            if q.source in ids and q.target in ids and q.source != q.target:
+                expected = answers[oracles.brute_query(edges, q.source, q.target)]
+                assert answer_query(student, q.source, q.target).answer is expected
+
+
 def mark(m, source, target, marking):
     return apply_edit(
         m, MapEdit(MapEditAction.MARK_LINK, source=source, target=target, marking=marking)
@@ -717,6 +756,15 @@ class TestExpertPathFacts:
                 assert facts.multi_signs == multi_signs
                 assert [link.key for link in facts.links] == pairs
                 assert expert.paths(s, t) is facts
+
+    def test_paths_on_a_concept_the_expert_lacks_are_empty(self):
+        expert = expert_of(("a", "b", INC), ("b", "c", DEC), ids="abc")
+        for source, target in (("zz", "c"), ("a", "zz"), ("zz", "yy")):
+            facts = expert.paths(source, target)
+            assert (facts.count, facts.vote) == (0, 0)
+            assert facts.reached == frozenset() and facts.multi_signs == frozenset()
+            assert facts.links == ()
+        assert expert.paths("a", "c").vote == -1
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))

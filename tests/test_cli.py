@@ -485,6 +485,25 @@ class TestOutputPins:
         assert proc.stderr == f"error: {path}: 'XX' is not a valid Process\n"
 
 
+class TestCoherenceLookbackPin:
+    """Replay's bytes with a coherence lookback, pinned before coherence
+    tagging moves into the stream."""
+
+    SHA256 = "ccab4533d73b1a7f3d9944b34ba37da536dbb809d129800b66bf6ab7e143ea22"
+
+    def test_replay_with_a_lookback_writes_the_pinned_bytes(self, sim_dir, tmp_path):
+        # a 120 s lookback tags 7 edits coherent and 27 not, against 25 and
+        # 9 over the whole session
+        out = tmp_path / "replay"
+        assert run(["replay", "--events", sim_dir / "events",
+                    "--expert", sim_dir / "expert-map.json", "--out", out,
+                    "--coherence-lookback", 120]) == 0
+        digest = hashlib.sha256()
+        for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"):
+            digest.update(path.relative_to(out).as_posix().encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == self.SHA256
+
+
 DEEP = "[" * 100_000 + "]" * 100_000
 
 

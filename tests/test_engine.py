@@ -1,7 +1,12 @@
+import random
 from dataclasses import replace
+from string import Template
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import trigger_scripts as scripts
 from mapcoach.annotate import (
     PROCESS_FOR_KIND,
@@ -17,12 +22,15 @@ from mapcoach.causal import (
     CausalLink,
     CausalMap,
     Concept,
+    EmptyQuiz,
     ExpertMap,
     Marking,
     QueryAnswer,
     QuizQuestion,
     QuizScope,
+    generate_quiz,
     grade_quiz,
+    is_correct_link,
 )
 from mapcoach.engine import (
     Agent,
@@ -33,6 +41,8 @@ from mapcoach.engine import (
     ResponseOption,
     ScaffoldEngine,
     ScaffoldKind,
+    TargetHints,
+    _link_hints,
     default_trees,
     delivery_counts,
     first_option,
@@ -124,6 +134,39 @@ class TestConversationTrees:
         a = run_conversation(tree, first_option, {"concept": "x"})
         b = run_conversation(tree, first_option, {"concept": "x"})
         assert a == b
+
+    def test_prompts_render_as_template_substitution(self):
+        prompts = [
+            "It costs $$5 to ask about $concept.",
+            "${concept} and ${missing}, then $",
+            "No placeholder here.",
+            "$$",
+        ]
+        tree = ConversationTree(
+            "n0",
+            [
+                ConversationNode(
+                    f"n{i}",
+                    prompt,
+                    (ResponseOption("next", f"n{i + 1}"), ResponseOption("bye", None))
+                    if i + 1 < len(prompts)
+                    else (ResponseOption("bye", None),),
+                )
+                for i, prompt in enumerate(prompts)
+            ],
+        )
+        transcript = run_conversation(tree, first_option, {"concept": "heat"})
+        assert [step.prompt for step in transcript] == [
+            "It costs $5 to ask about heat.",
+            "heat and ${missing}, then $",
+            "No placeholder here.",
+            "$",
+        ]
+        assert transcript[2].prompt is prompts[2]
+        variables = {"concept": "heat"}
+        assert [step.prompt for step in transcript] == [
+            Template(p).safe_substitute(variables) for p in prompts
+        ]
 
     def test_agent_assignment(self):
         betty = {ScaffoldKind.HINT2, ScaffoldKind.ENC1, ScaffoldKind.ENC3}
@@ -342,6 +385,73 @@ class TestTriggerTable:
             fired[quiz] = [d.kind for d in released]
             expected[quiz] = _table_kinds(prev, cur, quiz)
         assert fired == expected
+
+
+class _ItemsEngine(ScaffoldEngine):
+    """hint5's and hint6's target choices written over QuizResult.incorrect_items()."""
+
+    def _hint5_targets(self, student_map, quiz):
+        if quiz is None:
+            return None
+        concepts = set()
+        for item in quiz.incorrect_items():
+            concepts.add(item.question.source)
+            concepts.add(item.question.target)
+        candidates = [
+            link
+            for link in student_map.sorted_links()
+            if (link.source in concepts or link.target in concepts)
+            and not is_correct_link(link, self.expert)
+        ]
+        if not candidates:
+            return None
+        pick = next((l for l in candidates if l.key != self._last_hint5_pair), candidates[0])
+        self._last_hint5_pair = pick.key
+        return _link_hints(pick)
+
+    def _hint6_targets(self, student_map, quiz):
+        for item in quiz.incorrect_items():
+            q = item.question
+            for expert_link in self.expert.paths(q.source, q.target).links:
+                student_link = student_map.links.get(expert_link.key)
+                if student_link is None or student_link.sign is not expert_link.sign:
+                    return TargetHints(
+                        concept=expert_link.source,
+                        page=expert_link.source_page,
+                        source=expert_link.source,
+                        target=expert_link.target,
+                    )
+        return None
+
+
+class TestQuizTargets:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_targets_equal_the_incorrect_items_version(self, seed):
+        rng = random.Random(seed)
+        expert = oracles.random_expert(rng, max_concepts=7, max_links=12)
+        try:
+            bank = generate_quiz(expert)
+        except EmptyQuiz:
+            bank = []
+        ids = sorted(expert.concepts) + ["absent"]
+        engine = ScaffoldEngine("s", expert)
+        reference = _ItemsEngine("s", expert)
+        for _ in range(6):
+            student = oracles.random_map(rng, max_concepts=7, max_links=14)
+            questions = rng.sample(bank, rng.randint(0, len(bank))) + [
+                QuizQuestion(rng.choice(ids), rng.choice(ids), rng.choice(list(QueryAnswer)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            quiz = grade_quiz(student, questions) if rng.random() < 0.9 else None
+            assert engine._hint5_targets(student, quiz) == reference._hint5_targets(
+                student, quiz
+            )
+            assert engine._last_hint5_pair == reference._last_hint5_pair
+            if quiz is not None:
+                assert engine._hint6_targets(student, quiz) == reference._hint6_targets(
+                    student, quiz
+                )
 
 
 class TestEngineProperties:
