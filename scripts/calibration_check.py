@@ -10,7 +10,6 @@ from mapcoach.annotate import (
     ActionKind,
     Effectiveness,
     annotate_session,
-    tag_coherence,
     time_distribution,
 )
 from mapcoach.pack import default_expert_map
@@ -39,7 +38,7 @@ def run(argv=None):
     coherent = {"High": [0, 0], "Low": [0, 0]}
     for session in cohort.sessions:
         group = cohort.grouping[session.student_id]
-        annotated = tag_coherence(annotate_session(session.events, expert), expert)
+        annotated = annotate_session(session.events, expert)
         dist = time_distribution(annotated)
         shares[group].append((
             dist[ActionKind.READ] + dist[ActionKind.MAKE_NOTES],

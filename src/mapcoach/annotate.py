@@ -57,6 +57,9 @@ PROCESS_FOR_KIND = {
     ActionKind.TAKE_QUIZ: Process.SA,
     ActionKind.QUIZ_EXPL: Process.SA,
 }
+# members feed reads, as globals: a global read costs a fraction of a class attribute read
+_READ, _MAP_EDIT, _ADD_LINK, _MODIFY_LINK = (
+    ActionKind.READ, ActionKind.MAP_EDIT, MapEditAction.ADD_LINK, MapEditAction.MODIFY_LINK)
 
 
 @dataclass(frozen=True)
@@ -175,23 +178,37 @@ class SessionAnnotator:
     deleted link counts +1 if it is correct and -1 if not, a modified link
     swaps its old pair's count for its new pair's, and marks and added
     concepts change nothing.  Deleting a concept, which drops every
-    incident link and already copies the map's links, rescores the map."""
+    incident link and already copies the map's links, rescores the map.
 
-    def __init__(self, expert: ExpertMap, long_threshold: float = DEFAULT_LONG_THRESHOLD):
+    A link add or modify is coherent when the expert has a link with the
+    pair it leaves, whatever its sign, whose source page was read at most
+    `coherence_lookback` seconds before (None: at any earlier time); as
+    timestamps never go back, each page's latest read is all that is kept.
+    Other events carry no `coherent`."""
+
+    def __init__(self, expert: ExpertMap, long_threshold: float = DEFAULT_LONG_THRESHOLD,
+                 coherence_lookback: Optional[float] = None):
+        if coherence_lookback is not None and not coherence_lookback >= 0:
+            raise ValueError(f"coherence lookback must be >= 0 seconds, got {coherence_lookback}")
         self.expert = expert
         self.long_threshold = long_threshold
+        self.coherence_lookback = coherence_lookback
         self.current_map = CausalMap()
         self.score = 0
         self._index = 0
         self._last_timestamp: Optional[float] = None
+        self._expert_links = expert.links
+        self._last_read: dict[Optional[str], float] = {}  # page -> time of its latest read
 
     def feed(self, event: ActionEvent) -> AnnotatedEvent:
-        if self._last_timestamp is not None and event.timestamp < self._last_timestamp:
+        timestamp = event.timestamp
+        if self._last_timestamp is not None and timestamp < self._last_timestamp:
             raise ReplayError(self._index, "events out of timestamp order")
-        self._last_timestamp = event.timestamp
+        self._last_timestamp = timestamp
         kind = event.kind
         effectiveness = Effectiveness.NEUTRAL
-        if kind is ActionKind.MAP_EDIT:
+        coherent = None
+        if kind is _MAP_EDIT:
             edit = event.edit
             try:
                 new_map = apply_edit(self.current_map, edit)
@@ -203,9 +220,18 @@ class SessionAnnotator:
             elif new_score < self.score:
                 effectiveness = Effectiveness.INEFF
             self.current_map, self.score = new_map, new_score
-        long = kind is ActionKind.READ and event.duration >= self.long_threshold
+            action = edit.action
+            if action is _ADD_LINK or action is _MODIFY_LINK:
+                link = edit.link if action is _ADD_LINK else edit.new
+                expert_link = self._expert_links.get((link.source, link.target))
+                read_at = None if expert_link is None else self._last_read.get(expert_link.source_page)
+                lookback = self.coherence_lookback
+                coherent = read_at is not None and (lookback is None or read_at >= timestamp - lookback)
+        elif kind is _READ:
+            self._last_read[event.page] = timestamp
+        long = kind is _READ and event.duration >= self.long_threshold
         self._index += 1
-        return AnnotatedEvent(event, PROCESS_FOR_KIND[kind], effectiveness, long, self.score)
+        return AnnotatedEvent(event, PROCESS_FOR_KIND[kind], effectiveness, long, self.score, coherent)
 
     def _score_after(self, edit: MapEdit, new_map: CausalMap) -> int:
         """The map score once `edit`, already applied as `new_map`, is made."""
@@ -238,32 +264,11 @@ def tag_coherence(
     expert: ExpertMap,
     lookback: Optional[float] = None,
 ) -> list[AnnotatedEvent]:
-    """Mark add/modify link edits as coherent when an earlier read covered a
-    page supporting a link with the same endpoints.
-
-    Endpoints only: a wrong-sign link from a read page still counts as
-    supported by that reading.  `lookback` bounds, in seconds, how far back
-    reads are considered; None means the whole session.
-    """
-    out: list[AnnotatedEvent] = []
-    reads: list[tuple[float, str]] = []
-    for event in annotated:
-        if event.kind is ActionKind.READ and event.base.page is not None:
-            reads.append((event.timestamp, event.base.page))
-        pair = event.base.edit.touched_pair() if event.kind is ActionKind.MAP_EDIT else None
-        if pair is None:
-            out.append(event)
-            continue
-        horizon = None if lookback is None else event.timestamp - lookback
-        coherent = False
-        for ts, page in reads:
-            if horizon is not None and ts < horizon:
-                continue
-            if pair in expert.links_on_page(page):
-                coherent = True
-                break
-        out.append(replace(event, coherent=coherent))
-    return out
+    """The events with `coherent` re-tagged under a lookback of `lookback`
+    seconds (None: the whole session), by the rule `SessionAnnotator`
+    applies as it feeds."""
+    annotator = SessionAnnotator(expert, coherence_lookback=lookback)
+    return [replace(event, coherent=annotator.feed(event.base).coherent) for event in annotated]
 
 
 # -- collapsed token streams -------------------------------------------------

@@ -604,13 +604,6 @@ class QuizResult:
     def n_incorrect(self) -> int:
         return len(self.questions) - self.n_correct
 
-    def incorrect_items(self) -> list[QuizItem]:
-        return [
-            QuizItem(q, answer, Grade.INCORRECT)
-            for q, answer in zip(self.questions, self.answers)
-            if answer is not q.expert_answer
-        ]
-
 
 def generate_quiz(
     expert: ExpertMap,

@@ -12,7 +12,6 @@ from .annotate import (
     ActionKind,
     AnnotatedEvent,
     SessionAnnotator,
-    tag_coherence,
 )
 from .causal import ExpertMap, QuizResult, generate_quiz, grade_quiz
 from .engine import ConversationTree, EngineConfig, ScaffoldDelivery, ScaffoldEngine, ScaffoldKind
@@ -22,11 +21,12 @@ class SessionStep:
     """One student's step from a raw event to the engine's decision; without
     an engine it annotates and grades only, at the default long threshold."""
 
-    def __init__(self, expert: ExpertMap, engine: Optional[ScaffoldEngine] = None):
+    def __init__(self, expert: ExpertMap, engine: Optional[ScaffoldEngine] = None,
+                 coherence_lookback: Optional[float] = None):
         self.expert = expert
         self.engine = engine
         long_threshold = engine.config.long_threshold if engine else DEFAULT_LONG_THRESHOLD
-        self.annotator = SessionAnnotator(expert, long_threshold=long_threshold)
+        self.annotator = SessionAnnotator(expert, long_threshold, coherence_lookback)
         self.last_quiz: Optional[QuizResult] = None
 
     def feed(self, event: ActionEvent) -> tuple[AnnotatedEvent, list[ScaffoldDelivery]]:
@@ -68,7 +68,8 @@ def replay_events(
     simulated session reproduces its in-loop deliveries exactly under the
     same config.
     """
-    step = SessionStep(expert, ScaffoldEngine(student_id, expert, config, trees=trees))
+    step = SessionStep(expert, ScaffoldEngine(student_id, expert, config, trees=trees),
+                       coherence_lookback)
     annotated: list[AnnotatedEvent] = []
     deliveries: list[ScaffoldDelivery] = []
     for event in events:
@@ -77,7 +78,6 @@ def replay_events(
         deliveries.extend(released)
     session_end = events[-1].end if events else 0.0
     deliveries.extend(step.finish(session_end))
-    annotated = tag_coherence(annotated, expert, lookback=coherence_lookback)
     return ReplayResult(
         student_id=student_id,
         annotated=tuple(annotated),

@@ -682,8 +682,8 @@ def simulate_session(
     duration_budget: float,
     engine: Optional[ScaffoldEngine] = None,
 ) -> SessionLog:
-    if duration_budget <= 0:
-        raise ValueError("duration_budget must be positive")
+    if not 0 < duration_budget < math.inf:
+        raise ValueError(f"duration_budget must be finite and positive, got {duration_budget}")
     return _Session(profile, expert, duration_budget, engine).run()
 
 

@@ -9,7 +9,7 @@ import random
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from mapcoach.annotate import MapEdit, MapEditAction
+from mapcoach.annotate import ActionEvent, ActionKind, MapEdit, MapEditAction
 from mapcoach.causal import (
     CausalLink,
     CausalMap,
@@ -171,6 +171,32 @@ def rebuilt_after_edit(cmap: CausalMap, edit: MapEdit) -> CausalMap:
     if link is None:
         raise MapError(f"no link {edit.source}->{edit.target} to mark")
     return replaced(link.key, replace(link, marking=edit.marking))
+
+
+def brute_coherence(
+    events: Sequence[ActionEvent], expert: ExpertMap, lookback: Optional[float] = None
+) -> list[Optional[bool]]:
+    """Each event's `coherent`: None unless it adds or modifies a link, else
+    whether some earlier read, no more than `lookback` seconds before it
+    when a lookback is given, was of the source page of an expert link
+    with the pair the edit leaves.  Every earlier read is rescanned."""
+    out: list[Optional[bool]] = []
+    reads: list[tuple[float, str]] = []
+    for event in events:
+        if event.kind is ActionKind.READ and event.page is not None:
+            reads.append((event.timestamp, event.page))
+        edit = event.edit if event.kind is ActionKind.MAP_EDIT else None
+        if edit is None or edit.action not in (MapEditAction.ADD_LINK, MapEditAction.MODIFY_LINK):
+            out.append(None)
+            continue
+        link = edit.link if edit.action is MapEditAction.ADD_LINK else edit.new
+        pages = {l.source_page for l in expert.map.links.values()
+                 if (l.source, l.target) == (link.source, link.target)}
+        horizon = None if lookback is None else event.timestamp - lookback
+        out.append(any(
+            page in pages and (horizon is None or ts >= horizon) for ts, page in reads
+        ))
+    return out
 
 
 # -- greedy gap-constrained pattern matching ---------------------------------------

@@ -1,3 +1,6 @@
+import math
+import random
+from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -25,6 +28,8 @@ from mapcoach.annotate import (
     time_distribution,
 )
 from mapcoach.causal import CausalLink, CausalMap, Concept, Marking, QuizScope, Sign, map_score
+from mapcoach.pipeline import replay_events
+from mapcoach.simulate import bundled_profiles, simulate_session
 
 INC, DEC = Sign.INCREASE, Sign.DECREASE
 
@@ -191,7 +196,7 @@ _STEPS = st.lists(
 )
 
 
-def _edit_for(cmap, op, i, flip, marking):
+def _edit_for(cmap, op, i, flip, marking, concept_ids=_CONCEPT_IDS):
     """A valid edit of kind `op` on `cmap`, picked by `i`, or None when the
     map has nothing to apply it to.  Concept deletes pick a concept with an
     incident link."""
@@ -200,7 +205,7 @@ def _edit_for(cmap, op, i, flip, marking):
     free = [(s, t) for s in sorted(cmap.concepts) for t in sorted(cmap.concepts)
             if s != t and (s, t) not in cmap.links]
     if op == "add_concept":
-        absent = [c for c in _CONCEPT_IDS if c not in cmap.concepts]
+        absent = [c for c in concept_ids if c not in cmap.concepts]
         if absent:
             c = absent[i % len(absent)]
             return MapEdit(MapEditAction.ADD_CONCEPT, concept=Concept(c, c.upper(), "s1"))
@@ -285,52 +290,99 @@ class TestIncrementalScore:
         assert len(calls) == 1 and annotator.score == 0
 
 
+def _fed(events, expert, lookback=None):
+    annotator = SessionAnnotator(expert, coherence_lookback=lookback)
+    return [annotator.feed(e) for e in events]
+
+
+@st.composite
+def _coherence_streams(draw):
+    """A random expert and a valid stream on it: its concepts and one more
+    added at time 0, then reads (of cited pages and of one no link cites),
+    notes and map edits, some at equal times."""
+    expert = oracles.random_expert(random.Random(draw(st.integers(0, 10**6))), 6, 10)
+    ids = sorted(expert.concepts) + ["x"]  # x is on no expert link
+    pages = expert.page_ids() + ["uncited"]
+    steps = draw(st.lists(st.tuples(
+        st.sampled_from(("read", "add_expert_pair") * 3 + ("note",) + _OPS),
+        st.integers(0, 19),
+        st.booleans(),
+        st.one_of(st.sampled_from([0.0, 30.0, 60.0]), st.floats(0.0, 300.0)),
+    ), min_size=1, max_size=60))
+    events = [ev(0.0, ActionKind.MAP_EDIT, edit=MapEdit(
+        MapEditAction.ADD_CONCEPT, concept=Concept(c, c.upper(), "s1"))) for c in ids]
+    annotator = SessionAnnotator(expert)
+    for event in events:
+        annotator.feed(event)
+    t = 0.0
+    for op, i, flip, dt in steps:
+        t += dt
+        if op == "read":
+            event = read(t, page=pages[i % len(pages)])
+        elif op == "note":
+            event = ev(t, ActionKind.MAKE_NOTES, note_id=f"n{i}")
+        elif op == "add_expert_pair":
+            cmap = annotator.current_map
+            free = [(a, b) for a, b in sorted(expert.links)
+                    if (a, b) not in cmap.links and a in cmap.concepts and b in cmap.concepts]
+            if not free:
+                continue
+            a, b = free[i % len(free)]
+            event = add_link(t, a, b, DEC if flip else INC)
+        else:
+            edit = _edit_for(annotator.current_map, op, i, flip, Marking.MARKED_CORRECT, ids)
+            if edit is None:
+                continue
+            event = ev(t, ActionKind.MAP_EDIT, edit=edit)
+        annotator.feed(event)
+        events.append(event)
+    return expert, events
+
+
 class TestCoherence:
     def test_read_then_matching_add_is_coherent(self, tiny_expert):
         events, t = setup_events(tiny_expert)
         events += [read(t, page="pa"), add_link(t + 40, "a", "b", INC)]
-        tagged = tag_coherence(annotate_session(events, tiny_expert), tiny_expert)
-        assert tagged[-1].coherent is True
+        assert annotate_session(events, tiny_expert)[-1].coherent is True
 
     def test_wrong_sign_from_read_page_still_coherent(self, tiny_expert):
         events, t = setup_events(tiny_expert)
         events += [read(t, page="pa"), add_link(t + 40, "a", "b", DEC)]
-        tagged = tag_coherence(annotate_session(events, tiny_expert), tiny_expert)
-        assert tagged[-1].coherent is True
+        assert annotate_session(events, tiny_expert)[-1].coherent is True
 
     def test_add_without_any_read_is_incoherent(self, tiny_expert):
         events, t = setup_events(tiny_expert)
         events.append(add_link(t, "a", "b", INC))
-        tagged = tag_coherence(annotate_session(events, tiny_expert), tiny_expert)
-        assert tagged[-1].coherent is False
+        assert annotate_session(events, tiny_expert)[-1].coherent is False
 
     def test_add_unsupported_by_read_pages_is_incoherent(self, tiny_expert):
         events, t = setup_events(tiny_expert)
         events += [read(t, page="pa"), add_link(t + 40, "b", "c", INC)]
-        tagged = tag_coherence(annotate_session(events, tiny_expert), tiny_expert)
-        assert tagged[-1].coherent is False
+        assert annotate_session(events, tiny_expert)[-1].coherent is False
 
     def test_non_link_events_stay_untagged(self, tiny_expert):
         events, t = setup_events(tiny_expert)
-        events.append(read(t, page="pa"))
-        tagged = tag_coherence(annotate_session(events, tiny_expert), tiny_expert)
-        assert all(e.coherent is None for e in tagged)
+        events += [read(t, page="pa"), add_link(t + 1, "a", "b", INC),
+                   link_edit(t + 2, MapEditAction.MARK_LINK, source="a", target="b",
+                             marking=Marking.MARKED_CORRECT),
+                   delete_link(t + 3, "a", "b")]
+        tagged = annotate_session(events, tiny_expert)
+        assert [e.coherent for e in tagged] == [None] * (len(tagged) - 3) + [True, None, None]
 
     def test_lookback_bounds_the_window(self, tiny_expert):
         events, t = setup_events(tiny_expert)
         events += [read(t, page="pa"), add_link(t + 500.0, "a", "b", INC)]
-        annotated = annotate_session(events, tiny_expert)
-        assert tag_coherence(annotated, tiny_expert, lookback=100.0)[-1].coherent is False
-        assert tag_coherence(annotated, tiny_expert, lookback=1000.0)[-1].coherent is True
+        assert _fed(events, tiny_expert, lookback=100.0)[-1].coherent is False
+        assert _fed(events, tiny_expert, lookback=1000.0)[-1].coherent is True
+        assert _fed(events, tiny_expert, lookback=500.0)[-1].coherent is True
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(1.0, 400.0), st.floats(0.0, 400.0))
     def test_lookback_monotonicity(self, tiny_expert, small, extra):
         events, t = setup_events(tiny_expert)
         events += [read(t, page="pa"), add_link(t + 120.0, "a", "b", INC)]
-        annotated = annotate_session(events, tiny_expert)
-        tight = tag_coherence(annotated, tiny_expert, lookback=small)[-1].coherent
-        loose = tag_coherence(annotated, tiny_expert, lookback=small + extra)[-1].coherent
+        tight = _fed(events, tiny_expert, lookback=small)[-1].coherent
+        loose = _fed(events, tiny_expert, lookback=small + extra)[-1].coherent
         if tight:
             assert loose
 
@@ -344,9 +396,32 @@ class TestCoherence:
                 old=CausalLink(source="a", target="b", sign=INC),
                 new=CausalLink(source="b", target="c", sign=INC))),
         ]
-        tagged = tag_coherence(annotate_session(events, tiny_expert), tiny_expert)
+        tagged = annotate_session(events, tiny_expert)
         assert tagged[-2].coherent is False  # a->b not on page pb
         assert tagged[-1].coherent is True   # modified into the b->c the page supports
+
+    @pytest.mark.parametrize("lookback", [math.nan, -5.0, -math.inf])
+    def test_bad_lookback_is_rejected(self, tiny_expert, lookback):
+        with pytest.raises(ValueError, match="coherence lookback"):
+            SessionAnnotator(tiny_expert, coherence_lookback=lookback)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_coherence_streams(),
+           st.one_of(st.none(), st.sampled_from([0.0, 60.0, 90.0]), st.floats(0.0, 600.0),
+                     st.just(math.inf)))
+    def test_in_stream_tags_equal_the_brute_force_scan(self, stream, lookback):
+        expert, events = stream
+        expected = oracles.brute_coherence(events, expert, lookback)
+        assert [e.coherent for e in _fed(events, expert, lookback)] == expected
+        retagged = tag_coherence(annotate_session(events, expert), expert, lookback=lookback)
+        assert [e.coherent for e in retagged] == expected
+
+    def test_replay_annotates_a_simulated_session_as_annotate_session_does(self, pack):
+        profile = replace(bundled_profiles()["high"], student_id="s-coh", seed=3)
+        session = simulate_session(profile, pack, 900.0)
+        replayed = replay_events(session.student_id, session.events, pack).annotated
+        assert replayed == tuple(annotate_session(session.events, pack))
+        assert any(e.coherent for e in replayed) and any(e.coherent is False for e in replayed)
 
 
 class TestCollapse:

@@ -434,7 +434,6 @@ class TestGradeQuiz:
                 Grade.CORRECT if it.answer is it.question.expert_answer else Grade.INCORRECT
             )
         incorrect = [it for it in items if it.grade is Grade.INCORRECT]
-        assert result.incorrect_items() == incorrect
         assert result.n_incorrect == len(incorrect)
         assert result.n_correct == len(items) - len(incorrect)
         assert result.score == 100.0 * result.n_correct / len(items)

@@ -71,6 +71,12 @@ class TestSimulate:
         started = datetime.fromisoformat(manifest["started_utc"]).timestamp()
         assert before - 0.01 <= started < before + 0.25
 
+    @pytest.mark.parametrize("budget", ["inf", "nan", "0", "-60"])
+    def test_budget_must_be_finite_and_positive(self, tmp_path, budget):
+        proc = run_subprocess(["simulate", "--budget", budget, "--out", tmp_path / "sim"],
+                              timeout=60)
+        assert_error_line(proc, "duration_budget must be finite and positive")
+
     def test_malformed_expert_map_fails_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "mapcoach-map/1",\n "concepts": [}\n')
@@ -88,6 +94,19 @@ class TestReplay:
         for path in sorted((sim_dir / "deliveries").glob("*.jsonl")):
             replayed = out / "deliveries" / path.name
             assert replayed.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("lookback", ["nan", "-5"])
+    def test_bad_coherence_lookback_is_an_error(self, sim_dir, tmp_path, lookback):
+        proc = run_subprocess(["replay", "--events", sim_dir / "events",
+                               "--coherence-lookback", lookback, "--out", tmp_path / "out"])
+        assert_error_line(proc, "coherence lookback must be >= 0")
+
+    def test_infinite_coherence_lookback_is_the_whole_session(self, sim_dir, tmp_path):
+        for name, extra in (("whole", []), ("inf", ["--coherence-lookback", "inf"])):
+            assert run(["replay", "--events", sim_dir / "events",
+                        "--out", tmp_path / name, *extra]) == 0
+        for path in sorted((tmp_path / "whole" / "annotated").glob("*.jsonl")):
+            assert (tmp_path / "inf" / "annotated" / path.name).read_bytes() == path.read_bytes()
 
     def test_empty_directory_warns_but_succeeds(self, tmp_path, capsys):
         empty = tmp_path / "none"
@@ -136,12 +155,13 @@ class TestMineAndReport:
         assert code != 0
 
 
-def run_subprocess(argv):
-    """Run the CLI in a fresh interpreter, so a traceback reaches stderr."""
+def run_subprocess(argv, timeout=None):
+    """Run the CLI in a fresh interpreter, so a traceback reaches stderr; a
+    run past `timeout` seconds is killed and raises TimeoutExpired."""
     src = str(Path(mapcoach.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "mapcoach.cli", *map(str, argv)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=timeout,
     )
 
 
@@ -486,8 +506,9 @@ class TestOutputPins:
 
 
 class TestCoherenceLookbackPin:
-    """Replay's bytes with a coherence lookback, pinned before coherence
-    tagging moves into the stream."""
+    """Replay's bytes with a coherence lookback, pinned when coherence was
+    still tagged by a second pass over the replayed events; the annotator
+    now tags each edit as it feeds and must write the same bytes."""
 
     SHA256 = "ccab4533d73b1a7f3d9944b34ba37da536dbb809d129800b66bf6ab7e143ea22"
 

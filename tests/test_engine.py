@@ -24,6 +24,7 @@ from mapcoach.causal import (
     Concept,
     EmptyQuiz,
     ExpertMap,
+    Grade,
     Marking,
     QueryAnswer,
     QuizQuestion,
@@ -387,14 +388,19 @@ class TestTriggerTable:
         assert fired == expected
 
 
+def _incorrect_items(quiz):
+    return [item for item in quiz.items if item.grade is Grade.INCORRECT]
+
+
 class _ItemsEngine(ScaffoldEngine):
-    """hint5's and hint6's target choices written over QuizResult.incorrect_items()."""
+    """hint5's and hint6's target choices written over the quiz items graded
+    incorrect."""
 
     def _hint5_targets(self, student_map, quiz):
         if quiz is None:
             return None
         concepts = set()
-        for item in quiz.incorrect_items():
+        for item in _incorrect_items(quiz):
             concepts.add(item.question.source)
             concepts.add(item.question.target)
         candidates = [
@@ -410,7 +416,7 @@ class _ItemsEngine(ScaffoldEngine):
         return _link_hints(pick)
 
     def _hint6_targets(self, student_map, quiz):
-        for item in quiz.incorrect_items():
+        for item in _incorrect_items(quiz):
             q = item.question
             for expert_link in self.expert.paths(q.source, q.target).links:
                 student_link = student_map.links.get(expert_link.key)

@@ -81,11 +81,10 @@ class TestEventLogs:
         assert {"read", "map_edit", "take_quiz"} <= kinds
 
     def test_annotated_roundtrip(self, session, pack_module, tmp_path):
-        from mapcoach.annotate import annotate_session, tag_coherence
+        from mapcoach.annotate import annotate_session
 
-        annotated = tag_coherence(
-            annotate_session(session.events, pack_module), pack_module
-        )
+        annotated = annotate_session(session.events, pack_module)
+        assert {e.coherent for e in annotated} == {None, True, False}
         path = tmp_path / "annotated.jsonl"
         logio.write_annotated(annotated, path)
         assert logio.read_annotated(path) == annotated
