@@ -14,15 +14,15 @@ from .annotate import ActionKind, AnnotatedEvent
 from .engine import ScaffoldDelivery, ScaffoldKind
 
 
-class DegenerateDenominator(Exception):
+class DegenerateDenominator(ValueError):
     pass
 
 
-class InsufficientEdits(Exception):
+class InsufficientEdits(ValueError):
     pass
 
 
-class NoObservationsInSpan(Exception):
+class NoObservationsInSpan(ValueError):
     pass
 
 

@@ -128,7 +128,7 @@ class AnnotatedEvent:
         return self.base.duration
 
 
-class ReplayError(Exception):
+class ReplayError(ValueError):
     def __init__(self, index: int, message: str):
         super().__init__(f"event {index}: {message}")
         self.index = index
@@ -336,7 +336,7 @@ def collapse(annotated: Sequence[AnnotatedEvent]) -> list[CollapsedToken]:
 # -- time distribution ---------------------------------------------------------
 
 
-class EmptySession(Exception):
+class EmptySession(ValueError):
     pass
 
 

@@ -44,7 +44,7 @@ class Grade(str, Enum):
     INCORRECT = "incorrect"
 
 
-class MapError(Exception):
+class MapError(ValueError):
     """Base class for malformed-map and bad-query errors."""
 
 

@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import random
+import re
 import sys
 import time
 from datetime import datetime, timezone
@@ -25,10 +26,10 @@ from pathlib import Path
 
 from . import __version__, logio
 from .analytics import StudentRecord, scaffold_impact
-from .annotate import ReplayError
-from .causal import EmptyQuiz, Grade, MapError, generate_quiz, grade_quiz, map_score
+from .annotate import EmptySession, SessionAnnotator, collapse, time_distribution
+from .causal import Grade, generate_quiz, grade_quiz, map_score
 from .engine import EngineConfig, ScaffoldKind, delivery_counts
-from .logio import FormatError, load_trees, scope_from_str
+from .logio import load_trees, scope_from_str
 from .mining import TokenSequence, mine
 from .pack import default_expert_map
 from .pipeline import replay_events
@@ -39,12 +40,7 @@ from .reports import (
     outcomes_table,
     time_distribution_table,
 )
-from .simulate import derive_seed, simulate_cohort
-from .annotate import collapse
-
-
-class CliError(Exception):
-    pass
+from .simulate import derive_seed, profiles_from_document, simulate_cohort
 
 
 def _engine_flags(parser: argparse.ArgumentParser):
@@ -71,7 +67,8 @@ def _engine_flags(parser: argparse.ArgumentParser):
 def _engine_config(args) -> EngineConfig:
     """Engine settings: an explicit flag wins over the --engine-config file,
     and the file wins over the EngineConfig defaults."""
-    settings = {} if args.engine_config is None else _read_engine_config(args.engine_config)
+    settings = ({} if args.engine_config is None
+                else logio.load_document(args.engine_config, _engine_settings))
     flags = {
         "min_inter_scaffold_seconds": args.min_inter_scaffold,
         "long_threshold": args.long_threshold,
@@ -86,38 +83,33 @@ def _engine_config(args) -> EngineConfig:
     return EngineConfig(**settings)
 
 
-def _read_engine_config(path: Path) -> dict:
-    """The EngineConfig fields an --engine-config file sets: a JSON object of
-    known settings, each of its field's type and in its range; a bad file is
-    a CliError naming it."""
+def _engine_settings(settings) -> dict:
+    """The EngineConfig fields an --engine-config document sets: a JSON
+    object of known settings, each of its field's type and in its range."""
     defaults = {f.name: f.default for f in dataclasses.fields(EngineConfig)}
-    try:
-        settings = logio.read_json(path)
-        if not isinstance(settings, dict):
-            raise ValueError("expected a JSON object of engine settings")
-        for key, value in settings.items():
-            if key not in defaults:
-                raise ValueError(f"unknown engine setting {key!r}")
-            accepted = {float: (int, float), int: int, frozenset: list}[type(defaults[key])]
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ValueError(f"engine setting {key!r} cannot be {type(value).__name__}")
-            if key == "disabled_kinds":
-                settings[key] = frozenset(ScaffoldKind(k) for k in value)
-        EngineConfig(**settings)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+    if not isinstance(settings, dict):
+        raise ValueError("expected a JSON object of engine settings")
+    for key, value in settings.items():
+        if key not in defaults:
+            raise ValueError(f"unknown engine setting {key!r}")
+        accepted = {float: (int, float), int: int, frozenset: list}[type(defaults[key])]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValueError(f"engine setting {key!r} cannot be {type(value).__name__}")
+        if key == "disabled_kinds":
+            settings[key] = frozenset(ScaffoldKind(k) for k in value)
+    EngineConfig(**settings)
     return settings
 
 
 def _read_student_log(read, path: Path) -> list:
     """Read one student's log, named <student>.jsonl; a record of another
-    student is a CliError naming the file."""
+    student is a ValueError naming the file."""
     records = read(path)
     student = path.stem
     for n, record in enumerate(records, start=1):
         if record.student_id != student:
-            raise CliError(f"{path}: record {n} is for student {record.student_id!r}, "
-                           f"not {student!r} as the file name says")
+            raise ValueError(f"{path}: record {n} is for student {record.student_id!r}, "
+                             f"not {student!r} as the file name says")
     return records
 
 
@@ -150,9 +142,8 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     expert = _load_expert(args.expert)
     config = _engine_config(args) if not args.no_engine else None
-    profiles = None
-    if args.profiles is not None:
-        profiles = _load_profiles(args.profiles)
+    profiles = (None if args.profiles is None
+                else logio.load_document(args.profiles, profiles_from_document))
     trees = load_trees(args.trees) if args.trees is not None else None
     cohort = simulate_cohort(
         n_high=args.high,
@@ -196,15 +187,6 @@ def _draw_outcome(student_id: str, group: str, cohort_seed: int) -> dict:
     return {"student": student_id, "pre": pre, "post": post, "max": max_score}
 
 
-def _load_profiles(path: Path):
-    from .simulate import profiles_from_document
-
-    profiles = logio.load_document(path, profiles_from_document)
-    if set(profiles) != {"high", "low"}:
-        raise CliError("profiles file must define exactly 'high' and 'low'")
-    return profiles
-
-
 # -- replay ---------------------------------------------------------------------
 
 
@@ -213,6 +195,9 @@ def cmd_replay(args) -> int:
     expert = _load_expert(args.expert)
     config = _engine_config(args)
     trees = load_trees(args.trees) if args.trees is not None else None
+    # the annotator checks the lookback; built here, before any output, it
+    # rejects a bad value for an events directory without logs too
+    SessionAnnotator(expert, coherence_lookback=args.coherence_lookback)
     events_dir = Path(args.events)
     files = sorted(events_dir.glob("*.jsonl"))
     started = time.time()
@@ -228,8 +213,8 @@ def cmd_replay(args) -> int:
             result = replay_events(sid, events, expert, config,
                                    coherence_lookback=args.coherence_lookback,
                                    trees=trees)
-        except (MapError, ReplayError) as exc:
-            raise CliError(f"{path}: student {sid}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: student {sid}: {exc}") from exc
         logio.write_annotated(result.annotated, out_dir / "annotated" / f"{sid}.jsonl")
         logio.write_deliveries(result.deliveries, out_dir / "deliveries" / f"{sid}.jsonl")
         outputs += [f"annotated/{sid}.jsonl", f"deliveries/{sid}.jsonl"]
@@ -261,7 +246,7 @@ def cmd_mine(args) -> int:
     groups = _read_group_sequences(args.annotated, grouping)
     names = sorted(groups)
     if len(names) != 2:
-        raise CliError(f"need exactly 2 groups in {args.grouping}, found {names}")
+        raise ValueError(f"need exactly 2 groups in {args.grouping}, found {names}")
     label_a, label_b = ("High", "Low") if set(names) == {"High", "Low"} else tuple(names)
     patterns = mine(
         groups[label_a],
@@ -293,6 +278,11 @@ def cmd_report(args) -> int:
     for path in sorted(Path(args.annotated).glob("*.jsonl")):
         sid = path.stem
         annotated = _read_student_log(logio.read_annotated, path)
+        if sid in grouping:
+            try:
+                time_distribution(annotated)
+            except EmptySession as exc:
+                raise ValueError(f"{path}: {exc}") from exc
         annotated_by_student[sid] = annotated
         deliveries = []
         if args.deliveries is not None:
@@ -419,13 +409,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a negative number that argparse, reading only -5 and -.5 as numbers, takes for an option
+_NEGATIVE_FLOAT = re.compile(r"-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)", re.I)
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with each negative float value, such as -inf or -1e3, attached
+    to the option before it (--budget=-inf)."""
+    attached = []
+    for arg in argv:
+        previous = attached[-1] if attached else ""
+        if previous.startswith("--") and "=" not in previous and _NEGATIVE_FLOAT.fullmatch(arg):
+            attached[-1] = f"{previous}={arg}"
+        else:
+            attached.append(arg)
+    return attached
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     args._t0 = time.monotonic()
     try:
         return args.func(args)
-    except (CliError, FormatError, MapError, EmptyQuiz, ReplayError, OSError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -101,7 +101,7 @@ KIND_LABELS = {
 # -- conversation trees --------------------------------------------------------
 
 
-class MalformedTree(Exception):
+class MalformedTree(ValueError):
     pass
 
 
@@ -465,7 +465,7 @@ class ScaffoldDelivery:
     target_hints: Optional[TargetHints] = None
 
 
-class EngineError(Exception):
+class EngineError(ValueError):
     pass
 
 

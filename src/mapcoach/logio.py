@@ -66,7 +66,6 @@ from .causal import (
     CausalMap,
     Concept,
     ExpertMap,
-    MapError,
     Marking,
     QuizScope,
     Sign,
@@ -74,7 +73,6 @@ from .causal import (
 from .engine import (
     Agent,
     ConversationTree,
-    MalformedTree,
     ScaffoldDelivery,
     ScaffoldKind,
     TargetHints,
@@ -90,7 +88,7 @@ T = TypeVar("T")
 E = TypeVar("E", bound=Enum)
 
 
-class FormatError(Exception):
+class FormatError(ValueError):
     pass
 
 
@@ -204,30 +202,29 @@ def save_map(cmap: CausalMap, path: Path):
     Path(path).write_text(dumps_map(cmap))
 
 
-def read_json(path: Path):
-    """The JSON document in a file, with json.loads's own errors; nesting
-    deeper than the decoder's recursion limit is a FormatError naming the
-    file."""
+def load_document(path: Path, parse: Callable[[object], T]) -> T:
+    """parse applied to the JSON document in a file. A decode error, or
+    nesting deeper than the decoder's recursion limit, is a FormatError
+    naming the file, and so is whatever `_parsed` turns into one."""
     text = Path(path).read_text()
     try:
-        return json.loads(text)
-    except RecursionError as exc:
-        raise FormatError(f"{path}: JSON nested too deeply") from exc
-
-
-def load_document(path: Path, parse: Callable[[object], T]) -> T:
-    """parse applied to the JSON document in a file. A decode error, a
-    missing field (KeyError) or a document parse rejects is a FormatError
-    naming the file."""
-    try:
-        doc = read_json(path)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path}: JSON nested too deeply") from exc
+    return _parsed(path, parse, doc)
+
+
+def _parsed(path: Path, parse: Callable[[object], T], value) -> T:
+    """parse(value), read from the file at path: a missing field (KeyError),
+    a value parse rejects (TypeError, ValueError) or a number too large for
+    a float (OverflowError) is a FormatError naming the file."""
     try:
-        return parse(doc)
+        return parse(value)
     except KeyError as exc:
         raise FormatError(f"{path}: missing field {exc}") from exc
-    except (FormatError, MalformedTree, MapError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -236,7 +233,7 @@ def load_map(path: Path) -> CausalMap:
 
 
 def load_expert_map(path: Path) -> ExpertMap:
-    return ExpertMap(load_map(path))
+    return load_document(path, lambda doc: ExpertMap(map_from_document(doc)))
 
 
 # -- quiz scopes -------------------------------------------------------------
@@ -530,13 +527,7 @@ def read_jsonl(path: Path) -> list[dict]:
 def _read_records(path: Path, from_record: Callable[[dict], T]) -> list[T]:
     """Parse every record of a JSON-lines log; a missing or bad field is a
     FormatError naming the file once (read_jsonl's own errors name it)."""
-    records = read_jsonl(path)
-    try:
-        return [from_record(r) for r in records]
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing field {exc}") from exc
-    except (FormatError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _parsed(path, lambda records: [from_record(r) for r in records], read_jsonl(path))
 
 
 def read_events(path: Path) -> list[ActionEvent]:
@@ -586,18 +577,15 @@ def write_grouping(grouping: dict[str, str], path: Path):
     Path(path).write_text(json.dumps(grouping, indent=2, sort_keys=True) + "\n")
 
 
+def grouping_from_document(doc) -> dict[str, str]:
+    """Student id -> group name, from a JSON object of strings."""
+    if not isinstance(doc, dict) or not all(isinstance(group, str) for group in doc.values()):
+        raise FormatError("expected a JSON object of student id to group name")
+    return doc
+
+
 def load_grouping(path: Path) -> dict[str, str]:
-    """Student id -> group name; anything but a JSON object of strings is a
-    FormatError naming the file."""
-    try:
-        grouping = read_json(path)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    if not isinstance(grouping, dict) or not all(
-        isinstance(group, str) for group in grouping.values()
-    ):
-        raise FormatError(f"{path}: expected a JSON object of student id to group name")
-    return grouping
+    return load_document(path, grouping_from_document)
 
 
 def outcome_from_record(record: dict) -> OutcomeRecord:

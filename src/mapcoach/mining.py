@@ -30,7 +30,7 @@ from .stats import cohens_d, pooled_t, t_two_sided_p
 Span = tuple[int, int]
 
 
-class EmptyPattern(Exception):
+class EmptyPattern(ValueError):
     pass
 
 

@@ -13,10 +13,10 @@ from .analytics import Emotion, ImpactCell, OutcomeRecord, Phase
 from .annotate import ActionKind, AnnotatedEvent, time_distribution
 from .engine import HISTOGRAM_BUCKETS, DeliveryStats, ScaffoldKind
 from .mining import DsmPattern
-from .stats import DegenerateCovariate, DegenerateVariance, one_way_ancova, one_way_anova
+from .stats import one_way_ancova, one_way_anova
 
 # what the tests in `stats` raise when the data cannot support them
-_STATS_ERRORS = (ValueError, ArithmeticError, DegenerateVariance, DegenerateCovariate)
+_STATS_ERRORS = (ValueError, ArithmeticError)
 
 ACTIVITY_COLUMNS = [
     (ActionKind.READ, "Read"),

@@ -210,8 +210,9 @@ def profiles_to_document(profiles: dict[str, StudentProfile]) -> dict:
 
 
 def profiles_from_document(doc: dict) -> dict[str, StudentProfile]:
-    """Profiles by name. A missing field raises KeyError; a field of the
-    wrong JSON type or value, TypeError or ValueError."""
+    """The profiles 'high' and 'low' by name. A missing field raises
+    KeyError; a field of the wrong JSON type or value, or another set of
+    profiles, TypeError or ValueError."""
     profiles = {}
     for name, p in json_typed(doc, dict, "a profiles document").items():
         p = json_typed(p, dict, f"profile {name!r}")
@@ -231,6 +232,8 @@ def profiles_from_document(doc: dict) -> dict[str, StudentProfile]:
             wrong_sign_share=p.get("wrong_sign_share", 0.8),
             shortcut_share=p.get("shortcut_share", 0.3),
         )
+    if set(profiles) != {"high", "low"}:
+        raise ValueError(f"expected exactly the profiles 'high' and 'low', got {sorted(profiles)}")
     return profiles
 
 

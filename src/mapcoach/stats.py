@@ -10,11 +10,11 @@ from statistics import fmean
 from typing import Sequence
 
 
-class DegenerateVariance(Exception):
+class DegenerateVariance(ValueError):
     pass
 
 
-class DegenerateCovariate(Exception):
+class DegenerateCovariate(ValueError):
     pass
 
 

@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -95,11 +97,21 @@ class TestReplay:
             replayed = out / "deliveries" / path.name
             assert replayed.read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("lookback", ["nan", "-5"])
-    def test_bad_coherence_lookback_is_an_error(self, sim_dir, tmp_path, lookback):
-        proc = run_subprocess(["replay", "--events", sim_dir / "events",
+    @pytest.mark.parametrize(
+        "lookback, logs",
+        [("nan", "simulated"), ("-5", "simulated"), ("nan", "none"), ("-5", "none")],
+        ids=["nan", "-5", "nan-no-logs", "-5-no-logs"],
+    )
+    def test_bad_coherence_lookback_is_an_error(self, request, tmp_path, lookback, logs):
+        if logs == "simulated":
+            events = request.getfixturevalue("sim_dir") / "events"
+        else:
+            events = tmp_path / "none"
+            events.mkdir()
+        proc = run_subprocess(["replay", "--events", events,
                                "--coherence-lookback", lookback, "--out", tmp_path / "out"])
         assert_error_line(proc, "coherence lookback must be >= 0")
+        assert not (tmp_path / "out").exists()
 
     def test_infinite_coherence_lookback_is_the_whole_session(self, sim_dir, tmp_path):
         for name, extra in (("whole", []), ("inf", ["--coherence-lookback", "inf"])):
@@ -153,6 +165,19 @@ class TestMineAndReport:
         code = run(["mine", "--annotated", sim_dir / "events",
                     "--grouping", tmp_path / "missing.json", "--out", tmp_path / "dsm.tsv"])
         assert code != 0
+
+
+def test_every_mapcoach_exception_is_a_value_error():
+    """`main` reports bad input by catching ValueError and OSError, so each
+    exception class a mapcoach module defines must be a ValueError."""
+    defined = {}
+    for info in pkgutil.iter_modules(mapcoach.__path__):
+        module = importlib.import_module(f"mapcoach.{info.name}")
+        defined.update((f"{module.__name__}.{name}", cls) for name, cls in vars(module).items()
+                       if isinstance(cls, type) and issubclass(cls, BaseException)
+                       and cls.__module__ == module.__name__)
+    assert "mapcoach.logio.FormatError" in defined and len(defined) >= 18, sorted(defined)
+    assert [name for name, cls in sorted(defined.items()) if not issubclass(cls, ValueError)] == []
 
 
 def run_subprocess(argv, timeout=None):
@@ -245,8 +270,8 @@ class TestEngineConfigFile:
     @pytest.mark.parametrize(
         "text",
         ["[1, 2]", '{"enc3_every": "3"}', '{"enc3_every": 0}', '{"long_threshold": NaN}',
-         '{"hint1_window_seconds": Infinity}'],
-        ids=["not-an-object", "wrong-type", "out-of-range", "nan", "infinite"],
+         '{"hint1_window_seconds": Infinity}', '{"long_threshold": 1%s}' % ("0" * 400)],
+        ids=["not-an-object", "wrong-type", "out-of-range", "nan", "infinite", "huge-integer"],
     )
     def test_bad_file_is_an_error_line_naming_it(self, tmp_path, text):
         config = tmp_path / "engine.json"
@@ -270,6 +295,69 @@ class TestEngineConfigFile:
         proc = run_subprocess(["replay", "--events", tmp_path, flag, "nan",
                                "--out", tmp_path / "out"])
         assert_error_line(proc, "must be finite")
+
+
+class TestNegativeFloatValues:
+    """A negative float argparse does not read as a number, such as -inf, is
+    still the option's value, so a bad one is an error line, not usage."""
+
+    @pytest.fixture()
+    def two_groups(self, tmp_path):
+        annotated = tmp_path / "annotated"
+        annotated.mkdir()
+        for student in ("s1", "s2"):
+            record = dict(TestBadAnnotatedRecord.RECORD, process="IA", student=student)
+            (annotated / f"{student}.jsonl").write_text(json.dumps(record) + "\n")
+        (tmp_path / "grouping.json").write_text('{"s1": "High", "s2": "Low"}')
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["simulate", "--budget", "-inf"], "duration_budget must be finite and positive, got -inf"),
+         (["simulate", "--budget", "-1e3"], "duration_budget must be finite and positive, got -1000.0"),
+         (["replay", "--events", "{tmp}", "--coherence-lookback", "-inf"],
+          "coherence lookback must be >= 0 seconds, got -inf"),
+         (["replay", "--events", "{tmp}", "--long-threshold", "-inf"],
+          "long_threshold must be finite"),
+         (["replay", "--events", "{tmp}", "--min-inter-scaffold", "-inf"],
+          "min_inter_scaffold_seconds must be finite"),
+         (["replay", "--events", "{tmp}", "--hint1-window-seconds", "-inf"],
+          "hint1_window_seconds must be finite"),
+         (["mine", "--annotated", "{tmp}/annotated", "--grouping", "{tmp}/grouping.json",
+           "--s-threshold", "-inf"], "s_threshold must be in (0, 1]")],
+        ids=["budget", "budget-exponent", "coherence-lookback", "long-threshold",
+             "min-inter-scaffold", "hint1-window-seconds", "s-threshold"],
+    )
+    def test_is_an_error_line(self, two_groups, capsys, argv, message):
+        argv = [a.format(tmp=two_groups) for a in argv] + ["--out", two_groups / "out"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (two_groups / "out").exists()
+
+    def test_without_an_option_it_exits_with_usage(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["score", "-inf", "--student-map", "map.json"])
+        assert err.value.code == 2
+        assert "usage" in capsys.readouterr().err
+
+
+class TestNoLoggedTime:
+    """`report` on an annotated log with no logged time, as replay writes for
+    an empty events log, is an error line naming the file."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", json.dumps(dict(TestBadAnnotatedRecord.RECORD, process="IA", duration=0.0)) + "\n"],
+        ids=["empty", "zero-durations"],
+    )
+    def test_is_an_error_line_naming_the_file(self, tmp_path, text):
+        proc = run_on_annotated("report", tmp_path, text)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {tmp_path / 'annotated' / 's1.jsonl'}: no logged time in session\n"
+
+    def test_outside_the_grouping_it_is_skipped(self, tmp_path):
+        proc = run_on_annotated("report", tmp_path, "", grouping_text="{}")
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRecordStudentMatchesFile:
@@ -574,6 +662,14 @@ def _short_read_duration_profiles():
     return doc
 
 
+def _profiles_without_low():
+    from mapcoach.simulate import bundled_profiles, profiles_to_document
+
+    doc = profiles_to_document(bundled_profiles())
+    del doc["low"]
+    return doc
+
+
 class TestMalformedDocuments:
     """A settings or map file holding valid JSON of the wrong shape is one
     error line naming the file, not a traceback."""
@@ -588,6 +684,7 @@ class TestMalformedDocuments:
         "string": "x",
         "null": None,
         "read-duration-without-spread": _short_read_duration_profiles(),
+        "profiles-without-low": _profiles_without_low(),
     }
 
     @pytest.mark.parametrize("document", DOCUMENTS.values(), ids=DOCUMENTS.keys())
@@ -606,6 +703,32 @@ class TestMalformedDocuments:
         assert run([a.format(path=path, out=out) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+    def test_expert_map_without_a_page_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "expert.json"
+        path.write_text(json.dumps({"format": "mapcoach-map/1",
+                                    "concepts": [{"id": c, "name": c, "section": "s"}
+                                                 for c in ("a", "b")],
+                                    "links": [{"source": "a", "target": "b", "sign": "increase"}]}))
+        assert run(["replay", "--events", tmp_path, "--expert", path,
+                    "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: expert link a +-> b has no source page\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--expert", "{path}", "--out", "{out}"],
+         ["simulate", "--trees", "{path}", "--out", "{out}"],
+         ["simulate", "--profiles", "{path}", "--out", "{out}"],
+         ["simulate", "--engine-config", "{path}", "--out", "{out}"],
+         ["mine", "--annotated", "{out}", "--grouping", "{path}", "--out", "{out}/dsm.tsv"]],
+        ids=["expert", "trees", "profiles", "engine-config", "grouping"],
+    )
+    def test_decode_error_names_file_and_line(self, tmp_path, capsys, argv):
+        path = tmp_path / "document.json"
+        path.write_text("x")
+        out = tmp_path / "out"
+        assert run([a.format(path=path, out=out) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: {path}: line 1: Expecting value\n"
 
 
 def _expl_folded_into_read(mix):
