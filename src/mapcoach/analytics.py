@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import statistics
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
+from ._record import record
 from .annotate import ActionKind, AnnotatedEvent
 from .engine import ScaffoldDelivery, ScaffoldKind
 
@@ -33,7 +34,7 @@ def nlg(pre: float, post: float, max_score: float) -> float:
     return (post - pre) / (max_score - pre)
 
 
-@dataclass(frozen=True)
+@record
 class OutcomeRecord:
     student_id: str
     pre: float
@@ -48,7 +49,7 @@ class OutcomeRecord:
 # -- grouping ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class MedianSplit:
     median: float
     high: frozenset[str]
@@ -94,7 +95,7 @@ class Phase(str, Enum):
     AFTER = "after"
 
 
-@dataclass(frozen=True)
+@record
 class ScaffoldInterval:
     student_id: str
     kind: ScaffoldKind
@@ -178,7 +179,7 @@ class Emotion(str, Enum):
     FRUSTRATION = "frustration"
 
 
-@dataclass(frozen=True)
+@record
 class AffectObservation:
     student_id: str
     timestamp: float
@@ -210,7 +211,7 @@ def _mean_likelihoods(hits: Sequence[AffectObservation]) -> dict[Emotion, float]
 # -- scaffold impact --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class StudentRecord:
     """One student's complete analyzed session, as the impact analysis needs it."""
 
@@ -221,7 +222,7 @@ class StudentRecord:
     session_end: float = 0.0
 
 
-@dataclass(frozen=True)
+@record
 class ImpactCell:
     group: str
     kind: ScaffoldKind

@@ -4,10 +4,11 @@ into -Mult tokens, and compute per-activity time distributions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
+from ._record import record
 from .causal import (
     CausalLink,
     CausalMap,
@@ -62,7 +63,7 @@ _READ, _MAP_EDIT, _ADD_LINK, _MODIFY_LINK = (
     ActionKind.READ, ActionKind.MAP_EDIT, MapEditAction.ADD_LINK, MapEditAction.MODIFY_LINK)
 
 
-@dataclass(frozen=True)
+@record
 class MapEdit:
     """One map-edit payload; fields beyond `action` are action-specific."""
 
@@ -85,7 +86,7 @@ class MapEdit:
         return None
 
 
-@dataclass(frozen=True)
+@record
 class ActionEvent:
     student_id: str
     timestamp: float
@@ -102,7 +103,7 @@ class ActionEvent:
         return self.timestamp + self.duration
 
 
-@dataclass(frozen=True)
+@record
 class AnnotatedEvent:
     base: ActionEvent
     process: Process
@@ -274,7 +275,7 @@ def tag_coherence(
 # -- collapsed token streams -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CollapsedToken:
     label: str
     count: int

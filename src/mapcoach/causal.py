@@ -4,9 +4,10 @@ sign-propagation queries, and quiz generation/grading."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
+
+from ._record import record
 
 
 class Sign(str, Enum):
@@ -72,14 +73,14 @@ class PathExplosion(MapError):
 DEFAULT_MAX_PATHS = 10_000
 
 
-@dataclass(frozen=True)
+@record
 class Concept:
     id: str
     name: str
     section: str
 
 
-@dataclass(frozen=True)
+@record
 class CausalLink:
     source: str
     target: str
@@ -222,7 +223,7 @@ class CausalMap:
         return self._derived(self._concepts, links)
 
 
-@dataclass(frozen=True)
+@record
 class PathFacts:
     """What the simple expert paths from one concept to another add up to."""
 
@@ -505,7 +506,7 @@ def _walk(
             open_[left] = True
 
 
-@dataclass(frozen=True)
+@record
 class QueryResult:
     answer: QueryAnswer
     used_links: frozenset[CausalLink]
@@ -548,7 +549,7 @@ def answer_query(
 # -- quizzes -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class QuizScope:
     kind: str  # "everything" | "section"
     section: Optional[str] = None
@@ -565,7 +566,7 @@ class QuizScope:
         return self.kind if self.kind == "everything" else f"section:{self.section}"
 
 
-@dataclass(frozen=True)
+@record
 class QuizQuestion:
     source: str
     target: str
@@ -573,14 +574,14 @@ class QuizQuestion:
     direction: Sign = Sign.INCREASE
 
 
-@dataclass(frozen=True)
+@record
 class QuizItem:
     question: QuizQuestion
     answer: QueryAnswer
     grade: Grade
 
 
-@dataclass(frozen=True)
+@record
 class QuizResult:
     """A graded quiz: the student's answer to each question, in order.
 

@@ -113,6 +113,13 @@ def _read_student_log(read, path: Path) -> list:
     return records
 
 
+def _input_dir(path: Path) -> Path:
+    """`path`, or a ValueError if no directory is there."""
+    if not path.is_dir():
+        raise ValueError(f"{path}: no such directory")
+    return path
+
+
 def _write_manifest(path: Path, command: str, args: argparse.Namespace,
                     outputs: list[str], started: float, seed=None):
     manifest = {
@@ -198,7 +205,7 @@ def cmd_replay(args) -> int:
     # the annotator checks the lookback; built here, before any output, it
     # rejects a bad value for an events directory without logs too
     SessionAnnotator(expert, coherence_lookback=args.coherence_lookback)
-    events_dir = Path(args.events)
+    events_dir = _input_dir(args.events)
     files = sorted(events_dir.glob("*.jsonl"))
     started = time.time()
     (out_dir / "annotated").mkdir(parents=True, exist_ok=True)
@@ -228,7 +235,7 @@ def cmd_replay(args) -> int:
 
 def _read_group_sequences(annotated_dir: Path, grouping: dict[str, str]):
     groups: dict[str, list[TokenSequence]] = {}
-    for path in sorted(Path(annotated_dir).glob("*.jsonl")):
+    for path in sorted(annotated_dir.glob("*.jsonl")):
         sid = path.stem
         group = grouping.get(sid)
         if group is None:
@@ -243,7 +250,7 @@ def _read_group_sequences(annotated_dir: Path, grouping: dict[str, str]):
 def cmd_mine(args) -> int:
     started = time.time()
     grouping = logio.load_grouping(args.grouping)
-    groups = _read_group_sequences(args.annotated, grouping)
+    groups = _read_group_sequences(_input_dir(args.annotated), grouping)
     names = sorted(groups)
     if len(names) != 2:
         raise ValueError(f"need exactly 2 groups in {args.grouping}, found {names}")
@@ -269,13 +276,16 @@ def cmd_mine(args) -> int:
 
 
 def cmd_report(args) -> int:
+    annotated_dir = _input_dir(args.annotated)
+    deliveries_dir = None if args.deliveries is None else _input_dir(args.deliveries)
+    affect_dir = None if args.affect is None else _input_dir(args.affect)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     grouping = logio.load_grouping(args.grouping)
     started = time.time()
     annotated_by_student = {}
     records = []
-    for path in sorted(Path(args.annotated).glob("*.jsonl")):
+    for path in sorted(annotated_dir.glob("*.jsonl")):
         sid = path.stem
         annotated = _read_student_log(logio.read_annotated, path)
         if sid in grouping:
@@ -285,13 +295,13 @@ def cmd_report(args) -> int:
                 raise ValueError(f"{path}: {exc}") from exc
         annotated_by_student[sid] = annotated
         deliveries = []
-        if args.deliveries is not None:
-            dpath = Path(args.deliveries) / f"{sid}.jsonl"
+        if deliveries_dir is not None:
+            dpath = deliveries_dir / f"{sid}.jsonl"
             if dpath.exists():
                 deliveries = _read_student_log(logio.read_deliveries, dpath)
         affect = []
-        if args.affect is not None:
-            apath = Path(args.affect) / f"{sid}.jsonl"
+        if affect_dir is not None:
+            apath = affect_dir / f"{sid}.jsonl"
             if apath.exists():
                 affect = _read_student_log(logio.read_affect, apath)
         session_end = annotated[-1].base.end if annotated else 0.0

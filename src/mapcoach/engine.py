@@ -29,6 +29,7 @@ from enum import Enum
 from string import Template
 from typing import Callable, Optional, Sequence
 
+from ._record import record
 from .annotate import (
     ActionKind,
     AnnotatedEvent,
@@ -105,13 +106,13 @@ class MalformedTree(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class ResponseOption:
     text: str
     goto: Optional[str] = None  # None means the student exits here
 
 
-@dataclass(frozen=True)
+@record
 class ConversationNode:
     id: str
     prompt: str
@@ -163,7 +164,7 @@ class ConversationTree:
             raise MalformedTree(f"unreachable nodes: {sorted(unreachable)}")
 
 
-@dataclass(frozen=True)
+@record
 class TranscriptStep:
     node: str
     prompt: str
@@ -422,7 +423,7 @@ def json_typed(value, kind: type, what: str):
 # -- deliveries ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class TargetHints:
     link: Optional[str] = None
     source: Optional[str] = None
@@ -444,7 +445,7 @@ class TargetHints:
         }
 
 
-@dataclass(frozen=True)
+@record
 class TriggerContext:
     rule: str
     prev_index: Optional[int]
@@ -454,7 +455,7 @@ class TriggerContext:
     detail: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@record
 class ScaffoldDelivery:
     student_id: str
     kind: ScaffoldKind
@@ -473,7 +474,7 @@ class OutOfOrderEvent(EngineError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class EngineConfig:
     min_inter_scaffold_seconds: float = 60.0
     hint1_window_events: int = 5
@@ -868,7 +869,7 @@ def _link_hints(link: CausalLink) -> TargetHints:
 # -- delivery statistics ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class DeliveryStats:
     count_range: tuple[int, int]
     mean: float

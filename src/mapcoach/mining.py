@@ -20,11 +20,11 @@ Biswas (JEDM 2013).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from statistics import fmean
 from typing import Sequence
 
+from ._record import record
 from .stats import cohens_d, pooled_t, t_two_sided_p
 
 Span = tuple[int, int]
@@ -34,13 +34,13 @@ class EmptyPattern(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class TokenSequence:
     student_id: str
     tokens: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class DsmPattern:
     pattern: tuple[str, ...]
     s_support_a: float

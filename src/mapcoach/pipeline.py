@@ -3,9 +3,9 @@ of a simulated session reproduces its in-loop deliveries."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._record import record
 from .annotate import (
     DEFAULT_LONG_THRESHOLD,
     ActionEvent,
@@ -46,7 +46,7 @@ class SessionStep:
         return self.engine.finalize(session_end) if self.engine else []
 
 
-@dataclass(frozen=True)
+@record
 class ReplayResult:
     student_id: str
     annotated: tuple[AnnotatedEvent, ...]

@@ -20,11 +20,12 @@ import math
 import random
 from bisect import bisect
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
+from ._record import record
 from .analytics import AffectObservation, Emotion
 from .annotate import ActionEvent, ActionKind, MapEdit, MapEditAction
 from .causal import (
@@ -55,7 +56,7 @@ CONFUSION_BUMP = 0.05
 CONFUSION_BUMP_WINDOW = 120.0
 
 
-@dataclass(frozen=True)
+@record
 class DurationModel:
     mean: float
     spread: float
@@ -75,7 +76,7 @@ DURATION_FIELDS = ("read_duration", "edit_duration", "quiz_duration", "note_dura
                    "expl_duration")
 
 
-@dataclass(frozen=True)
+@record
 class StudentProfile:
     student_id: str
     activity_mix: dict[ActionKind, float]
@@ -113,7 +114,7 @@ class StudentProfile:
                 raise ValueError(f"{name}={p} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@record
 class SessionLog:
     student_id: str
     events: tuple[ActionEvent, ...]
@@ -690,7 +691,7 @@ def simulate_session(
     return _Session(profile, expert, duration_budget, engine).run()
 
 
-@dataclass(frozen=True)
+@record
 class CohortResult:
     sessions: tuple[SessionLog, ...]
     grouping: dict[str, str]

@@ -5,9 +5,10 @@ continued-fraction regularized incomplete beta (|error| < 1e-8)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import fmean
 from typing import Sequence
+
+from ._record import record
 
 
 class DegenerateVariance(ValueError):
@@ -18,7 +19,7 @@ class DegenerateCovariate(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class TestResult:
     statistic: float
     p_value: float

@@ -167,6 +167,27 @@ class TestMineAndReport:
         assert code != 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["replay", "--events", "{missing}"],
+     ["mine", "--annotated", "{missing}", "--grouping", "{grouping}"],
+     ["report", "--annotated", "{missing}", "--grouping", "{grouping}"],
+     ["report", "--annotated", "{empty}", "--deliveries", "{missing}", "--grouping", "{grouping}"],
+     ["report", "--annotated", "{empty}", "--affect", "{missing}", "--grouping", "{grouping}"]],
+    ids=["replay-events", "mine-annotated", "report-annotated", "report-deliveries",
+         "report-affect"],
+)
+def test_missing_input_directory_is_an_error_line(tmp_path, capsys, argv):
+    missing, empty, grouping, out = (tmp_path / name for name in
+                                     ("missing", "empty", "grouping.json", "out"))
+    empty.mkdir()
+    grouping.write_text('{"s1": "High"}')
+    argv = [arg.format(missing=missing, empty=empty, grouping=grouping) for arg in argv]
+    assert run([*argv, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {missing}: no such directory\n"
+    assert not out.exists()
+
+
 def test_every_mapcoach_exception_is_a_value_error():
     """`main` reports bad input by catching ValueError and OSError, so each
     exception class a mapcoach module defines must be a ValueError."""
@@ -544,6 +565,19 @@ class TestAffectAndDeliveryRecords:
     def test_bad_delivery_time_is_an_error_line(self, cohort_copy, value, message):
         path = cohort_copy / "deliveries" / "high-000.jsonl"
         rewrite_log(path, lambda r: r.update(t=value))
+        proc = self.report(cohort_copy)
+        assert_error_line(proc)
+        assert proc.stderr == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "hints, message",
+        [({"colour": "red"}, "TargetHints.__init__() got an unexpected keyword argument 'colour'"),
+         (["link"], "mapcoach.engine.TargetHints() argument after ** must be a mapping, not list")],
+        ids=["unknown-key", "not-an-object"],
+    )
+    def test_bad_delivery_hints_are_an_error_line(self, cohort_copy, hints, message):
+        path = cohort_copy / "deliveries" / "high-000.jsonl"
+        rewrite_log(path, lambda r: r.update(hints=hints))
         proc = self.report(cohort_copy)
         assert_error_line(proc)
         assert proc.stderr == f"error: {path}: {message}\n"
