@@ -15,7 +15,6 @@ manifest are byte-stable for identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import random
 import re
@@ -25,7 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, logio
-from .analytics import StudentRecord, scaffold_impact
+from .analytics import OutcomeRecord, StudentRecord, scaffold_impact
 from .annotate import EmptySession, SessionAnnotator, collapse, time_distribution
 from .causal import Grade, generate_quiz, grade_quiz, map_score
 from .engine import EngineConfig, ScaffoldKind, delivery_counts
@@ -40,7 +39,7 @@ from .reports import (
     outcomes_table,
     time_distribution_table,
 )
-from .simulate import derive_seed, profiles_from_document, simulate_cohort
+from .simulate import derive_seed, simulate_cohort
 
 
 def _engine_flags(parser: argparse.ArgumentParser):
@@ -68,7 +67,7 @@ def _engine_config(args) -> EngineConfig:
     """Engine settings: an explicit flag wins over the --engine-config file,
     and the file wins over the EngineConfig defaults."""
     settings = ({} if args.engine_config is None
-                else logio.load_document(args.engine_config, _engine_settings))
+                else logio.load_document(args.engine_config, logio.engine_settings_from_document))
     flags = {
         "min_inter_scaffold_seconds": args.min_inter_scaffold,
         "long_threshold": args.long_threshold,
@@ -81,24 +80,6 @@ def _engine_config(args) -> EngineConfig:
     }
     settings.update((key, value) for key, value in flags.items() if value is not None)
     return EngineConfig(**settings)
-
-
-def _engine_settings(settings) -> dict:
-    """The EngineConfig fields an --engine-config document sets: a JSON
-    object of known settings, each of its field's type and in its range."""
-    defaults = {f.name: f.default for f in dataclasses.fields(EngineConfig)}
-    if not isinstance(settings, dict):
-        raise ValueError("expected a JSON object of engine settings")
-    for key, value in settings.items():
-        if key not in defaults:
-            raise ValueError(f"unknown engine setting {key!r}")
-        accepted = {float: (int, float), int: int, frozenset: list}[type(defaults[key])]
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise ValueError(f"engine setting {key!r} cannot be {type(value).__name__}")
-        if key == "disabled_kinds":
-            settings[key] = frozenset(ScaffoldKind(k) for k in value)
-    EngineConfig(**settings)
-    return settings
 
 
 def _read_student_log(read, path: Path) -> list:
@@ -150,7 +131,7 @@ def cmd_simulate(args) -> int:
     expert = _load_expert(args.expert)
     config = _engine_config(args) if not args.no_engine else None
     profiles = (None if args.profiles is None
-                else logio.load_document(args.profiles, profiles_from_document))
+                else logio.load_document(args.profiles, logio.profiles_from_document))
     trees = load_trees(args.trees) if args.trees is not None else None
     cohort = simulate_cohort(
         n_high=args.high,
@@ -165,24 +146,24 @@ def cmd_simulate(args) -> int:
     for sub in ("events", "affect", "deliveries"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
     outputs = []
-    outcome_rows = []
+    outcomes = []
     for session in cohort.sessions:
         sid = session.student_id
         logio.write_events(session.events, out_dir / "events" / f"{sid}.jsonl")
         logio.write_affect(sid, session.affect, out_dir / "affect" / f"{sid}.jsonl")
         logio.write_deliveries(session.deliveries, out_dir / "deliveries" / f"{sid}.jsonl")
         outputs += [f"events/{sid}.jsonl", f"affect/{sid}.jsonl", f"deliveries/{sid}.jsonl"]
-        outcome_rows.append(_draw_outcome(sid, cohort.grouping[sid], args.seed))
+        outcomes.append(_draw_outcome(sid, cohort.grouping[sid], args.seed))
     logio.write_grouping(cohort.grouping, out_dir / "grouping.json")
     logio.save_map(expert.map, out_dir / "expert-map.json")
-    logio.write_jsonl(outcome_rows, out_dir / "outcomes.jsonl")
+    logio.write_outcomes(outcomes, out_dir / "outcomes.jsonl")
     outputs += ["grouping.json", "expert-map.json", "outcomes.jsonl"]
     _write_manifest(out_dir / "manifest.json", "simulate", args, outputs, started, seed=args.seed)
     print(f"simulated {len(cohort.sessions)} students into {out_dir}")
     return 0
 
 
-def _draw_outcome(student_id: str, group: str, cohort_seed: int) -> dict:
+def _draw_outcome(student_id: str, group: str, cohort_seed: int) -> OutcomeRecord:
     """Pre/post test points for exercising the outcome analytics; drawn from
     per-group normals, not from simulated behavior."""
     rng = random.Random(derive_seed(cohort_seed, student_id + ":outcome"))
@@ -191,7 +172,7 @@ def _draw_outcome(student_id: str, group: str, cohort_seed: int) -> dict:
     pre = round(min(max_score - 1.0, max(0.0, rng.gauss(pre_mean, 1.9))), 2)
     gain = min(1.0, max(-0.3, rng.gauss(gain_mean, 0.15)))
     post = round(min(max_score, max(0.0, pre + gain * (max_score - pre))), 2)
-    return {"student": student_id, "pre": pre, "post": post, "max": max_score}
+    return OutcomeRecord(student_id, pre, post, max_score)
 
 
 # -- replay ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""File formats: canonical map documents, JSON-lines event/affect/delivery
-logs, profile and grouping files.
+"""File formats: map documents; event, affect, delivery and outcome logs;
+conversation-tree, profile, engine-settings and grouping files. No other
+module knows their JSON shape.
 
 All writers are deterministic (sorted keys, fixed field order) so reruns
 with the same seed produce byte-identical files.  Schemas:
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -72,15 +74,18 @@ from .causal import (
 )
 from .engine import (
     Agent,
+    ConversationNode,
     ConversationTree,
+    EngineConfig,
+    ResponseOption,
     ScaffoldDelivery,
     ScaffoldKind,
     TargetHints,
     TranscriptStep,
     TriggerContext,
-    json_typed,
-    trees_from_document,
+    default_trees,
 )
+from .simulate import DurationModel, StudentProfile
 
 MAP_FORMAT = "mapcoach-map/1"
 
@@ -90,6 +95,15 @@ E = TypeVar("E", bound=Enum)
 
 class FormatError(ValueError):
     pass
+
+
+def _typed(value, what: str, *types: type):
+    """value, when its type is one of the JSON types `types`; otherwise a
+    ValueError saying what it cannot be. JSON values have exact types, so a
+    bool is not a number."""
+    if type(value) not in types:
+        raise ValueError(f"{what} cannot be {type(value).__name__}")
+    return value
 
 
 def _by_value(enum: type[E]) -> Callable[[object], E]:
@@ -106,12 +120,6 @@ def _by_value(enum: type[E]) -> Callable[[object], E]:
     return member
 
 
-def _values(enum: type[E]) -> dict[E, str]:
-    """member -> member.value, built once: a lookup here costs a fraction of
-    a `.value` read."""
-    return {member: member.value for member in enum}
-
-
 _sign = _by_value(Sign)
 _marking = _by_value(Marking)
 _edit_action = _by_value(MapEditAction)
@@ -121,15 +129,6 @@ _effectiveness = _by_value(Effectiveness)
 _emotion = _by_value(Emotion)
 _scaffold_kind = _by_value(ScaffoldKind)
 _agent = _by_value(Agent)
-
-_SIGN_VALUE = _values(Sign)
-_MARKING_VALUE = _values(Marking)
-_EDIT_ACTION_VALUE = _values(MapEditAction)
-_ACTION_KIND_VALUE = _values(ActionKind)
-_PROCESS_VALUE = _values(Process)
-_EFFECTIVENESS_VALUE = _values(Effectiveness)
-_SCAFFOLD_KIND_VALUE = _values(ScaffoldKind)
-_AGENT_VALUE = _values(Agent)
 
 # members as module globals: a global read costs a fraction of a class
 # attribute read
@@ -146,16 +145,26 @@ _ADD_CONCEPT, _DELETE_CONCEPT, _ADD_LINK, _DELETE_LINK, _MODIFY_LINK, _MARK_LINK
 # -- map documents ---------------------------------------------------------
 
 
+def _concept_to_record(c: Concept) -> dict:
+    return {"id": c.id, "name": c.name, "section": c.section}
+
+
+def _concept_from_record(record) -> Concept:
+    _typed(record, "a concept", dict)
+    return Concept(id=record["id"], name=record["name"], section=record["section"])
+
+
 def link_to_record(link: CausalLink) -> dict:
-    record = {"source": link.source, "target": link.target, "sign": _SIGN_VALUE[link.sign]}
+    record = {"source": link.source, "target": link.target, "sign": link.sign}
     if link.marking is not Marking.UNMARKED:
-        record["marking"] = _MARKING_VALUE[link.marking]
+        record["marking"] = link.marking
     if link.source_page is not None:
         record["page"] = link.source_page
     return record
 
 
-def link_from_record(record: dict) -> CausalLink:
+def link_from_record(record) -> CausalLink:
+    _typed(record, "a link", dict)
     return CausalLink(
         source=record["source"],
         target=record["target"],
@@ -168,10 +177,7 @@ def link_from_record(record: dict) -> CausalLink:
 def map_to_document(cmap: CausalMap) -> dict:
     return {
         "format": MAP_FORMAT,
-        "concepts": [
-            {"id": c.id, "name": c.name, "section": c.section}
-            for c in cmap.sorted_concepts()
-        ],
+        "concepts": [_concept_to_record(c) for c in cmap.sorted_concepts()],
         "links": [link_to_record(l) for l in cmap.sorted_links()],
     }
 
@@ -179,19 +185,9 @@ def map_to_document(cmap: CausalMap) -> dict:
 def map_from_document(doc: dict) -> CausalMap:
     if not isinstance(doc, dict) or doc.get("format") != MAP_FORMAT:
         raise FormatError(f"not a {MAP_FORMAT} document")
-    concepts = [
-        Concept(id=c["id"], name=c["name"], section=c["section"])
-        for c in _objects(doc["concepts"], "concepts")
-    ]
-    links = [link_from_record(r) for r in _objects(doc["links"], "links")]
+    concepts = [_concept_from_record(c) for c in _typed(doc["concepts"], "concepts", list)]
+    links = [link_from_record(r) for r in _typed(doc["links"], "links", list)]
     return CausalMap(concepts, links)
-
-
-def _objects(value, what: str) -> list[dict]:
-    """value, when it is a JSON array of objects; otherwise a TypeError."""
-    for item in json_typed(value, list, what):
-        json_typed(item, dict, f"each of {what}")
-    return value
 
 
 def dumps_map(cmap: CausalMap) -> str:
@@ -252,10 +248,9 @@ def scope_from_str(text: str) -> QuizScope:
 
 def _edit_to_record(edit: MapEdit) -> dict:
     a = edit.action
-    record: dict = {"action": _EDIT_ACTION_VALUE[a]}
+    record: dict = {"action": a}
     if a is _ADD_CONCEPT:
-        c = edit.concept
-        record["concept"] = {"id": c.id, "name": c.name, "section": c.section}
+        record["concept"] = _concept_to_record(edit.concept)
     elif a is _DELETE_CONCEPT:
         record["concept_id"] = edit.concept_id
     elif a is _ADD_LINK:
@@ -267,15 +262,14 @@ def _edit_to_record(edit: MapEdit) -> dict:
         record["new"] = link_to_record(edit.new)
     elif a is _MARK_LINK:
         record["source"], record["target"] = edit.source, edit.target
-        record["marking"] = _MARKING_VALUE[edit.marking]
+        record["marking"] = edit.marking
     return record
 
 
 def _edit_from_record(record: dict) -> MapEdit:
     a = _edit_action(record["action"])
     if a is _ADD_CONCEPT:
-        c = record["concept"]
-        return MapEdit(a, concept=Concept(id=c["id"], name=c["name"], section=c["section"]))
+        return MapEdit(a, concept=_concept_from_record(record["concept"]))
     if a is _DELETE_CONCEPT:
         return MapEdit(a, concept_id=record["concept_id"])
     if a is _ADD_LINK:
@@ -298,7 +292,7 @@ def event_to_record(event: ActionEvent) -> dict:
         "student": event.student_id,
         "t": event.timestamp,
         "duration": event.duration,
-        "kind": _ACTION_KIND_VALUE[kind],
+        "kind": kind,
     }
     if kind is _READ:
         record["page"] = event.page
@@ -313,33 +307,22 @@ def event_to_record(event: ActionEvent) -> dict:
     return record
 
 
-def _typed(record: dict, name: str, *types: type):
-    """A record field that must hold one of the JSON types `types`; a bool
-    is not a number."""
-    value = record[name]
-    if type(value) in types:
-        return value
-    if isinstance(value, bool) is not (bool in types) or not isinstance(value, types):
-        raise ValueError(f"field {name!r} cannot be {type(value).__name__}")
-    return value
-
-
 def event_from_record(record: dict) -> ActionEvent:
     """One logged action, at a finite time and with a finite duration >= 0."""
     kind = _action_kind(record["kind"])
     timestamp = record["t"]
     if type(timestamp) is not float:
-        timestamp = float(_typed(record, "t", int, float))
+        timestamp = float(_typed(timestamp, "field 't'", int, float))
     duration = record["duration"]
     if type(duration) is not float:
-        duration = float(_typed(record, "duration", int, float))
+        duration = float(_typed(duration, "field 'duration'", int, float))
     page, note, question = record.get("page"), record.get("note"), record.get("question")
     if page is not None and type(page) is not str:
-        _typed(record, "page", str)
+        _typed(page, "field 'page'", str)
     if note is not None and type(note) is not str:
-        _typed(record, "note", str)
+        _typed(note, "field 'note'", str)
     if question is not None and type(question) is not int:
-        _typed(record, "question", int)
+        _typed(question, "field 'question'", int)
     if not (math.isfinite(timestamp) and math.isfinite(duration) and duration >= 0):
         raise ValueError(f"student {record['student']}: need a finite time and a finite "
                          f"duration >= 0, got t {timestamp}, duration {duration}")
@@ -358,8 +341,8 @@ def event_from_record(record: dict) -> ActionEvent:
 
 def annotated_to_record(event: AnnotatedEvent) -> dict:
     record = event_to_record(event.base)
-    record["process"] = _PROCESS_VALUE[event.process]
-    record["effectiveness"] = _EFFECTIVENESS_VALUE[event.effectiveness]
+    record["process"] = event.process
+    record["effectiveness"] = event.effectiveness
     record["long"] = event.long
     record["score"] = event.map_score_after
     if event.coherent is not None:
@@ -372,9 +355,10 @@ def annotated_from_record(record: dict) -> AnnotatedEvent:
         base=event_from_record(record),
         process=_process(record["process"]),
         effectiveness=_effectiveness(record["effectiveness"]),
-        long=_typed(record, "long", bool),
-        map_score_after=_typed(record, "score", int),
-        coherent=_typed(record, "coherent", bool) if "coherent" in record else None,
+        long=_typed(record["long"], "field 'long'", bool),
+        map_score_after=_typed(record["score"], "field 'score'", int),
+        coherent=(_typed(record["coherent"], "field 'coherent'", bool)
+                  if "coherent" in record else None),
     )
 
 
@@ -397,7 +381,7 @@ def _finite_time(record: dict) -> float:
     """The record's `t`: a finite JSON number."""
     t = record["t"]
     if type(t) is not float:
-        t = float(_typed(record, "t", int, float))
+        t = float(_typed(t, "field 't'", int, float))
     if not math.isfinite(t):
         raise ValueError(f"field 't' must be finite, got {t}")
     return t
@@ -408,12 +392,12 @@ def affect_from_record(record: dict) -> AffectObservation:
     each of the five emotions and for nothing else."""
     student_id = record["student"]
     timestamp = _finite_time(record)
-    given = _typed(record, "likelihoods", dict)
+    given = _typed(record["likelihoods"], "field 'likelihoods'", dict)
     likelihoods = {}
     for key, value in given.items():
         emotion = _emotion(key)
         if type(value) is not float:
-            value = float(_typed(given, key, int, float))
+            value = float(_typed(value, f"field {key!r}", int, float))
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"likelihood {key!r} must be in [0, 1], got {value}")
         likelihoods[emotion] = value
@@ -429,8 +413,8 @@ def affect_from_record(record: dict) -> AffectObservation:
 def delivery_to_record(d: ScaffoldDelivery) -> dict:
     record = {
         "student": d.student_id,
-        "kind": _SCAFFOLD_KIND_VALUE[d.kind],
-        "agent": _AGENT_VALUE[d.agent],
+        "kind": d.kind,
+        "agent": d.agent,
         "t": d.timestamp,
         "rule": d.trigger.rule,
         "prev_index": d.trigger.prev_index,
@@ -565,9 +549,130 @@ def read_affect(path: Path) -> list[AffectObservation]:
 # -- conversation trees ------------------------------------------------------------
 
 
+def trees_to_document(trees: dict[ScaffoldKind, ConversationTree]) -> dict:
+    """JSON-ready form: kind -> {root, nodes: [{id, prompt, responses}]},
+    where a response is {"text", "goto"} or {"text", "exit": true}."""
+    doc = {}
+    for kind, tree in trees.items():
+        doc[kind.value] = {
+            "root": tree.root,
+            "nodes": [
+                {
+                    "id": node.id,
+                    "prompt": node.prompt,
+                    "responses": [
+                        {"text": r.text, "exit": True}
+                        if r.goto is None
+                        else {"text": r.text, "goto": r.goto}
+                        for r in node.responses
+                    ],
+                }
+                for node in tree.nodes.values()
+            ],
+        }
+    return doc
+
+
+def trees_from_document(doc) -> dict[ScaffoldKind, ConversationTree]:
+    """Parse a tree document; kinds missing from it keep their bundled tree.
+    A missing field raises KeyError, a field of the wrong JSON type or an
+    unknown kind ValueError and a malformed tree MalformedTree."""
+    trees = default_trees()
+    for kind_name, spec in _typed(doc, "a tree document", dict).items():
+        kind = _scaffold_kind(kind_name)
+        where = f"tree {kind_name!r}"
+        spec = _typed(spec, where, dict)
+        nodes = [_node_from_document(_typed(n, f"a node of {where}", dict))
+                 for n in _typed(spec["nodes"], f"{where} nodes", list)]
+        trees[kind] = ConversationTree(_typed(spec["root"], f"{where} root", str), nodes)
+    return trees
+
+
+def _node_from_document(n: dict) -> ConversationNode:
+    node_id = _typed(n["id"], "a node id", str)
+    where = f"node {node_id!r}"
+    responses = []
+    for r in _typed(n["responses"], f"{where} responses", list):
+        r = _typed(r, f"a response of {where}", dict)
+        text = _typed(r["text"], f"a response of {where}", str)
+        goto = None if r.get("exit") else _typed(r["goto"], f"a goto of {where}", str)
+        responses.append(ResponseOption(text, goto))
+    prompt = _typed(n["prompt"], f"{where} prompt", str)
+    return ConversationNode(node_id, prompt, tuple(responses))
+
+
 def load_trees(path: Path) -> dict[ScaffoldKind, ConversationTree]:
-    """A conversation-tree document (see engine.trees_from_document)."""
     return load_document(path, trees_from_document)
+
+
+# -- profiles ------------------------------------------------------------------------
+
+
+DURATION_FIELDS = ("read_duration", "edit_duration", "quiz_duration", "note_duration",
+                   "expl_duration")
+
+
+def profiles_to_document(profiles: dict[str, StudentProfile]) -> dict:
+    """JSON-ready form of a profiles mapping (durations as [mean, spread])."""
+    doc = {}
+    for name, p in profiles.items():
+        doc[name] = {
+            "activity_mix": {k.value: v for k, v in p.activity_mix.items()},
+            "read_effectiveness": p.read_effectiveness,
+            "quiz_propensity": p.quiz_propensity,
+            "scaffold_compliance": {k.value: v for k, v in p.scaffold_compliance.items()},
+            **{f: [getattr(p, f).mean, getattr(p, f).spread] for f in DURATION_FIELDS},
+            "affect_baseline": {k.value: v for k, v in p.affect_baseline.items()},
+            "wrong_sign_share": p.wrong_sign_share,
+            "shortcut_share": p.shortcut_share,
+        }
+    return doc
+
+
+def profiles_from_document(doc) -> dict[str, StudentProfile]:
+    """The profiles 'high' and 'low' by name. A missing field raises
+    KeyError; a field of the wrong JSON type or value, or another set of
+    profiles, TypeError or ValueError."""
+    profiles = {}
+    for name, p in _typed(doc, "a profiles document", dict).items():
+        p = _typed(p, f"profile {name!r}", dict)
+        mix, compliance, affect = (
+            _typed(value, f"profile {name!r} {field}", dict)
+            for field, value in (("activity_mix", p["activity_mix"]),
+                                 ("scaffold_compliance", p.get("scaffold_compliance", {})),
+                                 ("affect_baseline", p["affect_baseline"])))
+        profiles[name] = StudentProfile(
+            student_id=name,
+            activity_mix={_action_kind(k): v for k, v in mix.items()},
+            read_effectiveness=p["read_effectiveness"],
+            quiz_propensity=p["quiz_propensity"],
+            scaffold_compliance={_scaffold_kind(k): v for k, v in compliance.items()},
+            **{f: DurationModel(*p[f]) for f in DURATION_FIELDS},
+            affect_baseline={_emotion(k): v for k, v in affect.items()},
+            wrong_sign_share=p.get("wrong_sign_share", 0.8),
+            shortcut_share=p.get("shortcut_share", 0.3),
+        )
+    if set(profiles) != {"high", "low"}:
+        raise ValueError(f"expected exactly the profiles 'high' and 'low', got {sorted(profiles)}")
+    return profiles
+
+
+# -- engine settings -----------------------------------------------------------------
+
+
+def engine_settings_from_document(doc) -> dict:
+    """The EngineConfig fields an engine-settings document sets: a JSON
+    object of known settings, each of its field's type and in its range."""
+    defaults = {f.name: f.default for f in fields(EngineConfig)}
+    settings = {}
+    for key, value in _typed(doc, "engine settings", dict).items():
+        if key not in defaults:
+            raise ValueError(f"unknown engine setting {key!r}")
+        json_types = {float: (int, float), int: (int,), frozenset: (list,)}[type(defaults[key])]
+        _typed(value, f"engine setting {key!r}", *json_types)
+        settings[key] = frozenset(map(_scaffold_kind, value)) if key == "disabled_kinds" else value
+    EngineConfig(**settings)
+    return settings
 
 
 # -- grouping and outcomes -----------------------------------------------------------
@@ -588,6 +693,11 @@ def load_grouping(path: Path) -> dict[str, str]:
     return load_document(path, grouping_from_document)
 
 
+def outcome_to_record(outcome: OutcomeRecord) -> dict:
+    return {"student": outcome.student_id, "pre": outcome.pre, "post": outcome.post,
+            "max": outcome.max_score}
+
+
 def outcome_from_record(record: dict) -> OutcomeRecord:
     """One student's test scores in points: finite, with pre < max, so the
     normalized learning gain is defined."""
@@ -601,3 +711,7 @@ def outcome_from_record(record: dict) -> OutcomeRecord:
 def load_outcomes(path: Path) -> list[OutcomeRecord]:
     """Outcome records: student, pre, post, max (points)."""
     return _read_records(path, outcome_from_record)
+
+
+def write_outcomes(outcomes: Sequence[OutcomeRecord], path: Path):
+    write_jsonl((outcome_to_record(o) for o in outcomes), path)

@@ -47,7 +47,6 @@ from .engine import (
     ScaffoldDelivery,
     ScaffoldEngine,
     ScaffoldKind,
-    json_typed,
 )
 from .pipeline import SessionStep
 
@@ -72,8 +71,6 @@ class DurationModel:
 # durations of the concept layout that opens a session and of a forced marking
 LAYOUT_DURATION = DurationModel(4.0, 1.5)
 MARK_DURATION = DurationModel(5.0, 2.0)
-DURATION_FIELDS = ("read_duration", "edit_duration", "quiz_duration", "note_duration",
-                   "expl_duration")
 
 
 @record
@@ -191,51 +188,6 @@ def bundled_profiles() -> dict[str, StudentProfile]:
         wrong_sign_share=0.84,
     )
     return {"high": high, "low": low}
-
-
-def profiles_to_document(profiles: dict[str, StudentProfile]) -> dict:
-    """JSON-ready form of a profiles mapping (durations as [mean, spread])."""
-    doc = {}
-    for name, p in profiles.items():
-        doc[name] = {
-            "activity_mix": {k.value: v for k, v in p.activity_mix.items()},
-            "read_effectiveness": p.read_effectiveness,
-            "quiz_propensity": p.quiz_propensity,
-            "scaffold_compliance": {k.value: v for k, v in p.scaffold_compliance.items()},
-            **{f: [getattr(p, f).mean, getattr(p, f).spread] for f in DURATION_FIELDS},
-            "affect_baseline": {k.value: v for k, v in p.affect_baseline.items()},
-            "wrong_sign_share": p.wrong_sign_share,
-            "shortcut_share": p.shortcut_share,
-        }
-    return doc
-
-
-def profiles_from_document(doc: dict) -> dict[str, StudentProfile]:
-    """The profiles 'high' and 'low' by name. A missing field raises
-    KeyError; a field of the wrong JSON type or value, or another set of
-    profiles, TypeError or ValueError."""
-    profiles = {}
-    for name, p in json_typed(doc, dict, "a profiles document").items():
-        p = json_typed(p, dict, f"profile {name!r}")
-        mix, compliance, affect = (
-            json_typed(value, dict, f"profile {name!r} {field}")
-            for field, value in (("activity_mix", p["activity_mix"]),
-                                 ("scaffold_compliance", p.get("scaffold_compliance", {})),
-                                 ("affect_baseline", p["affect_baseline"])))
-        profiles[name] = StudentProfile(
-            student_id=name,
-            activity_mix={ActionKind(k): v for k, v in mix.items()},
-            read_effectiveness=p["read_effectiveness"],
-            quiz_propensity=p["quiz_propensity"],
-            scaffold_compliance={ScaffoldKind(k): v for k, v in compliance.items()},
-            **{f: DurationModel(*p[f]) for f in DURATION_FIELDS},
-            affect_baseline={Emotion(k): v for k, v in affect.items()},
-            wrong_sign_share=p.get("wrong_sign_share", 0.8),
-            shortcut_share=p.get("shortcut_share", 0.3),
-        )
-    if set(profiles) != {"high", "low"}:
-        raise ValueError(f"expected exactly the profiles 'high' and 'low', got {sorted(profiles)}")
-    return profiles
 
 
 def _normalized_mix(read, notes, edit, quiz, expl) -> dict[ActionKind, float]:

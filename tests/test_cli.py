@@ -689,7 +689,8 @@ def _tree(responses):
 
 
 def _short_read_duration_profiles():
-    from mapcoach.simulate import bundled_profiles, profiles_to_document
+    from mapcoach.logio import profiles_to_document
+    from mapcoach.simulate import bundled_profiles
 
     doc = profiles_to_document(bundled_profiles())
     doc["high"]["read_duration"] = [40]
@@ -697,7 +698,8 @@ def _short_read_duration_profiles():
 
 
 def _profiles_without_low():
-    from mapcoach.simulate import bundled_profiles, profiles_to_document
+    from mapcoach.logio import profiles_to_document
+    from mapcoach.simulate import bundled_profiles
 
     doc = profiles_to_document(bundled_profiles())
     del doc["low"]
@@ -796,7 +798,8 @@ class TestIncompleteProfiles:
     def test_is_one_error_line_naming_the_missing_members(
         self, tmp_path, capsys, name, field, change, message
     ):
-        from mapcoach.simulate import bundled_profiles, profiles_to_document
+        from mapcoach.logio import profiles_to_document
+        from mapcoach.simulate import bundled_profiles
 
         doc = profiles_to_document(bundled_profiles())
         doc[name][field] = change(doc[name][field])
@@ -1021,8 +1024,9 @@ class TestConfigSurfaces:
     def test_simulate_with_profiles_and_trees_files(self, tmp_path, capsys):
         import json as _json
 
-        from mapcoach.engine import default_trees, trees_to_document
-        from mapcoach.simulate import bundled_profiles, profiles_to_document
+        from mapcoach.engine import default_trees
+        from mapcoach.logio import profiles_to_document, trees_to_document
+        from mapcoach.simulate import bundled_profiles
 
         profiles_path = tmp_path / "profiles.json"
         profiles_path.write_text(

@@ -226,9 +226,8 @@ class TestTreeDocuments:
             ScaffoldKind,
             default_trees,
             run_conversation,
-            trees_to_document,
         )
-        from mapcoach.logio import load_trees
+        from mapcoach.logio import load_trees, trees_to_document
 
         path = tmp_path / "trees.json"
         path.write_text(json.dumps(trees_to_document(default_trees())))
@@ -237,7 +236,8 @@ class TestTreeDocuments:
             assert run_conversation(loaded[kind]) == run_conversation(default_trees()[kind])
 
     def test_partial_document_keeps_bundled_trees(self):
-        from mapcoach.engine import ScaffoldKind, trees_from_document
+        from mapcoach.engine import ScaffoldKind
+        from mapcoach.logio import trees_from_document
 
         doc = {
             "enc1": {
@@ -253,7 +253,8 @@ class TestTreeDocuments:
         assert set(trees) == set(ScaffoldKind)
 
     def test_malformed_tree_document_rejected(self):
-        from mapcoach.engine import MalformedTree, trees_from_document
+        from mapcoach.engine import MalformedTree
+        from mapcoach.logio import trees_from_document
 
         doc = {
             "enc1": {
@@ -272,11 +273,8 @@ class TestProfileDocuments:
     def test_roundtrip(self, tmp_path):
         import json
 
-        from mapcoach.simulate import (
-            bundled_profiles,
-            profiles_from_document,
-            profiles_to_document,
-        )
+        from mapcoach.logio import profiles_from_document, profiles_to_document
+        from mapcoach.simulate import bundled_profiles
 
         doc = profiles_to_document(bundled_profiles())
         path = tmp_path / "profiles.json"
