@@ -341,8 +341,24 @@ def cmd_score(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
+# argparse's message for an int or float option value that does not convert
+_NOT_A_NUMBER = re.compile(r"argument \S+: invalid (int|float) value: .*")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises a ValueError for an int or float option
+    value that does not convert, so main reports it as an `error:` line and
+    exit 1 like other bad input; other usage errors print the usage and
+    exit 2."""
+
+    def error(self, message):
+        if _NOT_A_NUMBER.fullmatch(message):
+            raise ValueError(message)
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mapcoach",
         description="Causal-map scaffolding toolkit: simulate, replay, mine, report.",
     )
@@ -418,10 +434,10 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
-    args._t0 = time.monotonic()
     try:
+        args = build_parser().parse_args(
+            _attach_negative_values(sys.argv[1:] if argv is None else argv))
+        args._t0 = time.monotonic()
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

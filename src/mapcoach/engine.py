@@ -232,8 +232,7 @@ def _tree(*nodes: tuple[str, str, list[tuple[str, Optional[str]]]]) -> Conversat
     )
 
 
-def default_trees() -> dict[ScaffoldKind, ConversationTree]:
-    """Bundled conversation trees, one per scaffold kind."""
+def _bundled_trees() -> dict[ScaffoldKind, ConversationTree]:
     return {
         ScaffoldKind.HINT2: _tree(
             (
@@ -353,6 +352,15 @@ def default_trees() -> dict[ScaffoldKind, ConversationTree]:
             ),
         ),
     }
+
+
+# built once and shared: only ConversationTree.__init__ writes a tree's nodes
+_BUNDLED_TREES = _bundled_trees()
+
+
+def default_trees() -> dict[ScaffoldKind, ConversationTree]:
+    """Bundled conversation trees, one per scaffold kind, in a fresh dict."""
+    return dict(_BUNDLED_TREES)
 
 
 # -- deliveries ----------------------------------------------------------------

@@ -3,45 +3,85 @@ conversation-tree, profile, engine-settings and grouping files. No other
 module knows their JSON shape.
 
 All writers are deterministic (sorted keys, fixed field order) so reruns
-with the same seed produce byte-identical files.  Schemas:
+with the same seed produce byte-identical files.  A log holds one JSON
+object per line; every other file holds one JSON object.
 
-map document (JSON object)
-    format: "mapcoach-map/1"
-    concepts: [{id, name, section}]           sorted by id
-    links: [{source, target, sign, marking?, page?}]   sorted by (source, target)
+Keys of each JSON object; a key marked ? may be absent:
+    map document       format, concepts, links
+    concept            id, name, section
+    link               source, target, sign, marking?, page?
+    event              student, t, duration, kind, page?, note?, edit?, scope?,
+                       question?
+    edit               action, concept?, concept_id?, link?, source?, target?,
+                       old?, new?, marking?
+    annotated event    student, t, duration, kind, page?, note?, edit?, scope?,
+                       question?, process, effectiveness, long, score, coherent?
+    affect             student, t, likelihoods
+    delivery           student, kind, agent, t, rule, prev_index, cur_index,
+                       prev_t, cur_t, detail, hints?, transcript
+    transcript step    node, prompt, response
+    outcome            student, pre, post, max
+    tree document      hint1?, hint2?, hint3?, hint4?, hint5?, hint6?, enc1?,
+                       enc2?, enc3?
+    tree               root, nodes
+    node               id, prompt, responses
+    response           text, goto?, exit?
+    profiles document  high, low
+    profile            activity_mix, read_effectiveness, quiz_propensity,
+                       scaffold_compliance?, read_duration, edit_duration,
+                       quiz_duration, note_duration, expl_duration,
+                       affect_baseline, wrong_sign_share?, shortcut_share?
+    engine settings    min_inter_scaffold_seconds?, hint1_window_events?,
+                       hint1_window_seconds?, long_threshold?, enc3_every?,
+                       disabled_kinds?
 
-event log (one JSON object per line)
-    student, t, duration, kind, then one kind-specific payload:
-    read: page | make_notes: note | map_edit: edit | take_quiz: scope |
-    quiz_expl: question
-    An annotated log adds process, effectiveness, long, score and, for
-    coherence-tagged edits, coherent.
-
-affect log (one JSON object per line)
-    student, t, likelihoods: {emotion: value}
-
-delivery log (one JSON object per line)
-    student, kind, agent, t, rule, prev_index, cur_index, prev_t, cur_t,
-    detail, hints, transcript: [{node, prompt, response}]
-
-outcome log (one JSON object per line)
-    student, pre, post, max: test points, finite, with pre < max
+A map document's format is "mapcoach-map/1"; its concepts are sorted by id
+and its links by (source, target).  An event carries the payload its kind
+names (read: page, make_notes: note, map_edit: edit, take_quiz: scope,
+quiz_expl: question) and an edit the fields its action names (add_concept:
+concept, delete_concept: concept_id, add_link: link, delete_link: source
+and target, modify_link: old and new, mark_link: source, target and
+marking).  An annotated event has coherent if its edit was tagged for
+coherence.  A response has a goto, or exit true.  Outcomes are test points.
+likelihoods, activity_mix, scaffold_compliance and affect_baseline map
+emotions, action kinds and scaffold kinds to values in [0, 1]; a profile's
+durations are [mean, spread] in seconds.  A tree document's absent kinds
+keep their bundled tree.  A grouping document maps student ids to group
+names.
 
 The readers check these fields' JSON types ("number" excludes true and
 false, which Python's json reads as bool):
+    logs        student: string
     events      t, duration: finite number, duration >= 0; kind: string
                 naming an action kind; page, note: string or null;
                 question: integer or null; scope: string, "everything" or
                 "section:<name>"
+    edits       the edit, its concept and links: object; action, sign,
+                marking: string naming a member; concept id, name and
+                section, link source and target, concept_id and the
+                source and target of delete and mark edits: string; link
+                page: string or null
+    maps        concepts, links: array, each read as in edits
     annotated   as events, plus process, effectiveness: string naming a
                 member; long: true/false; score: integer; coherent:
                 true/false if present
     affect      t: finite number; likelihoods: object with exactly the five
                 emotions, each a finite number in [0, 1]
-    deliveries  t: finite number; kind, agent: string naming a member
+    deliveries  t: finite number; kind, agent: string naming a member;
+                rule: string; prev_index, cur_index: integer or null;
+                prev_t, cur_t: finite number or null; detail, hints: object
+                of strings; transcript: array of objects whose node, prompt
+                and response are strings
     outcomes    pre, post, max: anything float() takes, finite, pre < max
-In an edit, action, sign and marking must name a member; other fields
-pass through as read.
+    trees       the document, each tree, node and response: object; nodes,
+                responses: array; root, node id, prompt, text and goto:
+                string
+    profiles    the document, each profile, activity_mix,
+                scaffold_compliance and affect_baseline: object; their
+                values and the shares in [0, 1]; durations finite
+    settings    the document: object; hint1_window_events, enc3_every:
+                integer; disabled_kinds: array of scaffold kinds; the
+                others: number
 """
 
 from __future__ import annotations
@@ -150,8 +190,11 @@ def _concept_to_record(c: Concept) -> dict:
 
 
 def _concept_from_record(record) -> Concept:
+    """A concept object whose id, name and section are strings."""
     _typed(record, "a concept", dict)
-    return Concept(id=record["id"], name=record["name"], section=record["section"])
+    return Concept(id=_typed(record["id"], "concept field 'id'", str),
+                   name=_typed(record["name"], "concept field 'name'", str),
+                   section=_typed(record["section"], "concept field 'section'", str))
 
 
 def link_to_record(link: CausalLink) -> dict:
@@ -164,14 +207,17 @@ def link_to_record(link: CausalLink) -> dict:
 
 
 def link_from_record(record) -> CausalLink:
+    """A link object: string source and target, a sign, and, if present, a
+    marking and a page that is a string or null."""
     _typed(record, "a link", dict)
-    return CausalLink(
-        source=record["source"],
-        target=record["target"],
-        sign=_sign(record["sign"]),
-        marking=_marking(record["marking"]) if "marking" in record else Marking.UNMARKED,
-        source_page=record.get("page"),
-    )
+    source = _typed(record["source"], "link field 'source'", str)
+    target = _typed(record["target"], "link field 'target'", str)
+    sign = _sign(record["sign"])
+    marking = _marking(record["marking"]) if "marking" in record else Marking.UNMARKED
+    page = record.get("page")
+    if page is not None:
+        _typed(page, "link field 'page'", str)
+    return CausalLink(source, target, sign, marking, page)
 
 
 def map_to_document(cmap: CausalMap) -> dict:
@@ -266,24 +312,21 @@ def _edit_to_record(edit: MapEdit) -> dict:
     return record
 
 
-def _edit_from_record(record: dict) -> MapEdit:
-    a = _edit_action(record["action"])
+def _edit_from_record(record) -> MapEdit:
+    a = _edit_action(_typed(record, "field 'edit'", dict)["action"])
     if a is _ADD_CONCEPT:
         return MapEdit(a, concept=_concept_from_record(record["concept"]))
     if a is _DELETE_CONCEPT:
-        return MapEdit(a, concept_id=record["concept_id"])
+        return MapEdit(a, concept_id=_typed(record["concept_id"], "edit field 'concept_id'", str))
     if a is _ADD_LINK:
         return MapEdit(a, link=link_from_record(record["link"]))
-    if a is _DELETE_LINK:
-        return MapEdit(a, source=record["source"], target=record["target"])
     if a is _MODIFY_LINK:
         return MapEdit(a, old=link_from_record(record["old"]), new=link_from_record(record["new"]))
-    return MapEdit(
-        a,
-        source=record["source"],
-        target=record["target"],
-        marking=_marking(record["marking"]),
-    )
+    source = _typed(record["source"], "edit field 'source'", str)
+    target = _typed(record["target"], "edit field 'target'", str)
+    if a is _DELETE_LINK:
+        return MapEdit(a, source=source, target=target)
+    return MapEdit(a, source=source, target=target, marking=_marking(record["marking"]))
 
 
 def event_to_record(event: ActionEvent) -> dict:
@@ -308,7 +351,8 @@ def event_to_record(event: ActionEvent) -> dict:
 
 
 def event_from_record(record: dict) -> ActionEvent:
-    """One logged action, at a finite time and with a finite duration >= 0."""
+    """One logged action, at a finite time and with a finite duration >= 0.
+    Of the payload fields, only the one its kind writes is read."""
     kind = _action_kind(record["kind"])
     timestamp = record["t"]
     if type(timestamp) is not float:
@@ -316,25 +360,35 @@ def event_from_record(record: dict) -> ActionEvent:
     duration = record["duration"]
     if type(duration) is not float:
         duration = float(_typed(duration, "field 'duration'", int, float))
-    page, note, question = record.get("page"), record.get("note"), record.get("question")
-    if page is not None and type(page) is not str:
-        _typed(page, "field 'page'", str)
-    if note is not None and type(note) is not str:
-        _typed(note, "field 'note'", str)
-    if question is not None and type(question) is not int:
-        _typed(question, "field 'question'", int)
     if not (math.isfinite(timestamp) and math.isfinite(duration) and duration >= 0):
         raise ValueError(f"student {record['student']}: need a finite time and a finite "
                          f"duration >= 0, got t {timestamp}, duration {duration}")
+    page = note = edit = scope = question = None
+    if kind is _READ:
+        page = record.get("page")
+        if page is not None and type(page) is not str:
+            _typed(page, "field 'page'", str)
+    elif kind is _MAKE_NOTES:
+        note = record.get("note")
+        if note is not None and type(note) is not str:
+            _typed(note, "field 'note'", str)
+    elif kind is _MAP_EDIT:
+        edit = _edit_from_record(record["edit"])
+    elif kind is _TAKE_QUIZ:
+        scope = scope_from_str(record["scope"])
+    else:
+        question = record.get("question")
+        if question is not None and type(question) is not int:
+            _typed(question, "field 'question'", int)
     return ActionEvent(
-        student_id=record["student"],
+        student_id=_typed(record["student"], "field 'student'", str),
         timestamp=timestamp,
         duration=duration,
         kind=kind,
         page=page,
         note_id=note,
-        edit=_edit_from_record(record["edit"]) if kind is _MAP_EDIT else None,
-        quiz_scope=scope_from_str(record["scope"]) if kind is _TAKE_QUIZ else None,
+        edit=edit,
+        quiz_scope=scope,
         question_ref=question,
     )
 
@@ -377,20 +431,20 @@ def affect_to_record(student_id: str, obs: AffectObservation) -> dict:
     }
 
 
-def _finite_time(record: dict) -> float:
-    """The record's `t`: a finite JSON number."""
-    t = record["t"]
+def _finite_time(record: dict, name: str = "t") -> float:
+    """The record's field `name`: a finite JSON number."""
+    t = record[name]
     if type(t) is not float:
-        t = float(_typed(t, "field 't'", int, float))
+        t = float(_typed(t, f"field {name!r}", int, float))
     if not math.isfinite(t):
-        raise ValueError(f"field 't' must be finite, got {t}")
+        raise ValueError(f"field {name!r} must be finite, got {t}")
     return t
 
 
 def affect_from_record(record: dict) -> AffectObservation:
     """One observation at a finite time, with a likelihood in [0, 1] for
     each of the five emotions and for nothing else."""
-    student_id = record["student"]
+    student_id = _typed(record["student"], "field 'student'", str)
     timestamp = _finite_time(record)
     given = _typed(record["likelihoods"], "field 'likelihoods'", dict)
     likelihoods = {}
@@ -433,26 +487,45 @@ def delivery_to_record(d: ScaffoldDelivery) -> dict:
 
 
 def delivery_from_record(record: dict) -> ScaffoldDelivery:
+    """One delivery at a finite time. Its trigger has a string rule, and an
+    integer or null index and a finite or null time for each event of its
+    pair; detail and hints are objects of strings, and each transcript step
+    has a string node, prompt and response."""
     hints = record.get("hints")
+    if hints is not None:
+        hints = TargetHints(**hints)
+        _strings(hints.template_vars(), "field 'hints'")
     return ScaffoldDelivery(
-        student_id=record["student"],
+        student_id=_typed(record["student"], "field 'student'", str),
         kind=_scaffold_kind(record["kind"]),
         agent=_agent(record["agent"]),
         timestamp=_finite_time(record),
         trigger=TriggerContext(
-            rule=record["rule"],
-            prev_index=record["prev_index"],
-            cur_index=record["cur_index"],
-            prev_time=record["prev_t"],
-            cur_time=record["cur_t"],
-            detail=record.get("detail", {}),
+            rule=_typed(record["rule"], "field 'rule'", str),
+            prev_index=_typed(record["prev_index"], "field 'prev_index'", int, type(None)),
+            cur_index=_typed(record["cur_index"], "field 'cur_index'", int, type(None)),
+            prev_time=None if record["prev_t"] is None else _finite_time(record, "prev_t"),
+            cur_time=None if record["cur_t"] is None else _finite_time(record, "cur_t"),
+            detail=_strings(record.get("detail", {}), "field 'detail'"),
         ),
-        transcript=tuple(
-            TranscriptStep(node=s["node"], prompt=s["prompt"], response=s["response"])
-            for s in record["transcript"]
-        ),
-        target_hints=TargetHints(**hints) if hints is not None else None,
+        transcript=tuple(map(_step_from_record,
+                             _typed(record["transcript"], "field 'transcript'", list))),
+        target_hints=hints,
     )
+
+
+def _strings(value, what: str) -> dict:
+    """value, when it is a JSON object of strings."""
+    for item in _typed(value, what, dict).values():
+        _typed(item, f"a value of {what}", str)
+    return value
+
+
+def _step_from_record(record) -> TranscriptStep:
+    _typed(record, "a transcript step", dict)
+    node, prompt, response = (_typed(record[key], f"transcript field {key!r}", str)
+                              for key in ("node", "prompt", "response"))
+    return TranscriptStep(node, prompt, response)
 
 
 # -- JSONL plumbing ---------------------------------------------------------------
@@ -705,7 +778,7 @@ def outcome_from_record(record: dict) -> OutcomeRecord:
     if not all(map(math.isfinite, (pre, post, max_score))) or pre >= max_score:
         raise ValueError(f"student {record['student']}: need finite scores with pre < max, "
                          f"got pre {pre}, post {post}, max {max_score}")
-    return OutcomeRecord(record["student"], pre, post, max_score)
+    return OutcomeRecord(_typed(record["student"], "field 'student'", str), pre, post, max_score)
 
 
 def load_outcomes(path: Path) -> list[OutcomeRecord]:

@@ -63,6 +63,8 @@ class DurationModel:
     def __post_init__(self):
         if self.mean <= 0 or self.spread < 0:
             raise ValueError("durations need positive mean and non-negative spread")
+        if not (math.isfinite(self.mean) and math.isfinite(self.spread)):
+            raise ValueError("durations need a finite mean and spread")
 
     def draw(self, rng: random.Random) -> float:
         return round(max(1.0, rng.gauss(self.mean, self.spread)), 1)
@@ -104,6 +106,7 @@ class StudentProfile:
             ("quiz_propensity", self.quiz_propensity),
             ("wrong_sign_share", self.wrong_sign_share),
             ("shortcut_share", self.shortcut_share),
+            *[(f"activity_mix[{k.value}]", v) for k, v in self.activity_mix.items()],
             *[(f"compliance[{k.value}]", v) for k, v in self.scaffold_compliance.items()],
             *[(f"affect[{e.value}]", v) for e, v in self.affect_baseline.items()],
         ]:

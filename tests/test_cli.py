@@ -362,6 +362,44 @@ class TestNegativeFloatValues:
         assert "usage" in capsys.readouterr().err
 
 
+class TestOptionValueTypes:
+    """An int or float option value that does not convert is an error line
+    and exit 1, before any output; other usage errors keep argparse's usage
+    block and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["simulate", "--high", "1.5"], "argument --high: invalid int value: '1.5'"),
+         (["simulate", "--budget", "abc"], "argument --budget: invalid float value: 'abc'"),
+         (["replay", "--events", "{tmp}", "--enc3-every", "x"],
+          "argument --enc3-every: invalid int value: 'x'"),
+         (["replay", "--events", "{tmp}", "--coherence-lookback", "soon"],
+          "argument --coherence-lookback: invalid float value: 'soon'"),
+         (["mine", "--annotated", "{tmp}", "--grouping", "{tmp}/g.json", "--max-len", "4.0"],
+          "argument --max-len: invalid int value: '4.0'"),
+         (["mine", "--annotated", "{tmp}", "--grouping", "{tmp}/g.json", "--s-threshold", "-"],
+          "argument --s-threshold: invalid float value: '-'")],
+        ids=["simulate-int", "simulate-float", "replay-int", "replay-float", "mine-int",
+             "mine-float"],
+    )
+    def test_is_an_error_line(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert run([a.format(tmp=tmp_path) for a in argv] + ["--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["nosuch", "--out", "o"], ["simulate", "--out", "o", "--budget"]],
+        ids=["unknown-subcommand", "option-without-a-value"],
+    )
+    def test_other_usage_errors_exit_with_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+        assert "usage" in capsys.readouterr().err
+
+
 class TestNoLoggedTime:
     """`report` on an annotated log with no logged time, as replay writes for
     an empty events log, is an error line naming the file."""
@@ -750,6 +788,15 @@ class TestMalformedDocuments:
                     "--out", tmp_path / "out"]) == 1
         assert capsys.readouterr().err == f"error: {path}: expert link a +-> b has no source page\n"
 
+    def test_expert_concept_section_must_be_a_string(self, tmp_path):
+        doc = logio.map_to_document(default_expert_map().map)
+        doc["concepts"][0]["section"] = ["cold"]
+        path = tmp_path / "expert.json"
+        path.write_text(json.dumps(doc))
+        proc = run_subprocess(["simulate", "--expert", path, "--out", tmp_path / "out"])
+        assert_error_line(proc)
+        assert proc.stderr == f"error: {path}: concept field 'section' cannot be list\n"
+
     @pytest.mark.parametrize(
         "argv",
         [["simulate", "--expert", "{path}", "--out", "{out}"],
@@ -992,6 +1039,131 @@ def test_mutated_log_record_is_read_or_an_error_line(small_cohort, target, pick,
             if name in READERS[log] and breaks_a_checked_type(log, field, value):
                 assert code == 1, name
                 assert err.getvalue().startswith("error: "), name
+        assert_no_nan_in_tables(work / "report")
+        assert_no_nan_in_tables(work)
+
+
+LINK_KEYS = ("source", "target", "sign", "marking", "page")
+# Each edit action's mutable fields, as a path from the edit.
+EDIT_FIELDS = {
+    "add_concept": (("action",), ("concept",), *(("concept", key) for key in
+                                                 ("id", "name", "section"))),
+    "delete_concept": (("action",), ("concept_id",)),
+    "add_link": (("action",), ("link",), *(("link", key) for key in LINK_KEYS)),
+    "delete_link": (("action",), ("source",), ("target",)),
+    "modify_link": (("action",), ("old",), ("new",),
+                    *((side, key) for side in ("old", "new") for key in LINK_KEYS)),
+    "mark_link": (("action",), ("source",), ("target",), ("marking",)),
+}
+
+
+def breaks_an_edit_field(path, value):
+    """Whether the mutation leaves an edit field the readers check missing
+    or of the wrong type; no sampled value names an enum member."""
+    if path[-1] == "page":  # a link's page: optional, a string or null
+        return not (value is DROP or value is None or isinstance(value, str))
+    if path[-1] == "marking" and len(path) == 2:  # a link's marking: optional
+        return value is not DROP
+    if path[-1] in ("id", "name", "section", "concept_id", "source", "target"):
+        return not isinstance(value, str)
+    return True  # action, sign, a mark edit's marking, a concept or link object
+
+
+def edit_slot(edit, path, drop):
+    """The object in an edit that holds the field at `path`, and the field's
+    key there; None if there is no such object, or nothing to drop."""
+    container = edit
+    for key in path[:-1]:
+        container = container.get(key)
+        if not isinstance(container, dict):
+            return None
+    if drop and path[-1] not in container:
+        return None
+    return container, path[-1]
+
+
+@pytest.fixture(scope="module")
+def edit_cohort(small_cohort, tmp_path_factory):
+    """small_cohort with a delete_concept edit, which the simulator never
+    makes, appended to each events log, and the logs replayed again."""
+    root = tmp_path_factory.mktemp("edits") / "sim"
+    shutil.copytree(small_cohort, root)
+    for path in sorted((root / "events").glob("*.jsonl")):
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        concept = [r["edit"]["concept"]["id"] for r in records
+                   if r["kind"] == "map_edit" and r["edit"]["action"] == "add_concept"][-1]
+        last = records[-1]
+        records.append({"student": last["student"], "t": last["t"] + last["duration"],
+                        "duration": 5.0, "kind": "map_edit",
+                        "edit": {"action": "delete_concept", "concept_id": concept}})
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    shutil.rmtree(root / "annotated")
+    assert run(["replay", "--events", root / "events", "--expert", root / "expert-map.json",
+                "--out", root.parent / "replay"]) == 0
+    (root.parent / "replay" / "annotated").rename(root / "annotated")
+    return root
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    target=st.sampled_from([(log, action, path) for log in ("annotated", "events")
+                            for action in sorted(EDIT_FIELDS) for path in EDIT_FIELDS[action]]),
+    pick=st.integers(0, 10_000),
+    value=st.sampled_from([DROP, "x", 3, -2.5, True, None, [1], {"a": 1}, float("nan")]),
+)
+@example(target=("events", "delete_link", ("source",)), pick=0, value=[1])
+@example(target=("events", "delete_concept", ("concept_id",)), pick=0, value=[1])
+@example(target=("events", "delete_concept", ("concept_id",)), pick=0, value={"a": 1})
+@example(target=("events", "add_concept", ("concept", "id")), pick=0, value=[1])
+@example(target=("events", "add_link", ("link", "source")), pick=0, value={"a": 1})
+def test_mutated_edit_field_is_read_or_an_error_line(edit_cohort, target, pick, value):
+    """test_mutated_log_record_is_read_or_an_error_line one level further
+    in: a field of the edit of one map_edit record of an events or annotated
+    log, or of the concept or a link in it, is dropped or given a value of
+    another JSON type. replay, mine and report each end in 0, or in 1 with
+    exactly one error line, never raise and never write NaN into a table,
+    and the commands that read the log fail when the mutation breaks a
+    field the readers check."""
+    log, action, path = target
+    records = [
+        (log_path, i, record)
+        for log_path in sorted((edit_cohort / log).glob("*.jsonl"))
+        for i, record in enumerate(map(json.loads, log_path.read_text().splitlines()))
+        if record["kind"] == "map_edit" and record["edit"]["action"] == action
+        and edit_slot(record["edit"], path, value is DROP)
+    ]
+    assume(records)
+    log_path, i, record = records[pick % len(records)]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "sim"
+        shutil.copytree(edit_cohort, work)
+        container, key = edit_slot(record["edit"], path, value is DROP)
+        if value is DROP:
+            del container[key]
+        else:
+            container[key] = value
+        mutated = work / log / log_path.name
+        lines = mutated.read_text().splitlines()
+        lines[i] = json.dumps(record)
+        mutated.write_text("\n".join(lines) + "\n")
+        commands = {
+            "replay": ["replay", "--events", work / "events",
+                       "--expert", work / "expert-map.json", "--out", work / "out"],
+            "mine": ["mine", "--annotated", work / "annotated",
+                     "--grouping", work / "grouping.json", "--out", work / "dsm.tsv"],
+            "report": ["report", "--annotated", work / "annotated",
+                       "--deliveries", work / "deliveries", "--affect", work / "affect",
+                       "--grouping", work / "grouping.json", "--out", work / "report"],
+        }
+        for name, argv in commands.items():
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1), (name, err.getvalue())
+            if code == 1:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            if name in READERS[log] and breaks_an_edit_field(path, value):
+                assert code == 1, name
         assert_no_nan_in_tables(work / "report")
         assert_no_nan_in_tables(work)
 
