@@ -493,7 +493,7 @@ def delivery_from_record(record: dict) -> ScaffoldDelivery:
     has a string node, prompt and response."""
     hints = record.get("hints")
     if hints is not None:
-        hints = TargetHints(**hints)
+        hints = TargetHints(**hints)  # first: its errors name a non-object or unknown key
         _strings(hints.template_vars(), "field 'hints'")
     return ScaffoldDelivery(
         student_id=_typed(record["student"], "field 'student'", str),

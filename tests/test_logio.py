@@ -4,8 +4,8 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
-from hypothesis import given, strategies as st
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapcoach import logio
 from mapcoach.analytics import Emotion
