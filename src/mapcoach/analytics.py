@@ -153,21 +153,6 @@ def map_score_slope(scores: Sequence[float]) -> float:
     return sxy / sxx
 
 
-def interval_edit_scores(
-    annotated: Sequence[AnnotatedEvent], span: tuple[float, float]
-) -> list[int]:
-    """Map scores after each map edit falling in [start, end) of a span.
-
-    Half-open spans keep the interval tiling exact: an edit at a delivery
-    time belongs to the interval that starts there."""
-    start, end = span
-    return [
-        e.map_score_after
-        for e in annotated
-        if e.kind is ActionKind.MAP_EDIT and start <= e.timestamp < end
-    ]
-
-
 # -- affect -----------------------------------------------------------------------
 
 
@@ -236,8 +221,8 @@ class ImpactCell:
 class _Timeline:
     """One student's map edits and affect observations, each sorted by time
     once, so that an interval is two bisections rather than a scan of the
-    whole log.  `edit_scores` and `affect_means` give what
-    interval_edit_scores and affect_aggregate give on the unsorted logs."""
+    whole log.  `edit_scores` and `affect_means` give what a scan of the
+    unsorted logs and affect_aggregate give."""
 
     def __init__(self, annotated: Sequence[AnnotatedEvent], affect: Sequence[AffectObservation]):
         # (time, log position, score): equal times keep their log order
@@ -267,13 +252,14 @@ class _Timeline:
         return _mean_likelihoods(hits) if hits else None
 
 
+MAX_ORDINAL = 3  # ordinals past this one count only in the pooled cells
+
+
 def scaffold_impact(
-    records: Sequence[StudentRecord],
-    grouping: Mapping[str, str],
-    max_ordinal: int = 3,
+    records: Sequence[StudentRecord], grouping: Mapping[str, str]
 ) -> list[ImpactCell]:
     """Average map-score slope and affect in before/after intervals, per
-    scaffold kind, per group, per ordinal (1..max_ordinal) and pooled.
+    scaffold kind, per group, per ordinal (1..MAX_ORDINAL) and pooled.
 
     Slopes average over the intervals with at least two edits, one slope
     each; a cell with no such interval reports mean_slope None.
@@ -288,7 +274,7 @@ def scaffold_impact(
         timeline = _Timeline(record.annotated, record.affect)
         for iv in segment_intervals(record.deliveries, record.session_end):
             keys = [(group, iv.kind, None, iv.phase)]
-            if iv.ordinal <= max_ordinal:
+            if iv.ordinal <= MAX_ORDINAL:
                 keys.append((group, iv.kind, iv.ordinal, iv.phase))
             scores = timeline.edit_scores(iv.span)
             if len(scores) >= 2:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from enum import Enum
+from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 from ._record import record
@@ -59,8 +60,7 @@ PROCESS_FOR_KIND = {
     ActionKind.QUIZ_EXPL: Process.SA,
 }
 # members feed reads, as globals: a global read costs a fraction of a class attribute read
-_READ, _MAP_EDIT, _ADD_LINK, _MODIFY_LINK = (
-    ActionKind.READ, ActionKind.MAP_EDIT, MapEditAction.ADD_LINK, MapEditAction.MODIFY_LINK)
+_READ, _MAP_EDIT = ActionKind.READ, ActionKind.MAP_EDIT
 
 
 @record
@@ -77,12 +77,12 @@ class MapEdit:
     new: Optional[CausalLink] = None
     marking: Optional[Marking] = None          # mark_link
 
-    def touched_pair(self) -> Optional[tuple[str, str]]:
-        """The (source, target) pair left in the map by an add/modify edit."""
+    def placed_link(self) -> Optional[CausalLink]:
+        """The link an add or modify edit leaves in the map, else None."""
         if self.action is MapEditAction.ADD_LINK:
-            return self.link.key
+            return self.link
         if self.action is MapEditAction.MODIFY_LINK:
-            return self.new.key
+            return self.new
         return None
 
 
@@ -221,9 +221,8 @@ class SessionAnnotator:
             elif new_score < self.score:
                 effectiveness = Effectiveness.INEFF
             self.current_map, self.score = new_map, new_score
-            action = edit.action
-            if action is _ADD_LINK or action is _MODIFY_LINK:
-                link = edit.link if action is _ADD_LINK else edit.new
+            link = edit.placed_link()
+            if link is not None:
                 expert_link = self._expert_links.get((link.source, link.target))
                 read_at = None if expert_link is None else self._last_read.get(expert_link.source_page)
                 lookback = self.coherence_lookback
@@ -307,31 +306,14 @@ def event_label(event: AnnotatedEvent) -> str:
     return base
 
 
-def collapse_labeled(items: Sequence[tuple[str, float, float]]) -> list[CollapsedToken]:
-    """Collapse adjacent identical labels in (label, start, end) triples."""
-    tokens: list[CollapsedToken] = []
-    for label, start, end in items:
-        if tokens and _base_label(tokens[-1].label) == label:
-            prev = tokens[-1]
-            tokens[-1] = CollapsedToken(
-                label=label + "-Mult",
-                count=prev.count + 1,
-                span=(prev.span[0], end),
-            )
-        else:
-            tokens.append(CollapsedToken(label=label, count=1, span=(start, end)))
-    return tokens
-
-
-def _base_label(label: str) -> str:
-    return label[: -len("-Mult")] if label.endswith("-Mult") else label
-
-
 def collapse(annotated: Sequence[AnnotatedEvent]) -> list[CollapsedToken]:
     """Merge runs of same-labeled events into single tokens tagged -Mult."""
-    return collapse_labeled(
-        [(event_label(e), e.timestamp, e.base.end) for e in annotated]
-    )
+    tokens = []
+    for label, run in groupby(annotated, event_label):
+        run = list(run)
+        tokens.append(CollapsedToken(label + "-Mult" if len(run) > 1 else label, len(run),
+                                     (run[0].timestamp, run[-1].base.end)))
+    return tokens
 
 
 # -- time distribution ---------------------------------------------------------

@@ -24,13 +24,14 @@ can fire):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from string import Template
 from typing import Callable, Optional, Sequence
 
 from ._record import record
 from .annotate import (
+    DEFAULT_LONG_THRESHOLD,
     ActionKind,
     AnnotatedEvent,
     Effectiveness,
@@ -422,7 +423,7 @@ class EngineConfig:
     min_inter_scaffold_seconds: float = 60.0
     hint1_window_events: int = 5
     hint1_window_seconds: float = 120.0
-    long_threshold: float = 60.0
+    long_threshold: float = DEFAULT_LONG_THRESHOLD
     enc3_every: int = 3
     disabled_kinds: frozenset[ScaffoldKind] = frozenset()
 
@@ -440,12 +441,11 @@ class EngineConfig:
             raise ValueError("enc3_every must be >= 1")
 
 
-@dataclass
+@record
 class _PendingHint1:
     arm_index: int
     arm_time: float
     deadline: float
-    events_seen: int
     hints: TargetHints
 
 
@@ -475,14 +475,13 @@ class ScaffoldEngine:
         self.responder = responder
         self._index = 0
         self._prev: Optional[AnnotatedEvent] = None
-        self._prev_index = -1
         self._prev_time = -math.inf
         self._last_delivery: Optional[tuple[ScaffoldKind, float]] = None
         self._ineff_occasions = 0
         self._last_hint5_pair: Optional[tuple[str, str]] = None
         self._pending_hint1: Optional[_PendingHint1] = None
         self._prev_quiz_score: Optional[float] = None
-        self._touched_pairs: set[tuple[str, str]] = set()
+        self._placed_pairs: set[tuple[str, str]] = set()
 
     # -- public API -------------------------------------------------------
 
@@ -508,14 +507,13 @@ class ScaffoldEngine:
             out.append(candidate)
         # bookkeeping that must happen regardless of what fired
         if kind is ActionKind.MAP_EDIT:
-            pair = base.edit.touched_pair()
-            if pair is not None:
-                self._touched_pairs.add(pair)
+            link = base.edit.placed_link()
+            if link is not None:
+                self._placed_pairs.add(link.key)
         elif kind is ActionKind.TAKE_QUIZ and last_quiz is not None:
             self._prev_quiz_score = last_quiz.score
-            self._touched_pairs.clear()
+            self._placed_pairs.clear()
         self._prev = event
-        self._prev_index = index
         self._prev_time = at
         return out
 
@@ -536,8 +534,7 @@ class ScaffoldEngine:
         if _is_correct_marking(event):
             self._pending_hint1 = None
             return []
-        pending.events_seen += 1
-        if pending.events_seen >= self.config.hint1_window_events:
+        if self._index - 1 - pending.arm_index >= self.config.hint1_window_events:
             return self._expire_hint1(pending, event.timestamp, self._index - 1)
         return []
 
@@ -629,7 +626,7 @@ class ScaffoldEngine:
                 ScaffoldKind.HINT3, event, index, _link_hints(unmarked[0]),
                 "edit_ineff->quiz", case="unmarked_incorrect",
             )
-        edited = _edited_link(prev)
+        edited = prev.base.edit.placed_link()
         if edited is not None and classify_link(edited, self.expert) is LinkClass.INCORRECT_SHORTCUT:
             return self._deliver_on_pair(
                 ScaffoldKind.HINT4, event, index, _link_hints(edited),
@@ -665,7 +662,6 @@ class ScaffoldEngine:
             arm_index=index,
             arm_time=event.timestamp,
             deadline=event.timestamp + self.config.hint1_window_seconds,
-            events_seen=0,
             hints=hints,
         )
 
@@ -673,7 +669,7 @@ class ScaffoldEngine:
         """Incorrect, still-unmarked links among pairs added/modified since
         the previous quiz."""
         found = []
-        for pair in sorted(self._touched_pairs):
+        for pair in sorted(self._placed_pairs):
             link = student_map.links.get(pair)
             if link is None or link.marking is not Marking.UNMARKED:
                 continue
@@ -744,8 +740,7 @@ class ScaffoldEngine:
     ) -> Optional[ScaffoldDelivery]:
         """Deliver a scaffold triggered by the previous event and `event`."""
         return self._deliver(
-            kind, hints, rule, self._prev_index, self._prev_time, index, event.base.timestamp,
-            **detail,
+            kind, hints, rule, index - 1, self._prev_time, index, event.base.timestamp, **detail,
         )
 
     def _deliver(
@@ -789,15 +784,6 @@ def _is_correct_marking(event: AnnotatedEvent) -> bool:
         and event.base.edit.action is MapEditAction.MARK_LINK
         and event.base.edit.marking is Marking.MARKED_CORRECT
     )
-
-
-def _edited_link(event: AnnotatedEvent) -> Optional[CausalLink]:
-    edit = event.base.edit
-    if edit.action is MapEditAction.ADD_LINK:
-        return edit.link
-    if edit.action is MapEditAction.MODIFY_LINK:
-        return edit.new
-    return None
 
 
 def _link_hints(link: CausalLink) -> TargetHints:

@@ -120,12 +120,17 @@ def _within_ss(values: Sequence[float]) -> float:
     return sum((v - m) ** 2 for v in values)
 
 
-def pooled_t(a: Sequence[float], b: Sequence[float]) -> tuple[float, int]:
-    """Pooled two-sample t statistic and its degrees of freedom."""
+def _pooled(a: Sequence[float], b: Sequence[float]) -> tuple[float, float, int]:
+    """Difference of means, within-group sum of squares, and its df."""
     _check_groups(a, b, 1)
     df = len(a) + len(b) - 2
     ssw = _within_ss(a) + _within_ss(b)
-    diff = fmean(a) - fmean(b)
+    return fmean(a) - fmean(b), ssw, df
+
+
+def pooled_t(a: Sequence[float], b: Sequence[float]) -> tuple[float, int]:
+    """Pooled two-sample t statistic and its degrees of freedom."""
+    diff, ssw, df = _pooled(a, b)
     if ssw == 0.0:
         t = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
         return t, df
@@ -136,13 +141,10 @@ def pooled_t(a: Sequence[float], b: Sequence[float]) -> tuple[float, int]:
 
 def cohens_d(a: Sequence[float], b: Sequence[float]) -> float:
     """Pooled-SD standardized mean difference, reported as a magnitude."""
-    _check_groups(a, b, 1)
-    df = len(a) + len(b) - 2
-    ssw = _within_ss(a) + _within_ss(b)
-    diff = abs(fmean(a) - fmean(b))
+    diff, ssw, df = _pooled(a, b)
     if ssw == 0.0:
         return 0.0 if diff == 0.0 else math.inf
-    return diff / math.sqrt(ssw / df)
+    return abs(diff) / math.sqrt(ssw / df)
 
 
 def one_way_anova(a: Sequence[float], b: Sequence[float]) -> TestResult:

@@ -245,9 +245,9 @@ def _unmarked_touched(
     touched: set[tuple[str, str]] = set()
     for event in annotated[start:quiz_index]:
         if event.kind is ActionKind.MAP_EDIT:
-            pair = event.base.edit.touched_pair()
-            if pair is not None:
-                touched.add(pair)
+            link = event.base.edit.placed_link()
+            if link is not None:
+                touched.add(link.key)
     found = []
     for pair in sorted(touched):
         link = current.links.get(pair)
@@ -259,14 +259,8 @@ def _unmarked_touched(
 
 
 def _edited_is_shortcut(prev: AnnotatedEvent, expert: ExpertMap) -> bool:
-    edit = prev.base.edit
-    if edit.action is MapEditAction.ADD_LINK:
-        link = edit.link
-    elif edit.action is MapEditAction.MODIFY_LINK:
-        link = edit.new
-    else:
-        return False
-    return classify_link(link, expert) is LinkClass.INCORRECT_SHORTCUT
+    link = prev.base.edit.placed_link()
+    return link is not None and classify_link(link, expert) is LinkClass.INCORRECT_SHORTCUT
 
 
 def _long_read(event: AnnotatedEvent) -> bool:

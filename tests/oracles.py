@@ -286,6 +286,22 @@ def brute_greedy_count_fast(tokens: Sequence[str], pattern: Sequence[str], max_g
         floor = match[-1] + 1
 
 
+# -- scaffold-anchored intervals -----------------------------------------------------
+
+
+def interval_edit_scores(annotated: Sequence, span: tuple[float, float]) -> list[int]:
+    """Map scores after each map edit falling in [start, end) of a span, by a
+    scan of the whole annotated log.  Half-open spans keep the interval
+    tiling exact: an edit at a delivery time belongs to the interval that
+    starts there."""
+    start, end = span
+    return [
+        e.map_score_after
+        for e in annotated
+        if e.kind is ActionKind.MAP_EDIT and start <= e.timestamp < end
+    ]
+
+
 # -- ordinary least squares ---------------------------------------------------------
 
 

@@ -14,7 +14,6 @@ from mapcoach.analytics import (
     Phase,
     StudentRecord,
     affect_aggregate,
-    interval_edit_scores,
     map_score_slope,
     median_split,
     nlg,
@@ -266,7 +265,7 @@ class _Scans:
         self.annotated, self.affect = annotated, affect
 
     def edit_scores(self, span):
-        return interval_edit_scores(self.annotated, span)
+        return oracles.interval_edit_scores(self.annotated, span)
 
     def affect_means(self, span):
         try:

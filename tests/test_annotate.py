@@ -23,7 +23,7 @@ from mapcoach.annotate import (
     annotate_session,
     apply_edit,
     collapse,
-    collapse_labeled,
+    event_label,
     tag_coherence,
     time_distribution,
 )
@@ -67,6 +67,29 @@ def setup_events(expert):
         events.append(add_concept(t, concept.id))
         t += 2.0
     return events, t
+
+
+class TestPlacedLink:
+    def test_adds_and_modifies_place_a_link_and_nothing_else_does(self):
+        link, new = CausalLink("a", "b", INC), CausalLink("b", "c", DEC)
+        edits = [
+            MapEdit(MapEditAction.ADD_CONCEPT, concept=Concept("a", "A", "s1")),
+            MapEdit(MapEditAction.DELETE_CONCEPT, concept_id="a"),
+            MapEdit(MapEditAction.ADD_LINK, link=link),
+            MapEdit(MapEditAction.DELETE_LINK, source="a", target="b"),
+            MapEdit(MapEditAction.MODIFY_LINK, old=link, new=new),
+            MapEdit(MapEditAction.MARK_LINK, source="a", target="b",
+                    marking=Marking.MARKED_CORRECT),
+        ]
+        assert {e.action: e.placed_link() for e in edits} == {
+            MapEditAction.ADD_CONCEPT: None,
+            MapEditAction.DELETE_CONCEPT: None,
+            MapEditAction.ADD_LINK: link,
+            MapEditAction.DELETE_LINK: None,
+            MapEditAction.MODIFY_LINK: new,
+            MapEditAction.MARK_LINK: None,
+        }
+        assert {e.action for e in edits} == set(MapEditAction)
 
 
 class TestAnnotateSession:
@@ -448,20 +471,26 @@ class TestCollapse:
         tokens = collapse(annotate_session(events, tiny_expert))
         assert tokens[-1].span == (t0, t0 + 50.0)
 
-    @settings(max_examples=80)
-    @given(st.lists(st.sampled_from(["Read", "Note", "LinkEdit-Eff", "QuizTaken"]), max_size=20))
-    def test_mult_iff_count_at_least_two(self, labels):
-        tokens = collapse_labeled([(l, float(i), float(i) + 1.0) for i, l in enumerate(labels)])
+    @settings(max_examples=80, deadline=None)
+    @given(_coherence_streams())
+    def test_tokens_are_the_maximal_runs_of_event_labels(self, stream):
+        """Each token is one maximal run of equal event labels: -Mult iff
+        the run has two or more events, spanning its first start to its
+        last end."""
+        expert, events = stream
+        annotated = annotate_session(events, expert)
+        tokens = collapse(annotated)
+        labels = [event_label(e) for e in annotated]
+        start = 0
         for token in tokens:
-            assert (token.count >= 2) == token.label.endswith("-Mult")
-
-    @settings(max_examples=80)
-    @given(st.lists(st.sampled_from(["Read", "Note", "LinkEdit-Eff", "QuizTaken"]), max_size=20))
-    def test_collapse_idempotent_on_token_labels(self, labels):
-        tokens = collapse_labeled([(l, float(i), float(i) + 1.0) for i, l in enumerate(labels)])
-        again = collapse_labeled([(t.label, *t.span) for t in tokens])
-        assert [t.label for t in again] == [t.label for t in tokens]
-        assert all(t.count == 1 for t in again)
+            end = start + token.count
+            label = labels[start]
+            assert labels[start:end] == [label] * token.count
+            assert start == 0 or labels[start - 1] != label
+            assert token.label == (label + "-Mult" if token.count >= 2 else label)
+            assert token.span == (annotated[start].timestamp, annotated[end - 1].base.end)
+            start = end
+        assert start == len(annotated)
 
 
 class TestTimeDistribution:
