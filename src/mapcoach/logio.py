@@ -668,7 +668,12 @@ def _node_from_document(n: dict) -> ConversationNode:
     for r in _typed(n["responses"], f"{where} responses", list):
         r = _typed(r, f"a response of {where}", dict)
         text = _typed(r["text"], f"a response of {where}", str)
-        goto = None if r.get("exit") else _typed(r["goto"], f"a goto of {where}", str)
+        if "exit" not in r:
+            goto = _typed(r["goto"], f"a goto of {where}", str)
+        elif r["exit"] is True and "goto" not in r:
+            goto = None
+        else:
+            raise ValueError(f"an exit of {where} must be true and name no goto")
         responses.append(ResponseOption(text, goto))
     prompt = _typed(n["prompt"], f"{where} prompt", str)
     return ConversationNode(node_id, prompt, tuple(responses))
@@ -702,28 +707,36 @@ def profiles_to_document(profiles: dict[str, StudentProfile]) -> dict:
     return doc
 
 
+def _number(value, what: str):
+    return _typed(value, what, int, float)
+
+
+def _shares(value, what: str, member: Callable[[object], E]) -> dict[E, float]:
+    """A JSON object of numbers, its keys read as enum members."""
+    return {member(k): _number(v, f"{what} {k}") for k, v in _typed(value, what, dict).items()}
+
+
 def profiles_from_document(doc) -> dict[str, StudentProfile]:
     """The profiles 'high' and 'low' by name. A missing field raises
     KeyError; a field of the wrong JSON type or value, or another set of
     profiles, TypeError or ValueError."""
     profiles = {}
     for name, p in _typed(doc, "a profiles document", dict).items():
-        p = _typed(p, f"profile {name!r}", dict)
-        mix, compliance, affect = (
-            _typed(value, f"profile {name!r} {field}", dict)
-            for field, value in (("activity_mix", p["activity_mix"]),
-                                 ("scaffold_compliance", p.get("scaffold_compliance", {})),
-                                 ("affect_baseline", p["affect_baseline"])))
+        where = f"profile {name!r}"
+        p = _typed(p, where, dict)
         profiles[name] = StudentProfile(
             student_id=name,
-            activity_mix={_action_kind(k): v for k, v in mix.items()},
-            read_effectiveness=p["read_effectiveness"],
-            quiz_propensity=p["quiz_propensity"],
-            scaffold_compliance={_scaffold_kind(k): v for k, v in compliance.items()},
-            **{f: DurationModel(*p[f]) for f in DURATION_FIELDS},
-            affect_baseline={_emotion(k): v for k, v in affect.items()},
-            wrong_sign_share=p.get("wrong_sign_share", 0.8),
-            shortcut_share=p.get("shortcut_share", 0.3),
+            activity_mix=_shares(p["activity_mix"], f"{where} activity_mix", _action_kind),
+            read_effectiveness=_number(p["read_effectiveness"], f"{where} read_effectiveness"),
+            quiz_propensity=_number(p["quiz_propensity"], f"{where} quiz_propensity"),
+            scaffold_compliance=_shares(p.get("scaffold_compliance", {}),
+                                        f"{where} scaffold_compliance", _scaffold_kind),
+            **{f: DurationModel(*(_number(v, f"{where} {f}")
+                                  for v in _typed(p[f], f"{where} {f}", list)))
+               for f in DURATION_FIELDS},
+            affect_baseline=_shares(p["affect_baseline"], f"{where} affect_baseline", _emotion),
+            wrong_sign_share=_number(p.get("wrong_sign_share", 0.8), f"{where} wrong_sign_share"),
+            shortcut_share=_number(p.get("shortcut_share", 0.3), f"{where} shortcut_share"),
         )
     if set(profiles) != {"high", "low"}:
         raise ValueError(f"expected exactly the profiles 'high' and 'low', got {sorted(profiles)}")

@@ -735,6 +735,15 @@ def _short_read_duration_profiles():
     return doc
 
 
+def _profiles_with_a_bool_share():
+    from mapcoach.logio import profiles_to_document
+    from mapcoach.simulate import bundled_profiles
+
+    doc = profiles_to_document(bundled_profiles())
+    doc["high"]["read_effectiveness"] = True
+    return doc
+
+
 def _profiles_without_low():
     from mapcoach.logio import profiles_to_document
     from mapcoach.simulate import bundled_profiles
@@ -753,12 +762,14 @@ class TestMalformedDocuments:
         "tree-without-nodes": {"enc1": {"root": "x"}},
         "node-without-exit": _tree([{"text": "again", "goto": "x"}]),
         "goto-missing-node": _tree([{"text": "bye", "exit": True}, {"text": "on", "goto": "y"}]),
+        "exit-not-true": _tree([{"text": "bye", "exit": "no", "goto": "x"}]),
         "profile-not-an-object": {"high": 3},
         "number": 3,
         "string": "x",
         "null": None,
         "read-duration-without-spread": _short_read_duration_profiles(),
         "profiles-without-low": _profiles_without_low(),
+        "profile-share-a-bool": _profiles_with_a_bool_share(),
     }
 
     @pytest.mark.parametrize("document", DOCUMENTS.values(), ids=DOCUMENTS.keys())

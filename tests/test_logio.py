@@ -11,7 +11,14 @@ from mapcoach import logio
 from mapcoach.analytics import Emotion
 from mapcoach.annotate import Effectiveness, Process
 from mapcoach.causal import Marking, QuizScope, Sign
-from mapcoach.engine import Agent, EngineConfig, ScaffoldEngine, ScaffoldKind, TargetHints
+from mapcoach.engine import (
+    Agent,
+    EngineConfig,
+    MalformedTree,
+    ScaffoldEngine,
+    ScaffoldKind,
+    TargetHints,
+)
 from mapcoach.logio import FormatError
 from mapcoach.pack import default_expert_map
 from mapcoach.simulate import bundled_profiles, simulate_session
@@ -259,21 +266,22 @@ class TestTreeDocuments:
         assert trees[ScaffoldKind.ENC1].nodes["x"].prompt == "custom praise"
         assert set(trees) == set(ScaffoldKind)
 
-    def test_malformed_tree_document_rejected(self):
-        from mapcoach.engine import MalformedTree
+    @pytest.mark.parametrize("nodes, error, match", [
+        ([{"id": "x", "prompt": "p", "responses": [{"text": "loop", "goto": "x"}]}],
+         MalformedTree, "node 'x' offers no exit"),
+        *(([{"id": "x", "prompt": "p", "responses": [response]},
+            {"id": "y", "prompt": "q", "responses": [{"text": "bye", "exit": True}]}],
+           ValueError, "an exit of node 'x' must be true and name no goto")
+          for response in ({"text": "a", "exit": "no", "goto": "x"},
+                           {"text": "a", "exit": False, "goto": "y"},
+                           {"text": "a", "exit": True, "goto": "y"},
+                           {"text": "a", "exit": 1})),
+    ])
+    def test_malformed_tree_document_rejected(self, nodes, error, match):
         from mapcoach.logio import trees_from_document
 
-        doc = {
-            "enc1": {
-                "root": "x",
-                "nodes": [
-                    {"id": "x", "prompt": "p", "responses": [{"text": "loop", "goto": "x"}]}
-                ],
-            }
-        }
-        import pytest as _pytest
-        with _pytest.raises(MalformedTree):
-            trees_from_document(doc)
+        with pytest.raises(error, match=match):
+            trees_from_document({"enc1": {"root": "x", "nodes": nodes}})
 
 
 class TestProfileDocuments:
@@ -293,6 +301,27 @@ class TestProfileDocuments:
             assert loaded[name].read_effectiveness == base[name].read_effectiveness
             assert loaded[name].scaffold_compliance == base[name].scaffold_compliance
             assert loaded[name].read_duration == base[name].read_duration
+
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    @pytest.mark.parametrize("path", [
+        ("read_effectiveness",), ("quiz_propensity",), ("wrong_sign_share",),
+        ("shortcut_share",), ("activity_mix", "read"), ("scaffold_compliance", "hint1"),
+        ("affect_baseline", "boredom"), ("read_duration", 0), ("expl_duration", 1),
+    ])
+    def test_every_number_must_be_a_json_number(self, tmp_path, path, value):
+        from mapcoach.logio import profiles_from_document, profiles_to_document
+
+        doc = profiles_to_document(bundled_profiles())
+        *parents, key = path
+        holder = doc["high"]
+        for parent in parents:
+            holder = holder[parent]
+        holder[key] = value
+        file = tmp_path / "profiles.json"
+        file.write_text(json.dumps(doc))
+        name = " ".join(str(part) for part in path if not isinstance(part, int))
+        with pytest.raises(FormatError, match=f"profile 'high' {name}.* cannot be "):
+            logio.load_document(file, profiles_from_document)
 
 
 class TestBundledTrees:

@@ -1,11 +1,15 @@
 """The package runs on the standard library alone: importing every module
-loads nothing from outside it, and pyproject.toml declares no dependency."""
+loads nothing from outside it, and pyproject.toml declares no dependency.
+Every function the benchmark traces by name exists."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import mapcoach
@@ -62,3 +66,21 @@ def test_dependencies_are_read_without_tomllib(monkeypatch):
     declared = text.replace("\ndependencies = []\n", '\ndependencies = [\n  "numpy>=1.24",\n]\n')
     assert project_dependencies(declared) == ["numpy>=1.24"]
     assert project_dependencies(text.replace("\ndependencies = []\n", "\n")) == []
+
+
+def test_every_name_the_benchmark_traces_exists():
+    """bench/tracing.py wraps mapcoach functions by module and attribute
+    name; each must still resolve, so a rename under src/ fails here too."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    def resolves(module_name, attr):
+        try:
+            return callable(reduce(getattr, attr.split("."), importlib.import_module(module_name)))
+        except (ImportError, AttributeError):
+            return False
+
+    targets = [(module_name, attr) for module_name, attr, *_ in tracing.TARGETS]
+    assert len(targets) >= 20 and all(m.startswith("mapcoach.") for m, _ in targets)
+    assert [f"{m}.{a}" for m, a in targets if not resolves(m, a)] == []
