@@ -9,7 +9,9 @@ Subcommands:
 
 Every command writes a manifest.json next to its outputs recording the
 arguments, seed, version, and wall-clock time.  Outputs other than the
-manifest are byte-stable for identical inputs and seeds.
+manifest are byte-stable for identical inputs and seeds.  A command reads
+and checks all of its input, and computes every result, before it writes
+a file, so one that ends in an `error:` line has written nothing.
 """
 
 from __future__ import annotations
@@ -82,35 +84,36 @@ def _engine_config(args) -> EngineConfig:
     return EngineConfig(**settings)
 
 
-def _read_student_log(read, path: Path) -> list:
-    """Read one student's log, named <student>.jsonl; a record of another
-    student is a ValueError naming the file."""
-    records = read(path)
-    student = path.stem
-    for n, record in enumerate(records, start=1):
-        if record.student_id != student:
-            raise ValueError(f"{path}: record {n} is for student {record.student_id!r}, "
-                             f"not {student!r} as the file name says")
-    return records
-
-
-def _input_dir(path: Path) -> Path:
-    """`path`, or a ValueError if no directory is there."""
-    if not path.is_dir():
-        raise ValueError(f"{path}: no such directory")
-    return path
+def _student_logs(directory: Path | None, read) -> dict[str, list]:
+    """Student -> records, read by `read` from each log in `directory`,
+    named <student>.jsonl, in name order; {} when the option is unset. No
+    directory there, or a record of another student than its file names, is
+    a ValueError naming the path."""
+    if directory is None:
+        return {}
+    if not directory.is_dir():
+        raise ValueError(f"{directory}: no such directory")
+    logs = {}
+    for path in sorted(directory.glob("*.jsonl")):
+        records = logs[path.stem] = read(path)
+        for n, record in enumerate(records, start=1):
+            if record.student_id != path.stem:
+                raise ValueError(f"{path}: record {n} is for student {record.student_id!r}, "
+                                 f"not {path.stem!r} as the file name says")
+    return logs
 
 
 def _write_manifest(path: Path, command: str, args: argparse.Namespace,
-                    outputs: list[str], started: float, seed=None):
+                    outputs: list[str], seed=None):
+    started, t0 = args._clock
     manifest = {
         "tool": "mapcoach",
         "version": __version__,
         "command": command,
-        "args": {k: str(v) for k, v in vars(args).items() if k not in ("func", "_t0")},
+        "args": {k: str(v) for k, v in vars(args).items() if k not in ("func", "_clock")},
         "seed": seed,
         "started_utc": datetime.fromtimestamp(started, timezone.utc).isoformat(),
-        "wall_seconds": round(time.monotonic() - args._t0, 3),
+        "wall_seconds": round(time.monotonic() - t0, 3),
         "outputs": sorted(outputs),
     }
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -126,7 +129,6 @@ def _load_expert(path) -> "ExpertMap":
 
 
 def cmd_simulate(args) -> int:
-    started = time.time()
     out_dir = Path(args.out)
     expert = _load_expert(args.expert)
     config = _engine_config(args) if not args.no_engine else None
@@ -158,7 +160,7 @@ def cmd_simulate(args) -> int:
     logio.save_map(expert.map, out_dir / "expert-map.json")
     logio.write_outcomes(outcomes, out_dir / "outcomes.jsonl")
     outputs += ["grouping.json", "expert-map.json", "outcomes.jsonl"]
-    _write_manifest(out_dir / "manifest.json", "simulate", args, outputs, started, seed=args.seed)
+    _write_manifest(out_dir / "manifest.json", "simulate", args, outputs, seed=args.seed)
     print(f"simulated {len(cohort.sessions)} students into {out_dir}")
     return 0
 
@@ -186,52 +188,39 @@ def cmd_replay(args) -> int:
     # the annotator checks the lookback; built here, before any output, it
     # rejects a bad value for an events directory without logs too
     SessionAnnotator(expert, coherence_lookback=args.coherence_lookback)
-    events_dir = _input_dir(args.events)
-    files = sorted(events_dir.glob("*.jsonl"))
-    started = time.time()
+    results = {}
+    for sid, events in _student_logs(args.events, logio.read_events).items():
+        try:
+            results[sid] = replay_events(sid, events, expert, config,
+                                         coherence_lookback=args.coherence_lookback,
+                                         trees=trees)
+        except ValueError as exc:
+            raise ValueError(f"{args.events / f'{sid}.jsonl'}: student {sid}: {exc}") from exc
+    if not results:
+        print(f"warning: no event logs in {args.events}", file=sys.stderr)
     (out_dir / "annotated").mkdir(parents=True, exist_ok=True)
     (out_dir / "deliveries").mkdir(parents=True, exist_ok=True)
     outputs = []
-    if not files:
-        print(f"warning: no event logs in {events_dir}", file=sys.stderr)
-    for path in files:
-        sid = path.stem
-        events = _read_student_log(logio.read_events, path)
-        try:
-            result = replay_events(sid, events, expert, config,
-                                   coherence_lookback=args.coherence_lookback,
-                                   trees=trees)
-        except ValueError as exc:
-            raise ValueError(f"{path}: student {sid}: {exc}") from exc
+    for sid, result in results.items():
         logio.write_annotated(result.annotated, out_dir / "annotated" / f"{sid}.jsonl")
         logio.write_deliveries(result.deliveries, out_dir / "deliveries" / f"{sid}.jsonl")
         outputs += [f"annotated/{sid}.jsonl", f"deliveries/{sid}.jsonl"]
-    _write_manifest(out_dir / "manifest.json", "replay", args, outputs, started)
-    print(f"replayed {len(files)} event logs into {out_dir}")
+    _write_manifest(out_dir / "manifest.json", "replay", args, outputs)
+    print(f"replayed {len(results)} event logs into {out_dir}")
     return 0
 
 
 # -- mine ------------------------------------------------------------------------
 
 
-def _read_group_sequences(annotated_dir: Path, grouping: dict[str, str]):
-    groups: dict[str, list[TokenSequence]] = {}
-    for path in sorted(annotated_dir.glob("*.jsonl")):
-        sid = path.stem
-        group = grouping.get(sid)
-        if group is None:
-            continue
-        annotated = _read_student_log(logio.read_annotated, path)
-        tokens = tuple(t.label for t in collapse(annotated))
-        if tokens:
-            groups.setdefault(group, []).append(TokenSequence(student_id=sid, tokens=tokens))
-    return groups
-
-
 def cmd_mine(args) -> int:
-    started = time.time()
     grouping = logio.load_grouping(args.grouping)
-    groups = _read_group_sequences(_input_dir(args.annotated), grouping)
+    groups: dict[str, list[TokenSequence]] = {}
+    for sid, annotated in _student_logs(args.annotated, logio.read_annotated).items():
+        if sid in grouping:
+            tokens = tuple(t.label for t in collapse(annotated))
+            if tokens:
+                groups.setdefault(grouping[sid], []).append(TokenSequence(sid, tokens))
     names = sorted(groups)
     if len(names) != 2:
         raise ValueError(f"need exactly 2 groups in {args.grouping}, found {names}")
@@ -247,8 +236,7 @@ def cmd_mine(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(table)
-    _write_manifest(out.with_name(out.stem + ".manifest.json"),
-                    "mine", args, [out.name], started)
+    _write_manifest(out.with_name(out.stem + ".manifest.json"), "mine", args, [out.name])
     print(f"wrote {len(patterns)} patterns to {out}")
     return 0
 
@@ -257,64 +245,40 @@ def cmd_mine(args) -> int:
 
 
 def cmd_report(args) -> int:
-    annotated_dir = _input_dir(args.annotated)
-    deliveries_dir = None if args.deliveries is None else _input_dir(args.deliveries)
-    affect_dir = None if args.affect is None else _input_dir(args.affect)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     grouping = logio.load_grouping(args.grouping)
-    started = time.time()
-    annotated_by_student = {}
-    records = []
-    for path in sorted(annotated_dir.glob("*.jsonl")):
-        sid = path.stem
-        annotated = _read_student_log(logio.read_annotated, path)
+    annotated_by_student = _student_logs(args.annotated, logio.read_annotated)
+    for sid, annotated in annotated_by_student.items():
         if sid in grouping:
             try:
                 time_distribution(annotated)
             except EmptySession as exc:
-                raise ValueError(f"{path}: {exc}") from exc
-        annotated_by_student[sid] = annotated
-        deliveries = []
-        if deliveries_dir is not None:
-            dpath = deliveries_dir / f"{sid}.jsonl"
-            if dpath.exists():
-                deliveries = _read_student_log(logio.read_deliveries, dpath)
-        affect = []
-        if affect_dir is not None:
-            apath = affect_dir / f"{sid}.jsonl"
-            if apath.exists():
-                affect = _read_student_log(logio.read_affect, apath)
-        session_end = annotated[-1].base.end if annotated else 0.0
-        records.append(
-            StudentRecord(
-                student_id=sid,
-                annotated=annotated,
-                deliveries=deliveries,
-                affect=affect,
-                session_end=session_end,
-            )
+                raise ValueError(f"{args.annotated / f'{sid}.jsonl'}: {exc}") from exc
+    deliveries = _student_logs(args.deliveries, logio.read_deliveries)
+    affect = _student_logs(args.affect, logio.read_affect)
+    records = [
+        StudentRecord(
+            student_id=sid,
+            annotated=annotated,
+            deliveries=deliveries.get(sid, []),
+            affect=affect.get(sid, []),
+            session_end=annotated[-1].base.end if annotated else 0.0,
         )
-    outputs = []
-    (out_dir / "time_distribution.tsv").write_text(
-        time_distribution_table(annotated_by_student, grouping)
-    )
-    outputs.append("time_distribution.tsv")
-    all_deliveries = [d for r in records for d in r.deliveries]
-    (out_dir / "delivery_counts.tsv").write_text(
-        delivery_table(delivery_counts(all_deliveries, grouping))
-    )
-    outputs.append("delivery_counts.tsv")
-    (out_dir / "impact.tsv").write_text(
-        impact_table(scaffold_impact(records, grouping))
-    )
-    outputs.append("impact.tsv")
+        for sid, annotated in annotated_by_student.items()
+    ]
+    tables = {
+        "time_distribution.tsv": time_distribution_table(annotated_by_student, grouping),
+        "delivery_counts.tsv": delivery_table(
+            delivery_counts([d for r in records for d in r.deliveries], grouping)),
+        "impact.tsv": impact_table(scaffold_impact(records, grouping)),
+    }
     if args.outcomes is not None:
-        outcomes = logio.load_outcomes(args.outcomes)
-        (out_dir / "outcomes.tsv").write_text(outcomes_table(outcomes, grouping))
-        outputs.append("outcomes.tsv")
-    _write_manifest(out_dir / "manifest.json", "report", args, outputs, started)
-    print(f"wrote {len(outputs)} report tables into {out_dir}")
+        tables["outcomes.tsv"] = outcomes_table(logio.load_outcomes(args.outcomes), grouping)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, table in tables.items():
+        (out_dir / name).write_text(table)
+    _write_manifest(out_dir / "manifest.json", "report", args, list(tables))
+    print(f"wrote {len(tables)} report tables into {out_dir}")
     return 0
 
 
@@ -437,7 +401,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(
             _attach_negative_values(sys.argv[1:] if argv is None else argv))
-        args._t0 = time.monotonic()
+        args._clock = (time.time(), time.monotonic())
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

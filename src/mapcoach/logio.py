@@ -72,7 +72,7 @@ false, which Python's json reads as bool):
                 prev_t, cur_t: finite number or null; detail, hints: object
                 of strings; transcript: array of objects whose node, prompt
                 and response are strings
-    outcomes    pre, post, max: anything float() takes, finite, pre < max
+    outcomes    pre, post, max: finite number, pre < max
     trees       the document, each tree, node and response: object; nodes,
                 responses: array; root, node id, prompt, text and goto:
                 string
@@ -143,6 +143,14 @@ def _typed(value, what: str, *types: type):
     bool is not a number."""
     if type(value) not in types:
         raise ValueError(f"{what} cannot be {type(value).__name__}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """value, a JSON number, as a float; otherwise a ValueError saying what
+    it cannot be."""
+    if type(value) is not float:
+        value = float(_typed(value, what, int, float))
     return value
 
 
@@ -354,12 +362,8 @@ def event_from_record(record: dict) -> ActionEvent:
     """One logged action, at a finite time and with a finite duration >= 0.
     Of the payload fields, only the one its kind writes is read."""
     kind = _action_kind(record["kind"])
-    timestamp = record["t"]
-    if type(timestamp) is not float:
-        timestamp = float(_typed(timestamp, "field 't'", int, float))
-    duration = record["duration"]
-    if type(duration) is not float:
-        duration = float(_typed(duration, "field 'duration'", int, float))
+    timestamp = _number(record["t"], "field 't'")
+    duration = _number(record["duration"], "field 'duration'")
     if not (math.isfinite(timestamp) and math.isfinite(duration) and duration >= 0):
         raise ValueError(f"student {record['student']}: need a finite time and a finite "
                          f"duration >= 0, got t {timestamp}, duration {duration}")
@@ -433,9 +437,7 @@ def affect_to_record(student_id: str, obs: AffectObservation) -> dict:
 
 def _finite_time(record: dict, name: str = "t") -> float:
     """The record's field `name`: a finite JSON number."""
-    t = record[name]
-    if type(t) is not float:
-        t = float(_typed(t, f"field {name!r}", int, float))
+    t = _number(record[name], f"field {name!r}")
     if not math.isfinite(t):
         raise ValueError(f"field {name!r} must be finite, got {t}")
     return t
@@ -450,8 +452,7 @@ def affect_from_record(record: dict) -> AffectObservation:
     likelihoods = {}
     for key, value in given.items():
         emotion = _emotion(key)
-        if type(value) is not float:
-            value = float(_typed(value, f"field {key!r}", int, float))
+        value = _number(value, f"field {key!r}")
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"likelihood {key!r} must be in [0, 1], got {value}")
         likelihoods[emotion] = value
@@ -707,10 +708,6 @@ def profiles_to_document(profiles: dict[str, StudentProfile]) -> dict:
     return doc
 
 
-def _number(value, what: str):
-    return _typed(value, what, int, float)
-
-
 def _shares(value, what: str, member: Callable[[object], E]) -> dict[E, float]:
     """A JSON object of numbers, its keys read as enum members."""
     return {member(k): _number(v, f"{what} {k}") for k, v in _typed(value, what, dict).items()}
@@ -785,9 +782,10 @@ def outcome_to_record(outcome: OutcomeRecord) -> dict:
 
 
 def outcome_from_record(record: dict) -> OutcomeRecord:
-    """One student's test scores in points: finite, with pre < max, so the
-    normalized learning gain is defined."""
-    pre, post, max_score = (float(record[key]) for key in ("pre", "post", "max"))
+    """One student's test scores in points: finite JSON numbers, with pre <
+    max, so the normalized learning gain is defined."""
+    pre, post, max_score = (_number(record[key], f"field {key!r}")
+                            for key in ("pre", "post", "max"))
     if not all(map(math.isfinite, (pre, post, max_score))) or pre >= max_score:
         raise ValueError(f"student {record['student']}: need finite scores with pre < max, "
                          f"got pre {pre}, post {post}, max {max_score}")

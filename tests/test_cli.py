@@ -255,20 +255,24 @@ class TestBadAnnotatedRecord:
 
 class TestBadOutcomes:
     @pytest.mark.parametrize(
-        "record",
+        "record, message",
         [
-            {"student": "s1", "pre": 1, "max": 23},
-            {"student": "s1", "pre": "x", "post": 3, "max": 23},
-            {"student": "s1", "pre": 23, "post": 23, "max": 23},
+            ({"student": "s1", "pre": 1, "max": 23}, "missing field 'post'"),
+            ({"student": "s1", "pre": "x", "post": 3, "max": 23}, "field 'pre' cannot be str"),
+            ({"student": "s1", "pre": 23, "post": 23, "max": 23},
+             "need finite scores with pre < max"),
+            ({"student": "s1", "pre": True, "post": 3, "max": 23}, "field 'pre' cannot be bool"),
+            ({"student": "s1", "pre": 1, "post": "7", "max": 23}, "field 'post' cannot be str"),
         ],
-        ids=["missing-post", "pre-not-a-number", "pre-at-max"],
+        ids=["missing-post", "pre-not-a-number", "pre-at-max", "pre-is-bool", "post-is-string"],
     )
-    def test_bad_record_is_an_error_line_naming_the_file(self, tmp_path, record):
+    def test_bad_record_is_an_error_line_naming_the_file(self, tmp_path, record, message):
         outcomes = tmp_path / "outcomes.jsonl"
         outcomes.write_text(json.dumps(record) + "\n")
         annotated = json.dumps(dict(TestBadAnnotatedRecord.RECORD, process="IA")) + "\n"
         proc = run_on_annotated("report", tmp_path, annotated, extra=["--outcomes", outcomes])
-        assert_error_line(proc, "outcomes.jsonl")
+        assert_error_line(proc, f"error: {outcomes}: ", message)
+        assert not (tmp_path / "report").exists()
 
 
 class TestEngineConfigFile:
@@ -619,6 +623,50 @@ class TestAffectAndDeliveryRecords:
         proc = self.report(cohort_copy)
         assert_error_line(proc)
         assert proc.stderr == f"error: {path}: {message}\n"
+
+
+class TestBadInputWritesNothing:
+    """`replay`, `mine` and `report` read and check every student's input,
+    and replay every events log, before they write: a bad log of the second
+    of two students is an error line naming it, and nothing under --out."""
+
+    COMMANDS = {
+        "replay": (["replay", "--events", "{work}/events", "--expert", "{work}/expert-map.json",
+                    "--out", "{work}/out"], "out"),
+        "mine": (["mine", "--annotated", "{work}/annotated", "--grouping",
+                  "{work}/grouping.json", "--out", "{work}/tables/dsm.tsv"], "tables"),
+        "report": (["report", "--annotated", "{work}/annotated",
+                    "--deliveries", "{work}/deliveries", "--affect", "{work}/affect",
+                    "--grouping", "{work}/grouping.json", "--outcomes", "{work}/outcomes.jsonl",
+                    "--out", "{work}/report"], "report"),
+    }
+    BAD_ANNOTATED = dict(TestBadAnnotatedRecord.RECORD, student="low-000", process="XX")
+
+    @pytest.mark.parametrize(
+        "command, log, record, message",
+        [("replay", "events", {"student": "low-000", "t": "x", "duration": 5.0,
+                                "kind": "read", "page": "p"}, "field 't' cannot be str"),
+         ("replay", "events", {"student": "low-000", "t": 1e6, "duration": 5.0,
+                               "kind": "map_edit", "edit": {"action": "delete_link",
+                                                            "source": "a", "target": "b"}},
+          "student low-000: event "),
+         ("mine", "annotated", BAD_ANNOTATED, "'XX' is not a valid Process"),
+         ("report", "annotated", BAD_ANNOTATED, "'XX' is not a valid Process"),
+         ("report", "deliveries", [1], "expected a JSON object, got list"),
+         ("report", "affect", {"student": "low-000", "t": 1e6, "likelihoods": []},
+          "field 'likelihoods' cannot be list")],
+        ids=["replay-string-time", "replay-missing-link", "mine-annotated", "report-annotated",
+             "report-deliveries", "report-affect"],
+    )
+    def test_is_an_error_line_and_no_output(self, cohort_copy, command, log, record, message):
+        bad = cohort_copy / log / "low-000.jsonl"
+        assert sorted(p.name for p in bad.parent.glob("*.jsonl")) == ["high-000.jsonl", bad.name]
+        bad.write_text(bad.read_text() + json.dumps(record) + "\n")
+        argv, out = self.COMMANDS[command]
+        proc = run_subprocess([arg.format(work=cohort_copy) for arg in argv])
+        assert_error_line(proc, str(bad), message)
+        assert proc.stderr.count("\n") == 1
+        assert not (cohort_copy / out).exists()
 
 
 class TestOutputPins:

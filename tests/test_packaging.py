@@ -5,6 +5,7 @@ Every function the benchmark traces by name exists."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -13,6 +14,7 @@ from functools import reduce
 from pathlib import Path
 
 import mapcoach
+from mapcoach import logio
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -70,7 +72,9 @@ def test_dependencies_are_read_without_tomllib(monkeypatch):
 
 def test_every_name_the_benchmark_traces_exists():
     """bench/tracing.py wraps mapcoach functions by module and attribute
-    name; each must still resolve, so a rename under src/ fails here too."""
+    name; each must still resolve, so a rename under src/ fails here too.
+    It takes a logio call's request id, the student, from the log path's
+    argument by position; a signature that moves `path` fails here too."""
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -84,3 +88,17 @@ def test_every_name_the_benchmark_traces_exists():
     targets = [(module_name, attr) for module_name, attr, *_ in tracing.TARGETS]
     assert len(targets) >= 20 and all(m.startswith("mapcoach.") for m, _ in targets)
     assert [f"{m}.{a}" for m, a in targets if not resolves(m, a)] == []
+
+    def request_id(attr, request_of):
+        parameters = inspect.signature(getattr(logio, attr)).parameters
+        args = [Path("d/s1.jsonl") if name == "path" else None for name in parameters]
+        try:
+            return request_of(args, {})
+        except (IndexError, TypeError) as exc:
+            return repr(exc)
+
+    ids = {attr: request_id(attr, request_of)
+           for module_name, attr, _, request_of, _ in tracing.TARGETS
+           if module_name == "mapcoach.logio" and request_of is not None}
+    assert len(ids) >= 10
+    assert {attr: got for attr, got in ids.items() if got != "s1"} == {}
