@@ -144,22 +144,27 @@ class ConversationTree:
             for r in node.responses:
                 if r.goto is not None and r.goto not in self.nodes:
                     raise MalformedTree(f"node {node.id!r} points at missing {r.goto!r}")
-        reachable: set[str] = set()
-        on_path: set[str] = set()
-
-        def visit(node_id: str):
-            if node_id in on_path:
-                raise MalformedTree(f"cycle through node {node_id!r}")
-            if node_id in reachable:
-                return
-            reachable.add(node_id)
-            on_path.add(node_id)
-            for r in self.nodes[node_id].responses:
-                if r.goto is not None:
-                    visit(r.goto)
-            on_path.discard(node_id)
-
-        visit(self.root)
+        # depth first in response order, on an explicit stack of the nodes on
+        # the current path and their responses left, so a tree may be deeper
+        # than the interpreter's recursion limit
+        reachable = {self.root}
+        on_path = {self.root}
+        stack = [(self.root, iter(self.nodes[self.root].responses))]
+        while stack:
+            node_id, responses = stack[-1]
+            for r in responses:
+                if r.goto is None:
+                    continue
+                if r.goto in on_path:
+                    raise MalformedTree(f"cycle through node {r.goto!r}")
+                if r.goto not in reachable:
+                    reachable.add(r.goto)
+                    on_path.add(r.goto)
+                    stack.append((r.goto, iter(self.nodes[r.goto].responses)))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(node_id)
         unreachable = set(self.nodes) - reachable
         if unreachable:
             raise MalformedTree(f"unreachable nodes: {sorted(unreachable)}")

@@ -452,7 +452,8 @@ def affect_from_record(record: dict) -> AffectObservation:
     likelihoods = {}
     for key, value in given.items():
         emotion = _emotion(key)
-        value = _number(value, f"field {key!r}")
+        if type(value) is not float:
+            value = _number(value, f"field {key!r}")
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"likelihood {key!r} must be in [0, 1], got {value}")
         likelihoods[emotion] = value

@@ -1,16 +1,24 @@
-"""Offline re-check of delivered scaffolds against the annotated log.
+"""Offline reference for the scaffold engine: which deliveries were due.
 
-Re-derives every delivery's trigger condition straight from the log (map
-replay, quiz regrading, window arithmetic) without going through the
-engine's state machine, so a false firing cannot hide behind shared code.
-A quiz is regraded only when a check first reads its result.
-Returns human-readable violation strings; an empty list means the log and
-the delivery record agree.
+`_expected` walks the annotated log once and re-derives, from the log and
+the `EngineConfig` alone, every delivery the trigger rules call for: the
+pair rules with the hint3 -> hint4 -> enc3/hint5 case order and the enc3
+alternation, the inter-scaffold window (held by disabled kinds too, with
+hint6 exempt right after a hint5), the early ineffective-edit -> quiz
+suppression that counts no alternation occasion, and the hint1 arm,
+supersede, cancel and expiry steps through session end.  It calls no
+engine code, so a false or missing firing cannot hide behind shared code.
+`verify_session` diffs that due sequence against the delivery record.
+
+A quiz is regraded against its replayed map only when a rule reads it:
+the quiz after an effective edit, the quiz before it when the later one
+has a correct answer, and a quiz followed by a long read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from typing import Optional, Sequence
 
 from .annotate import (
@@ -35,6 +43,10 @@ from .causal import (
 )
 from .engine import EngineConfig, ScaffoldDelivery, ScaffoldKind
 
+# (kind, time, prev_index, cur_index, rule, prev_time, cur_time) of a delivery
+_Due = tuple[ScaffoldKind, float, int, Optional[int], str, float, float]
+_HINT1_RULE = "hint1_window_expired"
+
 
 def verify_session(
     annotated: Sequence[AnnotatedEvent],
@@ -42,30 +54,100 @@ def verify_session(
     expert: ExpertMap,
     config: EngineConfig,
 ) -> list[str]:
-    violations: list[str] = []
+    """One `missing: ...` line per due delivery the record lacks and one
+    `not due: ...` line per recorded delivery the rules do not call for;
+    an empty list means the log and the delivery record agree."""
+    due = Counter(_expected(annotated, expert, config))
+    recorded = Counter(
+        (d.kind, d.timestamp, d.trigger.prev_index, d.trigger.cur_index,
+         d.trigger.rule, d.trigger.prev_time, d.trigger.cur_time)
+        for d in deliveries
+    )
+    return [f"missing: {_describe(k)}" for k in (due - recorded).elements()] + [
+        f"not due: {_describe(k)}" for k in (recorded - due).elements()
+    ]
+
+
+def _describe(due: _Due) -> str:
+    kind, at, i, j, rule, prev_time, cur_time = due
+    return f"{kind.value}@{at}: {rule} on events ({i}, {j}) at ({prev_time}, {cur_time})"
+
+
+def _expected(
+    annotated: Sequence[AnnotatedEvent], expert: ExpertMap, config: EngineConfig
+) -> list[_Due]:
+    """Every delivery the rules call for on this log, in delivery order."""
     maps = _map_timeline(annotated)
     quizzes = _Quizzes(annotated, maps, expert)
+    due: list[_Due] = []
+    last: Optional[tuple[ScaffoldKind, float]] = None  # the delivery holding the window
+    occasions = 0  # ineffective-edit -> quiz occasions that reached case 3
+    pending: Optional[tuple[int, float]] = None  # armed hint1: quiz index, deadline
+
+    def held(kind: ScaffoldKind, at: float) -> bool:
+        return (
+            last is not None
+            and at - last[1] < config.min_inter_scaffold_seconds
+            and not (kind is ScaffoldKind.HINT6 and last[0] is ScaffoldKind.HINT5)
+        )
+
+    def deliver(kind: ScaffoldKind, rule: str, i: int, j: Optional[int], at: float):
+        nonlocal last
+        if held(kind, at):
+            return
+        last = (kind, at)
+        if kind not in config.disabled_kinds:
+            due.append((kind, at, i, j, rule, annotated[i].timestamp, at))
+
+    for j, cur in enumerate(annotated):
+        at = cur.timestamp
+        if pending is not None:
+            arm, deadline = pending
+            if at > deadline:
+                pending = None
+                deliver(ScaffoldKind.HINT1, _HINT1_RULE, arm, None, deadline)
+            elif _correct_marking(cur):
+                pending = None
+            elif j - arm >= config.hint1_window_events:
+                pending = None
+                deliver(ScaffoldKind.HINT1, _HINT1_RULE, arm, j, at)
+        if j == 0:
+            continue
+        i, prev = j - 1, annotated[j - 1]
+        quiz_now = cur.kind is ActionKind.TAKE_QUIZ
+        if _long_read(prev):
+            if _edit(cur, Effectiveness.INEFF):
+                deliver(ScaffoldKind.HINT2, "read_long->edit_ineff", i, j, at)
+            elif _edit(cur, Effectiveness.EFF):
+                deliver(ScaffoldKind.ENC2, "read_long->edit_eff", i, j, at)
+        elif quiz_now and _edit(prev, Effectiveness.INEFF) and not held(ScaffoldKind.HINT5, at):
+            if _unmarked_touched(annotated, maps[j], quizzes, j, expert):
+                kind = ScaffoldKind.HINT3
+            elif _edited_is_shortcut(prev, expert):
+                kind = ScaffoldKind.HINT4
+            else:
+                occasions += 1
+                kind = ScaffoldKind.ENC3 if occasions % config.enc3_every == 0 else ScaffoldKind.HINT5
+            deliver(kind, "edit_ineff->quiz", i, j, at)
+        elif quiz_now and _edit(prev, Effectiveness.EFF):
+            quiz = quizzes.result(j)
+            if quiz.n_correct >= 1:
+                earlier = quizzes.previous(j)
+                if earlier is not None and quiz.score > quizzes.result(earlier).score:
+                    deliver(ScaffoldKind.ENC1, "edit_eff->quiz_improved", i, j, at)
+                else:
+                    pending = (j, at + config.hint1_window_seconds)
+        elif (
+            prev.kind is ActionKind.TAKE_QUIZ
+            and _long_read(cur)
+            and quizzes.result(i).n_incorrect >= 1
+        ):
+            deliver(ScaffoldKind.HINT6, "quiz->read_long", i, j, at)
+
     session_end = annotated[-1].base.end if annotated else 0.0
-
-    ordered = sorted(deliveries, key=lambda d: d.timestamp)
-    for prev_d, cur_d in zip(ordered, ordered[1:]):
-        gap = cur_d.timestamp - prev_d.timestamp
-        exempt = cur_d.kind is ScaffoldKind.HINT6 and prev_d.kind is ScaffoldKind.HINT5
-        if gap < config.min_inter_scaffold_seconds and not exempt:
-            violations.append(
-                f"{cur_d.kind.value}@{cur_d.timestamp}: only {gap:.1f}s after previous delivery"
-            )
-
-    for d in ordered:
-        if d.trigger.rule == "hint1_window_expired":
-            violations.extend(
-                _check_hint1(d, annotated, quizzes, config, session_end)
-            )
-        else:
-            violations.extend(
-                _check_pair(d, annotated, maps, quizzes, expert)
-            )
-    return violations
+    if pending is not None and session_end >= pending[1]:
+        deliver(ScaffoldKind.HINT1, _HINT1_RULE, pending[0], None, pending[1])
+    return due
 
 
 def _map_timeline(annotated: Sequence[AnnotatedEvent]) -> list[CausalMap]:
@@ -81,9 +163,9 @@ def _map_timeline(annotated: Sequence[AnnotatedEvent]) -> list[CausalMap]:
 
 class _Quizzes:
     """The session's quiz events, each graded against its replayed map the
-    first time a check reads the result.  Every scope is resolved up front,
+    first time a rule reads the result.  Every scope is resolved up front,
     so a scope the expert map lacks fails the whole check even when no
-    check reads that quiz."""
+    rule reads that quiz."""
 
     def __init__(
         self,
@@ -112,123 +194,6 @@ class _Quizzes:
         """Index of the last quiz before event index `before`, if any."""
         k = bisect_left(self._indices, before)
         return self._indices[k - 1] if k else None
-
-
-def _check_pair(
-    d: ScaffoldDelivery,
-    annotated: Sequence[AnnotatedEvent],
-    maps: Sequence[CausalMap],
-    quizzes: _Quizzes,
-    expert: ExpertMap,
-) -> list[str]:
-    out: list[str] = []
-    label = f"{d.kind.value}@{d.timestamp}"
-    i, j = d.trigger.prev_index, d.trigger.cur_index
-    if i is None or j is None or j != i + 1 or not 0 <= i < len(annotated) - 1:
-        return [f"{label}: trigger indices ({i}, {j}) are not an adjacent pair"]
-    prev, cur = annotated[i], annotated[j]
-    if prev.timestamp != d.trigger.prev_time or cur.timestamp != d.trigger.cur_time:
-        out.append(f"{label}: recorded trigger times do not match the log")
-    if d.timestamp != cur.timestamp:
-        out.append(f"{label}: delivered at {d.timestamp}, trigger event at {cur.timestamp}")
-
-    def need(condition: bool, why: str):
-        if not condition:
-            out.append(f"{label}: {why}")
-
-    kind = d.kind
-    if kind is ScaffoldKind.HINT2:
-        need(_long_read(prev), "previous event is not a long read")
-        need(_edit(cur, Effectiveness.INEFF), "current event is not an ineffective edit")
-    elif kind is ScaffoldKind.ENC2:
-        need(_long_read(prev), "previous event is not a long read")
-        need(_edit(cur, Effectiveness.EFF), "current event is not an effective edit")
-    elif kind in (ScaffoldKind.HINT3, ScaffoldKind.HINT4, ScaffoldKind.HINT5, ScaffoldKind.ENC3):
-        need(_edit(prev, Effectiveness.INEFF), "previous event is not an ineffective edit")
-        need(cur.kind is ActionKind.TAKE_QUIZ, "current event is not a quiz")
-        if out:
-            return out
-        unmarked = _unmarked_touched(annotated, maps[j], quizzes, j, expert)
-        shortcut = _edited_is_shortcut(prev, expert)
-        if kind is ScaffoldKind.HINT3:
-            need(bool(unmarked), "no unmarked incorrect link touched since the previous quiz")
-        elif kind is ScaffoldKind.HINT4:
-            need(not unmarked, "an unmarked incorrect link should have taken precedence")
-            need(shortcut, "triggering edit is not a shortcut link")
-        else:
-            need(not unmarked, "an unmarked incorrect link should have taken precedence")
-            need(not shortcut, "a shortcut edit should have taken precedence")
-    elif kind is ScaffoldKind.HINT6:
-        need(prev.kind is ActionKind.TAKE_QUIZ, "previous event is not a quiz")
-        need(_long_read(cur), "current event is not a long read")
-        quiz = quizzes.result(i)
-        need(quiz is not None and quiz.n_incorrect >= 1, "preceding quiz has no incorrect answers")
-    elif kind is ScaffoldKind.ENC1:
-        need(_edit(prev, Effectiveness.EFF), "previous event is not an effective edit")
-        need(cur.kind is ActionKind.TAKE_QUIZ, "current event is not a quiz")
-        quiz = quizzes.result(j)
-        need(quiz is not None and quiz.n_correct >= 1, "quiz has no correct answers")
-        earlier = quizzes.previous(j)
-        need(
-            earlier is not None
-            and quiz is not None
-            and quiz.score > quizzes.result(earlier).score,
-            "quiz score did not improve on the previous quiz",
-        )
-    else:
-        out.append(f"{label}: unexpected pair rule for kind {kind.value}")
-    return out
-
-
-def _check_hint1(
-    d: ScaffoldDelivery,
-    annotated: Sequence[AnnotatedEvent],
-    quizzes: _Quizzes,
-    config: EngineConfig,
-    session_end: float,
-) -> list[str]:
-    label = f"hint1@{d.timestamp}"
-    out: list[str] = []
-    arm = d.trigger.prev_index
-    if arm is None or not 0 < arm < len(annotated):
-        return [f"{label}: arming index {arm} out of range"]
-    arm_event = annotated[arm]
-    if arm_event.kind is not ActionKind.TAKE_QUIZ:
-        return [f"{label}: arming event is not a quiz"]
-    if not _edit(annotated[arm - 1], Effectiveness.EFF):
-        out.append(f"{label}: arming quiz not preceded by an effective edit")
-    quiz = quizzes.result(arm)
-    if quiz is None or quiz.n_correct < 1:
-        out.append(f"{label}: arming quiz has no correct answers")
-    earlier = quizzes.previous(arm)
-    if earlier is not None and quiz is not None and quiz.score > quizzes.result(earlier).score:
-        out.append(f"{label}: improving quiz should have praised instead of arming")
-
-    deadline = arm_event.timestamp + config.hint1_window_seconds
-    expected: Optional[float] = None
-    count = 0
-    for event in annotated[arm + 1 :]:
-        if event.timestamp > deadline:
-            expected = deadline
-            break
-        if (
-            event.kind is ActionKind.MAP_EDIT
-            and event.base.edit.action is MapEditAction.MARK_LINK
-            and event.base.edit.marking is Marking.MARKED_CORRECT
-        ):
-            out.append(f"{label}: a correct-marking inside the window should have canceled it")
-            return out
-        count += 1
-        if count >= config.hint1_window_events:
-            expected = event.timestamp
-            break
-    if expected is None and session_end >= deadline:
-        expected = deadline
-    if expected is None:
-        out.append(f"{label}: follow-up window never elapsed")
-    elif expected != d.timestamp:
-        out.append(f"{label}: expected delivery at {expected}, recorded {d.timestamp}")
-    return out
 
 
 def _unmarked_touched(
@@ -269,3 +234,11 @@ def _long_read(event: AnnotatedEvent) -> bool:
 
 def _edit(event: AnnotatedEvent, effectiveness: Effectiveness) -> bool:
     return event.kind is ActionKind.MAP_EDIT and event.effectiveness is effectiveness
+
+
+def _correct_marking(event: AnnotatedEvent) -> bool:
+    return (
+        event.kind is ActionKind.MAP_EDIT
+        and event.base.edit.action is MapEditAction.MARK_LINK
+        and event.base.edit.marking is Marking.MARKED_CORRECT
+    )

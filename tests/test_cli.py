@@ -873,6 +873,42 @@ class TestMalformedDocuments:
         assert capsys.readouterr().err == f"error: {path}: line 1: Expecting value\n"
 
 
+def _chain_tree(n, cycle):
+    """An enc1 tree of n nodes, each with an exit and a goto to the next;
+    with `cycle` the last one leads back to the root."""
+    nodes = []
+    for i in range(n):
+        responses = [{"text": "bye", "exit": True}]
+        if i + 1 < n or cycle:
+            responses.append({"text": "on", "goto": f"n{(i + 1) % n}"})
+        nodes.append({"id": f"n{i}", "prompt": "p", "responses": responses})
+    return {"enc1": {"root": "n0", "nodes": nodes}}
+
+
+class TestDeepTrees:
+    """A tree deeper than the interpreter's recursion limit is checked like
+    any other: a long chain is accepted, a long cycle is one error line."""
+
+    def test_a_long_chain_is_accepted(self, tmp_path):
+        path = tmp_path / "trees.json"
+        path.write_text(json.dumps(_chain_tree(3000, cycle=False)))
+        out = tmp_path / "sim"
+        proc = run_subprocess(["simulate", "--high", 1, "--low", 1, "--budget", 300,
+                               "--trees", path, "--out", out], timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "events" / "high-000.jsonl").exists()
+
+    def test_a_long_cycle_is_one_error_line(self, sim_dir, tmp_path):
+        path = tmp_path / "trees.json"
+        path.write_text(json.dumps(_chain_tree(1200, cycle=True)))
+        out = tmp_path / "out"
+        proc = run_subprocess(["replay", "--events", sim_dir / "events", "--trees", path,
+                               "--out", out], timeout=120)
+        assert_error_line(proc)
+        assert proc.stderr == f"error: {path}: cycle through node 'n0'\n"
+        assert not out.exists()
+
+
 def _expl_folded_into_read(mix):
     mix = dict(mix, read=mix["read"] + mix["quiz_expl"])
     del mix["quiz_expl"]
