@@ -4,6 +4,7 @@ slope, and affect aggregation."""
 
 from __future__ import annotations
 
+import math
 import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import field
@@ -185,10 +186,10 @@ def affect_aggregate(
 
 
 def _mean_likelihoods(hits: Sequence[AffectObservation]) -> dict[Emotion, float]:
-    # fmean sums with fsum, which is exact, so the means do not depend on
-    # the order of hits
+    # fsum is exact, so the means do not depend on the order of hits; the
+    # sum over the count is statistics.fmean's own formula, bit for bit
     return {
-        emotion: statistics.fmean(o.likelihoods[emotion] for o in hits)
+        emotion: math.fsum([o.likelihoods[emotion] for o in hits]) / len(hits)
         for emotion in Emotion
     }
 
@@ -293,7 +294,8 @@ def scaffold_impact(
         affect_means = {}
         if affect_values:
             affect_means = {
-                e: statistics.fmean(m[e] for m in affect_values) for e in Emotion
+                e: math.fsum([m[e] for m in affect_values]) / len(affect_values)
+                for e in Emotion
             }
         cells.append(
             ImpactCell(

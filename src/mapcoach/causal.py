@@ -581,18 +581,48 @@ class QuizItem:
     grade: Grade
 
 
-@record
 class QuizResult:
-    """A graded quiz: the student's answer to each question, in order.
+    """A quiz taken on a student map: its questions, in order, and the
+    student's answer to each.
 
-    The per-question items are built each time they are read.
+    It is graded, by a call of `grade_quiz`, the first time its answers,
+    score, n_correct, n_incorrect or items is read, and keeps the grading,
+    so a quiz that nothing reads is never graded and a `PathExplosion`
+    surfaces only at a read.  `grade_quiz` returns one already graded.  The
+    per-question items are built each time they are read.
     """
 
-    scope: QuizScope
-    questions: tuple[QuizQuestion, ...]
-    answers: tuple[QueryAnswer, ...]
-    score: float
-    n_correct: int
+    __slots__ = ("student", "questions", "scope", "_answers", "_n_correct")
+
+    def __init__(self, student: CausalMap, questions: Sequence[QuizQuestion],
+                 scope: QuizScope = QuizScope.everything()):
+        self.student = student
+        self.questions = tuple(questions)
+        self.scope = scope
+        self._answers: Optional[tuple[QueryAnswer, ...]] = None
+        self._n_correct = 0
+
+    def _graded(self) -> "QuizResult":
+        if self._answers is None:
+            graded = grade_quiz(self.student, self.questions, scope=self.scope)
+            self._answers, self._n_correct = graded._answers, graded._n_correct
+        return self
+
+    @property
+    def answers(self) -> tuple[QueryAnswer, ...]:
+        return self._graded()._answers
+
+    @property
+    def n_correct(self) -> int:
+        return self._graded()._n_correct
+
+    @property
+    def score(self) -> float:
+        return 100.0 * self.n_correct / len(self.questions)
+
+    @property
+    def n_incorrect(self) -> int:
+        return len(self.questions) - self.n_correct
 
     @property
     def items(self) -> tuple[QuizItem, ...]:
@@ -600,10 +630,6 @@ class QuizResult:
             QuizItem(q, answer, Grade.CORRECT if answer is q.expert_answer else Grade.INCORRECT)
             for q, answer in zip(self.questions, self.answers)
         )
-
-    @property
-    def n_incorrect(self) -> int:
-        return len(self.questions) - self.n_correct
 
 
 def generate_quiz(
@@ -692,6 +718,6 @@ def grade_quiz(
         if answer is q.expert_answer:
             n_correct += 1
         answers.append(answer)
-    return QuizResult(
-        scope, tuple(questions), tuple(answers), 100.0 * n_correct / len(answers), n_correct
-    )
+    result = QuizResult(student, questions, scope)
+    result._answers, result._n_correct = tuple(answers), n_correct
+    return result

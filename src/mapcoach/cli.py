@@ -92,7 +92,8 @@ def _student_logs(directory: Path | None, read) -> dict[str, list]:
     if directory is None:
         return {}
     if not directory.is_dir():
-        raise ValueError(f"{directory}: no such directory")
+        problem = "not a directory" if directory.exists() else "no such directory"
+        raise ValueError(f"{directory}: {problem}")
     logs = {}
     for path in sorted(directory.glob("*.jsonl")):
         records = logs[path.stem] = read(path)

@@ -485,7 +485,7 @@ class ScaffoldEngine:
         self._ineff_occasions = 0
         self._last_hint5_pair: Optional[tuple[str, str]] = None
         self._pending_hint1: Optional[_PendingHint1] = None
-        self._prev_quiz_score: Optional[float] = None
+        self._prev_quiz: Optional[QuizResult] = None
         self._placed_pairs: set[tuple[str, str]] = set()
 
     # -- public API -------------------------------------------------------
@@ -516,7 +516,7 @@ class ScaffoldEngine:
             if link is not None:
                 self._placed_pairs.add(link.key)
         elif kind is ActionKind.TAKE_QUIZ and last_quiz is not None:
-            self._prev_quiz_score = last_quiz.score
+            self._prev_quiz = last_quiz
             self._placed_pairs.clear()
         self._prev = event
         self._prev_time = at
@@ -594,11 +594,7 @@ class ScaffoldEngine:
                 and last_quiz is not None
                 and last_quiz.n_correct >= 1
             ):
-                improved = (
-                    self._prev_quiz_score is not None
-                    and last_quiz.score > self._prev_quiz_score
-                )
-                if improved:
+                if self._prev_quiz is not None and last_quiz.score > self._prev_quiz.score:
                     return self._deliver_on_pair(ScaffoldKind.ENC1, event, index, None,
                                                  "edit_eff->quiz_improved")
                 self._arm_hint1(index, event, student_map, last_quiz)

@@ -253,12 +253,13 @@ def save_map(cmap: CausalMap, path: Path):
 
 
 def load_document(path: Path, parse: Callable[[object], T]) -> T:
-    """parse applied to the JSON document in a file. A decode error, or
-    nesting deeper than the decoder's recursion limit, is a FormatError
-    naming the file, and so is whatever `_parsed` turns into one."""
-    text = Path(path).read_text()
+    """parse applied to the JSON document in a file. A directory at path, a
+    decode error, or nesting deeper than the decoder's recursion limit, is a
+    FormatError naming the file, and so is whatever `_parsed` turns into one."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text())
+    except IsADirectoryError as exc:
+        raise FormatError(f"{path}: is a directory") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:
@@ -558,11 +559,13 @@ def _decode(line: str):
 def read_jsonl(path: Path) -> list[dict]:
     """The JSON object on each non-blank line; anything else, a line nested
     deeper than the decoder's recursion limit included, is a FormatError
-    naming the file and line."""
+    naming the file and line, and a directory at path one naming the path."""
     records = []
     try:
         with open(path) as fh:
             lines = fh.read().split("\n")
+    except IsADirectoryError as exc:
+        raise FormatError(f"{path}: is a directory") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):

@@ -13,7 +13,7 @@ from .annotate import (
     AnnotatedEvent,
     SessionAnnotator,
 )
-from .causal import ExpertMap, QuizResult, generate_quiz, grade_quiz
+from .causal import ExpertMap, QuizResult, generate_quiz
 from .engine import ConversationTree, EngineConfig, ScaffoldDelivery, ScaffoldEngine, ScaffoldKind
 
 
@@ -30,13 +30,15 @@ class SessionStep:
         self.last_quiz: Optional[QuizResult] = None
 
     def feed(self, event: ActionEvent) -> tuple[AnnotatedEvent, list[ScaffoldDelivery]]:
-        """Annotate the event, grade it if it is a quiz (a quiz leaves the map
-        unchanged) and let the engine observe it: (annotated, released)."""
+        """Annotate the event, take it on the map if it is a quiz (a quiz
+        leaves the map unchanged) and let the engine observe it: (annotated,
+        released).  The quiz's scope is resolved here, but it is graded only
+        when the engine or the simulator first reads its answers."""
         annotated = self.annotator.feed(event)
         current_map = self.annotator.current_map
         if event.kind is ActionKind.TAKE_QUIZ:
             scope = event.quiz_scope
-            self.last_quiz = grade_quiz(current_map, generate_quiz(self.expert, scope), scope=scope)
+            self.last_quiz = QuizResult(current_map, generate_quiz(self.expert, scope), scope)
         if self.engine is None:
             return annotated, []
         return annotated, self.engine.observe(annotated, current_map, self.last_quiz)

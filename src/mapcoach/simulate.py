@@ -477,25 +477,27 @@ class _Session:
             self._do_quiz()
 
     def _expl_burst(self):
-        """Review the answers of the quiz just graded until the explanation
-        time share catches up."""
+        """Review the answers of the quiz just taken until the explanation
+        time share catches up.  The quiz is read, and so graded, only once
+        the first review is due."""
         mix = self.profile.activity_mix[ActionKind.QUIZ_EXPL]
-        quiz = self.step.last_quiz
-        # the first incorrect answer, else the first question
-        question = next(
-            (
-                i
-                for i, (q, answer) in enumerate(zip(quiz.questions, quiz.answers))
-                if answer is not q.expert_answer
-            ),
-            0,
-        )
         n = 0
         while (
             n < 3
             and self.t < self.budget
             and self.time_per_kind[ActionKind.QUIZ_EXPL] < mix * sum(self.time_per_kind.values())
         ):
+            if n == 0:
+                quiz = self.step.last_quiz
+                # the first incorrect answer, else the first question
+                question = next(
+                    (
+                        i
+                        for i, (q, answer) in enumerate(zip(quiz.questions, quiz.answers))
+                        if answer is not q.expert_answer
+                    ),
+                    0,
+                )
             self._emit(ActionKind.QUIZ_EXPL, self.profile.expl_duration, question_ref=question)
             n += 1
 

@@ -10,14 +10,14 @@ supersede, cancel and expiry steps through session end.  It calls no
 engine code, so a false or missing firing cannot hide behind shared code.
 `verify_session` diffs that due sequence against the delivery record.
 
-A quiz is regraded against its replayed map only when a rule reads it:
-the quiz after an effective edit, the quiz before it when the later one
-has a correct answer, and a quiz followed by a long read.
+The pass replays each map edit and takes each quiz on the replayed map
+as it reaches them.  A quiz is graded only when a rule reads it: the quiz
+after an effective edit, the quiz before it when the later one has a
+correct answer, and a quiz followed by a long read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from typing import Optional, Sequence
 
@@ -33,12 +33,9 @@ from .causal import (
     ExpertMap,
     LinkClass,
     Marking,
-    QuizQuestion,
     QuizResult,
-    QuizScope,
     classify_link,
     generate_quiz,
-    grade_quiz,
     is_correct_link,
 )
 from .engine import EngineConfig, ScaffoldDelivery, ScaffoldKind
@@ -77,8 +74,9 @@ def _expected(
     annotated: Sequence[AnnotatedEvent], expert: ExpertMap, config: EngineConfig
 ) -> list[_Due]:
     """Every delivery the rules call for on this log, in delivery order."""
-    maps = _map_timeline(annotated)
-    quizzes = _Quizzes(annotated, maps, expert)
+    current = CausalMap()  # the map after the event at hand
+    latest: Optional[tuple[int, QuizResult]] = None  # the last quiz so far, and its index
+    earlier: Optional[tuple[int, QuizResult]] = None  # the quiz before that one
     due: list[_Due] = []
     last: Optional[tuple[ScaffoldKind, float]] = None  # the delivery holding the window
     occasions = 0  # ineffective-edit -> quiz occasions that reached case 3
@@ -101,6 +99,11 @@ def _expected(
 
     for j, cur in enumerate(annotated):
         at = cur.timestamp
+        if cur.kind is ActionKind.MAP_EDIT:
+            current = apply_edit(current, cur.base.edit)
+        elif cur.kind is ActionKind.TAKE_QUIZ:
+            scope = cur.base.quiz_scope
+            earlier, latest = latest, (j, QuizResult(current, generate_quiz(expert, scope), scope))
         if pending is not None:
             arm, deadline = pending
             if at > deadline:
@@ -121,7 +124,8 @@ def _expected(
             elif _edit(cur, Effectiveness.EFF):
                 deliver(ScaffoldKind.ENC2, "read_long->edit_eff", i, j, at)
         elif quiz_now and _edit(prev, Effectiveness.INEFF) and not held(ScaffoldKind.HINT5, at):
-            if _unmarked_touched(annotated, maps[j], quizzes, j, expert):
+            since = earlier[0] + 1 if earlier is not None else 0
+            if _unmarked_touched(annotated[since:j], current, expert):
                 kind = ScaffoldKind.HINT3
             elif _edited_is_shortcut(prev, expert):
                 kind = ScaffoldKind.HINT4
@@ -130,17 +134,16 @@ def _expected(
                 kind = ScaffoldKind.ENC3 if occasions % config.enc3_every == 0 else ScaffoldKind.HINT5
             deliver(kind, "edit_ineff->quiz", i, j, at)
         elif quiz_now and _edit(prev, Effectiveness.EFF):
-            quiz = quizzes.result(j)
+            quiz = latest[1]
             if quiz.n_correct >= 1:
-                earlier = quizzes.previous(j)
-                if earlier is not None and quiz.score > quizzes.result(earlier).score:
+                if earlier is not None and quiz.score > earlier[1].score:
                     deliver(ScaffoldKind.ENC1, "edit_eff->quiz_improved", i, j, at)
                 else:
                     pending = (j, at + config.hint1_window_seconds)
         elif (
             prev.kind is ActionKind.TAKE_QUIZ
             and _long_read(cur)
-            and quizzes.result(i).n_incorrect >= 1
+            and latest[1].n_incorrect >= 1
         ):
             deliver(ScaffoldKind.HINT6, "quiz->read_long", i, j, at)
 
@@ -150,65 +153,13 @@ def _expected(
     return due
 
 
-def _map_timeline(annotated: Sequence[AnnotatedEvent]) -> list[CausalMap]:
-    """Map state after each event, replayed independently of annotation."""
-    maps = []
-    current = CausalMap()
-    for event in annotated:
-        if event.kind is ActionKind.MAP_EDIT:
-            current = apply_edit(current, event.base.edit)
-        maps.append(current)
-    return maps
-
-
-class _Quizzes:
-    """The session's quiz events, each graded against its replayed map the
-    first time a rule reads the result.  Every scope is resolved up front,
-    so a scope the expert map lacks fails the whole check even when no
-    rule reads that quiz."""
-
-    def __init__(
-        self,
-        annotated: Sequence[AnnotatedEvent],
-        maps: Sequence[CausalMap],
-        expert: ExpertMap,
-    ):
-        self._maps = maps
-        self._quizzes: dict[int, tuple[QuizScope, list[QuizQuestion]]] = {}
-        for i, event in enumerate(annotated):
-            if event.kind is ActionKind.TAKE_QUIZ:
-                scope = event.base.quiz_scope
-                self._quizzes[i] = (scope, generate_quiz(expert, scope))
-        self._indices = list(self._quizzes)
-        self._results: dict[int, QuizResult] = {}
-
-    def result(self, index: int) -> Optional[QuizResult]:
-        """The graded quiz taken at event index, or None if it was no quiz."""
-        result = self._results.get(index)
-        if result is None and index in self._quizzes:
-            scope, questions = self._quizzes[index]
-            result = self._results[index] = grade_quiz(self._maps[index], questions, scope=scope)
-        return result
-
-    def previous(self, before: int) -> Optional[int]:
-        """Index of the last quiz before event index `before`, if any."""
-        k = bisect_left(self._indices, before)
-        return self._indices[k - 1] if k else None
-
-
 def _unmarked_touched(
-    annotated: Sequence[AnnotatedEvent],
-    current: CausalMap,
-    quizzes: _Quizzes,
-    quiz_index: int,
-    expert: ExpertMap,
+    since_quiz: Sequence[AnnotatedEvent], current: CausalMap, expert: ExpertMap
 ) -> list[tuple[str, str]]:
-    """Pairs added/modified since the previous quiz that sit on the map
-    incorrect and unmarked at quiz time."""
-    earlier = quizzes.previous(quiz_index)
-    start = earlier + 1 if earlier is not None else 0
+    """Pairs added/modified by the events since the previous quiz that sit
+    on the map incorrect and unmarked at quiz time."""
     touched: set[tuple[str, str]] = set()
-    for event in annotated[start:quiz_index]:
+    for event in since_quiz:
         if event.kind is ActionKind.MAP_EDIT:
             link = event.base.edit.placed_link()
             if link is not None:

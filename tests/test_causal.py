@@ -541,7 +541,7 @@ class TestGroupedGrading:
     def test_engine_in_the_loop_cohort_quizzes_equal_grading_each_question(
         self, pack, monkeypatch
     ):
-        from mapcoach import pipeline
+        from mapcoach import causal
         from mapcoach.engine import EngineConfig
         from mapcoach.simulate import simulate_cohort
 
@@ -552,7 +552,7 @@ class TestGroupedGrading:
             graded.append((student, list(questions), result))
             return result
 
-        monkeypatch.setattr(pipeline, "grade_quiz", recording)
+        monkeypatch.setattr(causal, "grade_quiz", recording)
         simulate_cohort(2, 2, seed=7, expert=pack, duration_budget=1500.0,
                         engine_config=EngineConfig())
         assert graded

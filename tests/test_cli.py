@@ -22,8 +22,11 @@ from hypothesis import strategies as st
 import mapcoach
 from mapcoach import cli, logio
 from mapcoach.analytics import Emotion
+from mapcoach.annotate import ActionEvent, ActionKind, MapEdit, MapEditAction
+from mapcoach.causal import CausalLink, PathExplosion, QuizScope, Sign
 from mapcoach.cli import main
 from mapcoach.pack import default_expert_map
+from mapcoach.pipeline import SessionStep
 from mapcoach.simulate import simulate_cohort
 
 
@@ -186,6 +189,49 @@ def test_missing_input_directory_is_an_error_line(tmp_path, capsys, argv):
     assert run([*argv, "--out", out]) == 1
     assert capsys.readouterr().err == f"error: {missing}: no such directory\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, bad, problem",
+    [(["simulate", "--expert", "{dir}", "--out", "{out}"], "{dir}", "is a directory"),
+     (["simulate", "--profiles", "{dir}", "--out", "{out}"], "{dir}", "is a directory"),
+     (["simulate", "--trees", "{dir}", "--out", "{out}"], "{dir}", "is a directory"),
+     (["simulate", "--engine-config", "{dir}", "--out", "{out}"], "{dir}", "is a directory"),
+     (["replay", "--events", "{logs}", "--out", "{out}"], "{logs}/x.jsonl", "is a directory"),
+     (["mine", "--annotated", "{empty}", "--grouping", "{dir}", "--out", "{out}/dsm.tsv"],
+      "{dir}", "is a directory"),
+     (["report", "--annotated", "{empty}", "--grouping", "{dir}", "--out", "{out}"],
+      "{dir}", "is a directory"),
+     (["report", "--annotated", "{empty}", "--grouping", "{grouping}", "--outcomes", "{dir}",
+       "--out", "{out}"], "{dir}", "is a directory"),
+     (["score", "--student-map", "{dir}"], "{dir}", "is a directory"),
+     (["replay", "--events", "{file}", "--out", "{out}"], "{file}", "not a directory"),
+     (["mine", "--annotated", "{file}", "--grouping", "{grouping}", "--out", "{out}/dsm.tsv"],
+      "{file}", "not a directory"),
+     (["report", "--annotated", "{file}", "--grouping", "{grouping}", "--out", "{out}"],
+      "{file}", "not a directory"),
+     (["report", "--annotated", "{empty}", "--deliveries", "{file}", "--grouping", "{grouping}",
+       "--out", "{out}"], "{file}", "not a directory"),
+     (["report", "--annotated", "{empty}", "--affect", "{file}", "--grouping", "{grouping}",
+       "--out", "{out}"], "{file}", "not a directory")],
+    ids=["simulate-expert", "simulate-profiles", "simulate-trees", "simulate-engine-config",
+         "replay-events-log", "mine-grouping", "report-grouping", "report-outcomes",
+         "score-student-map", "replay-events", "mine-annotated", "report-annotated",
+         "report-deliveries", "report-affect"],
+)
+def test_wrong_kind_of_path_is_an_error_line(tmp_path, capsys, argv, bad, problem):
+    """A directory where a file is expected, or a file where a directory
+    is, is one error line naming the path, and nothing is written."""
+    names = {name: tmp_path / name for name in
+             ("dir", "logs", "empty", "file", "grouping", "out")}
+    for name in ("dir", "logs/x.jsonl", "empty"):
+        (tmp_path / name).mkdir(parents=True)
+    names["file"].write_text("{}")
+    names["grouping"].write_text('{"s1": "High"}')
+    before = sorted(tmp_path.rglob("*"))
+    assert run([arg.format(**names) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: {bad.format(**names)}: {problem}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_every_mapcoach_exception_is_a_value_error():
@@ -667,6 +713,55 @@ class TestBadInputWritesNothing:
         assert_error_line(proc, str(bad), message)
         assert proc.stderr.count("\n") == 1
         assert not (cohort_copy / out).exists()
+
+
+class TestPathExplosionInAQuiz:
+    """A student map holding a 10-clique of expert concepts makes grading
+    a quiz on it raise PathExplosion. A quiz is graded only when it is
+    read, so it ends `replay` only when a rule reads it."""
+
+    def events(self, tmp_path, last_read):
+        """One student's events directory: the clique, a short read, a quiz
+        and a read of last_read seconds."""
+        expert = default_expert_map()
+        clique = expert.map.sorted_concepts()[:10]
+        page = expert.map.sorted_links()[0].source_page
+        edits = [MapEdit(MapEditAction.ADD_CONCEPT, concept=c) for c in clique] + [
+            MapEdit(MapEditAction.ADD_LINK, link=CausalLink(u.id, v.id, Sign.INCREASE))
+            for u in clique for v in clique if u is not v
+        ]
+        steps = [(ActionKind.MAP_EDIT, 2.0, {"edit": edit}) for edit in edits] + [
+            (ActionKind.READ, 5.0, {"page": page}),
+            (ActionKind.TAKE_QUIZ, 10.0, {"quiz_scope": QuizScope.everything()}),
+            (ActionKind.READ, last_read, {"page": page}),
+        ]
+        events, t = [], 0.0
+        for kind, duration, payload in steps:
+            events.append(ActionEvent("s1", t, kind, duration, **payload))
+            t += duration
+        directory = tmp_path / "events"
+        directory.mkdir()
+        logio.write_events(events, directory / "s1.jsonl")
+        return directory, events
+
+    def test_a_quiz_no_rule_reads_does_not_end_replay(self, tmp_path, capsys):
+        directory, events = self.events(tmp_path, last_read=5.0)
+        step = SessionStep(default_expert_map())
+        for event in events:
+            step.feed(event)
+        with pytest.raises(PathExplosion):
+            step.last_quiz.answers
+        assert run(["replay", "--events", directory, "--out", tmp_path / "out"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_a_quiz_a_rule_reads_ends_replay_with_an_error_line(self, tmp_path, capsys):
+        # a long read after a quiz: the hint6 rule reads the quiz
+        directory, _ = self.events(tmp_path, last_read=90.0)
+        assert run(["replay", "--events", directory, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {directory / 's1.jsonl'}: student s1: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestOutputPins:

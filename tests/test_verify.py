@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import trigger_scripts as scripts
-from mapcoach import verify
+from mapcoach import causal, pipeline, verify
 from mapcoach.annotate import ActionKind, Effectiveness, MapEdit, MapEditAction
 from mapcoach.engine import EngineConfig, ScaffoldKind
 from mapcoach.pack import default_expert_map
@@ -158,24 +158,28 @@ class TestTamperedSessions:
 
 
 class TestOnDemandGrading:
-    def test_grades_only_the_quizzes_its_checks_read(self, monkeypatch):
+    def test_grades_only_the_quizzes_its_rules_read(self, monkeypatch):
+        """Replay's step grades the quizzes the engine reads and verify the
+        ones its checks read, each through one call of causal.grade_quiz."""
         expert = default_expert_map()
         config = EngineConfig(min_inter_scaffold_seconds=15.0)
         cohort = simulate_cohort(2, 2, seed=7, expert=expert, duration_budget=1500.0,
                                  engine_config=config)
         graded = []
-        grade_quiz = verify.grade_quiz
+        grade_quiz = causal.grade_quiz
 
         def counting(student, questions, scope):
             graded.append(student)
             return grade_quiz(student, questions, scope=scope)
 
-        monkeypatch.setattr(verify, "grade_quiz", counting)
-        total_quizzes = total_read = 0
+        monkeypatch.setattr(causal, "grade_quiz", counting)
+        total_quizzes = total_read = total_replayed = 0
         for session in cohort.sessions:
+            graded.clear()
             result = replay_events(session.student_id, session.events, expert, config)
+            replayed = len(graded)
             annotated = result.annotated
-            # each quiz's correct-answer count, graded by the pipeline's step
+            # each quiz's correct-answer count, read from a step without an engine
             step = SessionStep(expert)
             has_correct = {}
             for i, event in enumerate(session.events):
@@ -194,13 +198,17 @@ class TestOnDemandGrading:
                         read.add(earlier[-1])
                 elif prev.kind is ActionKind.TAKE_QUIZ and cur.kind is ActionKind.READ and cur.long:
                     read.add(j - 1)
+            # the engine also reads the quiz that a hint5 names a link from
+            hint5 = {d.trigger.cur_index for d in result.deliveries if d.kind is ScaffoldKind.HINT5}
+            assert replayed == len(read | hint5)
             graded.clear()
             assert verify_session(annotated, result.deliveries, expert, config) == []
             assert len(graded) == len(read)
             total_quizzes += len(quizzes)
             total_read += len(read)
-        assert (total_read, total_quizzes) == (17, 31)
-        assert total_read < total_quizzes
+            total_replayed += replayed
+        assert (total_read, total_replayed, total_quizzes) == (17, 17, 31)
+        assert total_read <= total_replayed < total_quizzes
 
 
 @st.composite
@@ -233,6 +241,36 @@ class TestConfigSpace:
             assert result.deliveries == session.deliveries
             assert not {d.kind for d in result.deliveries} & config.disabled_kinds
             assert verify_session(result.annotated, result.deliveries, pack, config) == []
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        config=engine_configs(),
+        seed=st.integers(0, 10**6),
+        budget=st.floats(300.0, 1200.0),
+    )
+    def test_grading_every_quiz_when_taken_changes_no_decision(
+        self, pack, config, seed, budget
+    ):
+        """The step grades a quiz only when it is read; a step that reads
+        every quiz's answers as soon as it takes the quiz annotates and
+        delivers the same."""
+
+        def read_at_once(student, questions, scope):
+            quiz = causal.QuizResult(student, questions, scope)
+            quiz.answers
+            return quiz
+
+        cohort = simulate_cohort(
+            2, 2, seed=seed, expert=pack, duration_budget=budget, engine_config=config
+        )
+        for session in cohort.sessions:
+            lazy = replay_events(session.student_id, session.events, pack, config)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pipeline, "QuizResult", read_at_once)
+                eager = replay_events(session.student_id, session.events, pack, config)
+            assert eager.annotated == lazy.annotated
+            assert eager.deliveries == lazy.deliveries
 
 
 class TestMutations:
