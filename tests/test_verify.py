@@ -158,7 +158,7 @@ class TestTamperedSessions:
 
 
 class TestOnDemandGrading:
-    def test_grades_only_the_quizzes_its_rules_read(self, monkeypatch):
+    def test_grades_only_the_quizzes_its_checks_read(self, monkeypatch):
         """Replay's step grades the quizzes the engine reads and verify the
         ones its checks read, each through one call of causal.grade_quiz."""
         expert = default_expert_map()
