@@ -242,7 +242,6 @@ class TestConfigSpace:
             assert not {d.kind for d in result.deliveries} & config.disabled_kinds
             assert verify_session(result.annotated, result.deliveries, pack, config) == []
 
-
     @settings(max_examples=40, deadline=None)
     @given(
         config=engine_configs(),
