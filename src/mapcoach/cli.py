@@ -23,7 +23,9 @@ import re
 import sys
 import time
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from . import __version__, logio
 from .analytics import OutcomeRecord, StudentRecord, scaffold_impact
@@ -104,20 +106,29 @@ def _student_logs(directory: Path | None, read) -> dict[str, list]:
     return logs
 
 
-def _write_manifest(path: Path, command: str, args: argparse.Namespace,
-                    outputs: list[str], seed=None):
+def _write_outputs(directory: Path, files: dict[str, Callable[[Path], object]],
+                   args: argparse.Namespace, manifest: str = "manifest.json", seed=None):
+    """The one output stage of the writing commands. It calls each writer in
+    `files` on its path, given relative to `directory`, after making that
+    path's parent directories, and writes last `manifest` in `directory`,
+    whose `outputs` are the names in `files`."""
+    for name, write in files.items():
+        path = directory / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
     started, t0 = args._clock
-    manifest = {
+    record = {
         "tool": "mapcoach",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "args": {k: str(v) for k, v in vars(args).items() if k not in ("func", "_clock")},
         "seed": seed,
         "started_utc": datetime.fromtimestamp(started, timezone.utc).isoformat(),
         "wall_seconds": round(time.monotonic() - t0, 3),
-        "outputs": sorted(outputs),
+        "outputs": sorted(files),
     }
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / manifest).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def _load_expert(path) -> "ExpertMap":
@@ -130,7 +141,6 @@ def _load_expert(path) -> "ExpertMap":
 
 
 def cmd_simulate(args) -> int:
-    out_dir = Path(args.out)
     expert = _load_expert(args.expert)
     config = _engine_config(args) if not args.no_engine else None
     profiles = (None if args.profiles is None
@@ -146,23 +156,19 @@ def cmd_simulate(args) -> int:
         profiles=profiles,
         trees=trees,
     )
-    for sub in ("events", "affect", "deliveries"):
-        (out_dir / sub).mkdir(parents=True, exist_ok=True)
-    outputs = []
+    files = {}
     outcomes = []
     for session in cohort.sessions:
         sid = session.student_id
-        logio.write_events(session.events, out_dir / "events" / f"{sid}.jsonl")
-        logio.write_affect(sid, session.affect, out_dir / "affect" / f"{sid}.jsonl")
-        logio.write_deliveries(session.deliveries, out_dir / "deliveries" / f"{sid}.jsonl")
-        outputs += [f"events/{sid}.jsonl", f"affect/{sid}.jsonl", f"deliveries/{sid}.jsonl"]
+        files[f"events/{sid}.jsonl"] = partial(logio.write_events, session.events)
+        files[f"affect/{sid}.jsonl"] = partial(logio.write_affect, sid, session.affect)
+        files[f"deliveries/{sid}.jsonl"] = partial(logio.write_deliveries, session.deliveries)
         outcomes.append(_draw_outcome(sid, cohort.grouping[sid], args.seed))
-    logio.write_grouping(cohort.grouping, out_dir / "grouping.json")
-    logio.save_map(expert.map, out_dir / "expert-map.json")
-    logio.write_outcomes(outcomes, out_dir / "outcomes.jsonl")
-    outputs += ["grouping.json", "expert-map.json", "outcomes.jsonl"]
-    _write_manifest(out_dir / "manifest.json", "simulate", args, outputs, seed=args.seed)
-    print(f"simulated {len(cohort.sessions)} students into {out_dir}")
+    files["grouping.json"] = partial(logio.write_grouping, cohort.grouping)
+    files["expert-map.json"] = partial(logio.save_map, expert.map)
+    files["outcomes.jsonl"] = partial(logio.write_outcomes, outcomes)
+    _write_outputs(args.out, files, args, seed=args.seed)
+    print(f"simulated {len(cohort.sessions)} students into {args.out}")
     return 0
 
 
@@ -182,32 +188,25 @@ def _draw_outcome(student_id: str, group: str, cohort_seed: int) -> OutcomeRecor
 
 
 def cmd_replay(args) -> int:
-    out_dir = Path(args.out)
     expert = _load_expert(args.expert)
     config = _engine_config(args)
     trees = load_trees(args.trees) if args.trees is not None else None
     # the annotator checks the lookback; built here, before any output, it
     # rejects a bad value for an events directory without logs too
     SessionAnnotator(expert, coherence_lookback=args.coherence_lookback)
-    results = {}
+    files = {}
     for sid, events in _student_logs(args.events, logio.read_events).items():
         try:
-            results[sid] = replay_events(sid, events, expert, config,
-                                         coherence_lookback=args.coherence_lookback,
-                                         trees=trees)
+            result = replay_events(sid, events, expert, config,
+                                   coherence_lookback=args.coherence_lookback, trees=trees)
         except ValueError as exc:
             raise ValueError(f"{args.events / f'{sid}.jsonl'}: student {sid}: {exc}") from exc
-    if not results:
+        files[f"annotated/{sid}.jsonl"] = partial(logio.write_annotated, result.annotated)
+        files[f"deliveries/{sid}.jsonl"] = partial(logio.write_deliveries, result.deliveries)
+    if not files:
         print(f"warning: no event logs in {args.events}", file=sys.stderr)
-    (out_dir / "annotated").mkdir(parents=True, exist_ok=True)
-    (out_dir / "deliveries").mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for sid, result in results.items():
-        logio.write_annotated(result.annotated, out_dir / "annotated" / f"{sid}.jsonl")
-        logio.write_deliveries(result.deliveries, out_dir / "deliveries" / f"{sid}.jsonl")
-        outputs += [f"annotated/{sid}.jsonl", f"deliveries/{sid}.jsonl"]
-    _write_manifest(out_dir / "manifest.json", "replay", args, outputs)
-    print(f"replayed {len(results)} event logs into {out_dir}")
+    _write_outputs(args.out, files, args)
+    print(f"replayed {len(files) // 2} event logs into {args.out}")
     return 0
 
 
@@ -234,11 +233,9 @@ def cmd_mine(args) -> int:
         max_len=args.max_len,
     )
     table = dsm_table(patterns, label_a=label_a, label_b=label_b)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(table)
-    _write_manifest(out.with_name(out.stem + ".manifest.json"), "mine", args, [out.name])
-    print(f"wrote {len(patterns)} patterns to {out}")
+    _write_outputs(args.out.parent, {args.out.name: partial(Path.write_text, data=table)},
+                   args, manifest=f"{args.out.stem}.manifest.json")
+    print(f"wrote {len(patterns)} patterns to {args.out}")
     return 0
 
 
@@ -274,12 +271,9 @@ def cmd_report(args) -> int:
     }
     if args.outcomes is not None:
         tables["outcomes.tsv"] = outcomes_table(logio.load_outcomes(args.outcomes), grouping)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, table in tables.items():
-        (out_dir / name).write_text(table)
-    _write_manifest(out_dir / "manifest.json", "report", args, list(tables))
-    print(f"wrote {len(tables)} report tables into {out_dir}")
+    _write_outputs(args.out, {name: partial(Path.write_text, data=table)
+                              for name, table in tables.items()}, args)
+    print(f"wrote {len(tables)} report tables into {args.out}")
     return 0
 
 
