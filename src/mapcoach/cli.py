@@ -111,11 +111,26 @@ def _write_outputs(directory: Path, files: dict[str, Callable[[Path], object]],
     """The one output stage of the writing commands. It calls each writer in
     `files` on its path, given relative to `directory`, after making that
     path's parent directories, and writes last `manifest` in `directory`,
-    whose `outputs` are the names in `files`."""
+    whose `outputs` are the names in `files`.
+
+    A rerun replaces the earlier run: each file that the manifest already in
+    `directory` lists, and this run did not write, is removed before the new
+    manifest is written; no file it does not list is. Before its first write
+    the stage raises a ValueError naming the path if `directory`, or its
+    nearest existing ancestor, is not a directory, or if that manifest is
+    another command's or lists a name outside `directory`."""
+    existing = next(path for path in (directory, *directory.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"{existing}: not a directory")
+    previous = directory / manifest
+    stale = (logio.load_document(previous, partial(_listed_outputs, args.command))
+             if previous.exists() else set()) - set(map(Path, files))
     for name, write in files.items():
         path = directory / name
         path.parent.mkdir(parents=True, exist_ok=True)
         write(path)
+    for path in stale:
+        (directory / path).unlink(missing_ok=True)
     started, t0 = args._clock
     record = {
         "tool": "mapcoach",
@@ -129,6 +144,27 @@ def _write_outputs(directory: Path, files: dict[str, Callable[[Path], object]],
     }
     directory.mkdir(parents=True, exist_ok=True)
     (directory / manifest).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
+def _listed_outputs(command: str, manifest) -> set[Path]:
+    """The output paths, relative to its directory, in a manifest that
+    `command` wrote. Another command's manifest, or an output that is not a
+    relative name without `..`, is a ValueError."""
+    if type(manifest) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(manifest).__name__}")
+    if manifest.get("command") != command:
+        raise ValueError(f"records a run of {manifest.get('command')!r}; "
+                         f"{command} replaces only its own runs")
+    outputs = manifest.get("outputs")
+    if type(outputs) is not list:
+        raise ValueError(f"outputs must be a list, got {type(outputs).__name__}")
+    paths = set()
+    for name in outputs:
+        path = Path(name) if type(name) is str else None
+        if path is None or not path.parts or path.is_absolute() or ".." in path.parts:
+            raise ValueError(f"output {name!r} is not a relative name without '..'")
+        paths.add(path)
+    return paths
 
 
 def _load_expert(path) -> "ExpertMap":

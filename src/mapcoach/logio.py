@@ -254,12 +254,15 @@ def save_map(cmap: CausalMap, path: Path):
 
 def load_document(path: Path, parse: Callable[[object], T]) -> T:
     """parse applied to the JSON document in a file. A directory at path, a
-    decode error, or nesting deeper than the decoder's recursion limit, is a
-    FormatError naming the file, and so is whatever `_parsed` turns into one."""
+    file that is not UTF-8, a decode error, or nesting deeper than the
+    decoder's recursion limit, is a FormatError naming the file, and so is
+    whatever `_parsed` turns into one."""
     try:
         doc = json.loads(Path(path).read_text())
     except IsADirectoryError as exc:
         raise FormatError(f"{path}: is a directory") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:

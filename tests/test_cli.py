@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import importlib
@@ -1455,3 +1456,178 @@ class TestRunRecords:
                     "--outcomes", sim_dir / "outcomes.jsonl",
                     "--out", tmp_path / "report"]) == 0
         assert snapshot(sim_dir) == before
+
+
+def output_files(root):
+    """Relative name -> bytes of every file under root, manifests included."""
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestRerun:
+    """A rerun into the same --out replaces the files its manifest lists;
+    another command's manifest, or a manifest listing a name outside its
+    directory, is an error line before any write."""
+
+    def simulate(self, out, n):
+        assert run(["simulate", "--high", n, "--low", n, "--seed", 7, "--budget", 300,
+                    "--out", out]) == 0
+
+    def replay(self, sim, out):
+        assert run(["replay", "--events", sim / "events", "--out", out]) == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "replay"])
+    def test_a_smaller_rerun_leaves_only_its_own_files(self, tmp_path, command):
+        def write(out, n):
+            if command == "simulate":
+                self.simulate(out, n)
+            else:
+                self.simulate(tmp_path / f"sim-{n}", n)
+                self.replay(tmp_path / f"sim-{n}", out)
+
+        write(tmp_path / "out", 2)
+        write(tmp_path / "out", 1)
+        write(tmp_path / "fresh", 1)
+        files = output_files(tmp_path / "out")
+        manifest = json.loads(files.pop("manifest.json"))
+        assert sorted(files) == manifest["outputs"]
+        fresh = output_files(tmp_path / "fresh")
+        del fresh["manifest.json"]
+        assert files == fresh
+
+    @pytest.mark.parametrize("command", ["simulate", "replay"])
+    def test_a_failed_rerun_leaves_the_earlier_run(self, tmp_path, capsys, command):
+        out, bad = tmp_path / "out", tmp_path / "bad"
+        self.simulate(tmp_path / "sim", 1)
+        if command == "simulate":
+            self.simulate(out, 2)
+            bad.write_text('{"enc3_every": 0}')
+            argv = ["simulate", "--engine-config", bad, "--out", out]
+        else:
+            self.replay(tmp_path / "sim", out)
+            shutil.copytree(tmp_path / "sim" / "events", bad)
+            rewrite_log(bad / "low-000.jsonl", lambda record: record.update(t="x"))
+            argv = ["replay", "--events", bad, "--out", out]
+        before = output_files(out)
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}")
+        assert output_files(out) == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["replay", "--events", "{work}/events"],
+         ["report", "--annotated", "{work}/annotated", "--grouping", "{work}/grouping.json"]],
+        ids=["replay", "report"],
+    )
+    def test_another_commands_directory_is_an_error_line(self, cohort_copy, capsys, argv):
+        before = output_files(cohort_copy)
+        assert run([*(arg.format(work=cohort_copy) for arg in argv), "--out", cohort_copy]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cohort_copy / 'manifest.json'}: records a run of 'simulate'; "
+            f"{argv[0]} replaces only its own runs\n")
+        assert output_files(cohort_copy) == before
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [({"command": "mine", "outputs": ["../outside"]},
+          "output '../outside' is not a relative name without '..'"),
+         ({"command": "mine", "outputs": ["tables/../../outside"]},
+          "output 'tables/../../outside' is not a relative name without '..'"),
+         ({"command": "mine", "outputs": ["/outside"]},
+          "output '/outside' is not a relative name without '..'"),
+         ({"command": "mine", "outputs": [""]}, "output '' is not a relative name without '..'"),
+         ({"command": "mine", "outputs": [3]}, "output 3 is not a relative name without '..'"),
+         ({"command": "mine", "outputs": "dsm.tsv"}, "outputs must be a list, got str"),
+         ({"command": "mine"}, "outputs must be a list, got NoneType"),
+         ({"outputs": []}, "records a run of None; mine replaces only its own runs"),
+         ([1], "expected a JSON object, got list")],
+        ids=["parent", "parent-inside", "absolute", "empty", "number", "string", "no-outputs",
+             "no-command", "array"],
+    )
+    def test_a_bad_manifest_is_an_error_line(self, small_cohort, tmp_path, capsys,
+                                             document, message):
+        outside, tables = tmp_path / "outside", tmp_path / "tables"
+        outside.write_text("kept")
+        tables.mkdir()
+        manifest = tables / "dsm.manifest.json"
+        manifest.write_text(json.dumps(document))
+        before = output_files(tmp_path)
+        assert run(["mine", "--annotated", small_cohort / "annotated",
+                    "--grouping", small_cohort / "grouping.json", "--out", tables / "dsm.tsv"]) == 1
+        assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+        assert output_files(tmp_path) == before
+
+    def test_a_rerun_removes_only_what_the_manifest_lists(self, small_cohort, tmp_path):
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        for name in ("old.tsv", "mine.txt", "dsm.tsv"):
+            (tables / name).write_text(name)
+        (tables / "dsm.manifest.json").write_text(
+            json.dumps({"command": "mine", "outputs": ["./old.tsv", "gone.tsv", "dsm.tsv"]}))
+        assert run(["mine", "--annotated", small_cohort / "annotated",
+                    "--grouping", small_cohort / "grouping.json", "--out", tables / "dsm.tsv"]) == 0
+        assert sorted(output_files(tables)) == ["dsm.manifest.json", "dsm.tsv", "mine.txt"]
+        assert (tables / "dsm.tsv").read_text().startswith("pattern\t")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--expert", "{path}", "--out", "{out}"],
+     ["simulate", "--trees", "{path}", "--out", "{out}"],
+     ["simulate", "--profiles", "{path}", "--out", "{out}"],
+     ["simulate", "--engine-config", "{path}", "--out", "{out}"],
+     ["replay", "--events", "{empty}", "--expert", "{path}", "--out", "{out}"],
+     ["mine", "--annotated", "{empty}", "--grouping", "{path}", "--out", "{out}/dsm.tsv"],
+     ["report", "--annotated", "{empty}", "--grouping", "{path}", "--out", "{out}"],
+     ["score", "--student-map", "{path}"]],
+    ids=["simulate-expert", "simulate-trees", "simulate-profiles", "simulate-engine-config",
+         "replay-expert", "mine-grouping", "report-grouping", "score-student-map"],
+)
+def test_a_document_that_is_not_utf8_is_an_error_line_naming_it(tmp_path, capsys, argv):
+    path, empty, out = tmp_path / "document.json", tmp_path / "empty", tmp_path / "out"
+    path.write_bytes(b"\xff\xfe{}")
+    empty.mkdir()
+    assert run([arg.format(path=path, empty=empty, out=out) for arg in argv]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [(["simulate", "--high", 1, "--low", 1, "--budget", 60], "{file}"),
+     (["simulate", "--high", 1, "--low", 1, "--budget", 60], "{file}/sim"),
+     (["replay", "--events", "{cohort}/events"], "{file}"),
+     (["mine", "--annotated", "{cohort}/annotated", "--grouping", "{cohort}/grouping.json"],
+      "{file}/dsm.tsv"),
+     (["report", "--annotated", "{cohort}/annotated", "--grouping", "{cohort}/grouping.json"],
+      "{file}")],
+    ids=["simulate", "simulate-below-a-file", "replay", "mine", "report"],
+)
+def test_an_out_that_is_a_file_is_an_error_line(small_cohort, tmp_path, capsys, argv, out):
+    file = tmp_path / "file"
+    file.write_text("kept")
+    names = {"file": file, "cohort": small_cohort}
+    argv = [str(arg).format(**names) for arg in argv]
+    assert run([*argv, "--out", out.format(**names)]) == 1
+    assert capsys.readouterr().err == f"error: {file}: not a directory\n"
+    assert sorted(tmp_path.iterdir()) == [file] and file.read_text() == "kept"
+
+
+def test_only_the_output_stage_writes():
+    """Every file and directory the commands make goes through
+    `_write_outputs`, so each manifest lists what its run wrote."""
+    writers = set()
+    for top in ast.parse(Path(cli.__file__).read_text()).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            owner = getattr(getattr(node.func, "value", None), "id", None)
+            if (name in ("mkdir", "write_text", "write_bytes", "unlink", "open")
+                    or owner in (None, "logio") and (name.startswith("write_")
+                                                     or name == "save_map")):
+                writers.add(getattr(top, "name", "<module>"))
+    assert writers == {"_write_outputs"}
