@@ -7,11 +7,14 @@ Subcommands:
   report     time-distribution, delivery-count, impact, and outcome tables
   score      one-shot map scoring / quiz grading for a map file
 
-Every command writes a manifest.json next to its outputs recording the
-arguments, seed, version, and wall-clock time.  Outputs other than the
-manifest are byte-stable for identical inputs and seeds.  A command reads
-and checks all of its input, and computes every result, before it writes
-a file, so one that ends in an `error:` line has written nothing.
+Every writing command writes its files through one output stage,
+`_write_outputs`, which writes last a manifest recording the arguments,
+seed, version, wall-clock time and the files written.  Outputs other than
+the manifest are byte-stable for identical inputs and seeds.  A rerun into
+the same place replaces the files that the earlier run's manifest lists;
+another command's manifest there is an error.  A command reads and checks
+all of its input, and computes every result, before it writes a file, so
+one that ends in an `error:` line has written nothing.
 """
 
 from __future__ import annotations
@@ -230,8 +233,9 @@ def cmd_replay(args) -> int:
     # the annotator checks the lookback; built here, before any output, it
     # rejects a bad value for an events directory without logs too
     SessionAnnotator(expert, coherence_lookback=args.coherence_lookback)
+    logs = _student_logs(args.events, logio.read_events)
     files = {}
-    for sid, events in _student_logs(args.events, logio.read_events).items():
+    for sid, events in logs.items():
         try:
             result = replay_events(sid, events, expert, config,
                                    coherence_lookback=args.coherence_lookback, trees=trees)
@@ -239,10 +243,10 @@ def cmd_replay(args) -> int:
             raise ValueError(f"{args.events / f'{sid}.jsonl'}: student {sid}: {exc}") from exc
         files[f"annotated/{sid}.jsonl"] = partial(logio.write_annotated, result.annotated)
         files[f"deliveries/{sid}.jsonl"] = partial(logio.write_deliveries, result.deliveries)
-    if not files:
+    if not logs:
         print(f"warning: no event logs in {args.events}", file=sys.stderr)
     _write_outputs(args.out, files, args)
-    print(f"replayed {len(files) // 2} event logs into {args.out}")
+    print(f"replayed {len(logs)} event logs into {args.out}")
     return 0
 
 
