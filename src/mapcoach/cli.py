@@ -111,10 +111,10 @@ def _student_logs(directory: Path | None, read) -> dict[str, list]:
 
 def _write_outputs(directory: Path, files: dict[str, Callable[[Path], object]],
                    args: argparse.Namespace, manifest: str = "manifest.json", seed=None):
-    """The one output stage of the writing commands. It calls each writer in
-    `files` on its path, given relative to `directory`, after making that
-    path's parent directories, and writes last `manifest` in `directory`,
-    whose `outputs` are the names in `files`.
+    """The one output stage of the writing commands. It makes `directory`
+    and every parent directory of `files`, calls each writer in `files` on
+    its path, given relative to `directory`, and writes last `manifest` in
+    `directory`, whose `outputs` are the names in `files`.
 
     A rerun replaces the earlier run: each file that the manifest already in
     `directory` lists, and this run did not write, is removed before the new
@@ -128,10 +128,10 @@ def _write_outputs(directory: Path, files: dict[str, Callable[[Path], object]],
     previous = directory / manifest
     stale = (logio.load_document(previous, partial(_listed_outputs, args.command))
              if previous.exists() else set()) - set(map(Path, files))
+    for parent in {directory, *((directory / name).parent for name in files)}:
+        parent.mkdir(parents=True, exist_ok=True)
     for name, write in files.items():
-        path = directory / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write(path)
+        write(directory / name)
     for path in stale:
         (directory / path).unlink(missing_ok=True)
     started, t0 = args._clock
@@ -145,7 +145,6 @@ def _write_outputs(directory: Path, files: dict[str, Callable[[Path], object]],
         "wall_seconds": round(time.monotonic() - t0, 3),
         "outputs": sorted(files),
     }
-    directory.mkdir(parents=True, exist_ok=True)
     (directory / manifest).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
