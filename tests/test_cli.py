@@ -1616,6 +1616,14 @@ def test_an_out_that_is_a_file_is_an_error_line(small_cohort, tmp_path, capsys, 
     assert sorted(tmp_path.iterdir()) == [file] and file.read_text() == "kept"
 
 
+def test_a_file_where_an_output_directory_goes_stops_before_any_write(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "affect").write_text("kept")
+    assert run(["simulate", "--high", 1, "--low", 1, "--budget", 60, "--out", out]) == 1
+    assert [path for path in out.rglob("*") if path.is_file()] == [out / "affect"]
+
+
 def test_only_the_output_stage_writes():
     """Every file and directory the commands make goes through
     `_write_outputs`, so each manifest lists what its run wrote."""
