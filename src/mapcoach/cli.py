@@ -28,7 +28,6 @@ import time
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Callable
 
 from . import __version__, logio
 from .analytics import OutcomeRecord, StudentRecord, scaffold_impact
@@ -109,43 +108,51 @@ def _student_logs(directory: Path | None, read) -> dict[str, list]:
     return logs
 
 
-def _write_outputs(directory: Path, files: dict[str, Callable[[Path], object]],
-                   args: argparse.Namespace, manifest: str = "manifest.json", seed=None):
-    """The one output stage of the writing commands. It makes `directory`
-    and every parent directory of `files`, calls each writer in `files` on
-    its path, given relative to `directory`, and writes last `manifest` in
-    `directory`, whose `outputs` are the names in `files`.
+def _write_outputs(args: argparse.Namespace) -> int:
+    """The one output stage, which runs each writing command. It checks
+    where the command writes: `--out` with `manifest.json`, or for `mine`
+    the directory of `--out` with `<stem>.manifest.json`. Only then does it
+    call `args.compute(args)` for `(files, message)`, where `files` maps
+    each name, relative to that directory, to a writer of its path. It
+    makes every parent directory of `files`, calls each writer, writes last
+    the manifest, whose `outputs` are the names in `files`, and prints
+    `message`.
 
-    A rerun replaces the earlier run: each file that the manifest already in
-    `directory` lists, and this run did not write, is removed before the new
-    manifest is written; no file it does not list is. Before its first write
-    the stage raises a ValueError naming the path if `directory`, or its
+    A rerun replaces the earlier run: each file that the manifest already
+    there lists, and this run did not write, is removed before the new
+    manifest is written; no file it does not list is. Before it computes,
+    the stage raises a ValueError naming the path if the directory, or its
     nearest existing ancestor, is not a directory, or if that manifest is
-    another command's or lists a name outside `directory`."""
+    another command's or lists a name outside the directory."""
+    started, t0 = time.time(), time.monotonic()
+    mine = args.command == "mine"
+    directory = args.out.parent if mine else args.out
+    manifest = directory / (f"{args.out.stem}.manifest.json" if mine else "manifest.json")
     existing = next(path for path in (directory, *directory.parents) if path.exists())
     if not existing.is_dir():
         raise ValueError(f"{existing}: not a directory")
-    previous = directory / manifest
-    stale = (logio.load_document(previous, partial(_listed_outputs, args.command))
-             if previous.exists() else set()) - set(map(Path, files))
+    listed = (logio.load_document(manifest, partial(_listed_outputs, args.command))
+              if manifest.exists() else set())
+    files, message = args.compute(args)
     for parent in {directory, *((directory / name).parent for name in files)}:
         parent.mkdir(parents=True, exist_ok=True)
     for name, write in files.items():
         write(directory / name)
-    for path in stale:
+    for path in listed - set(map(Path, files)):
         (directory / path).unlink(missing_ok=True)
-    started, t0 = args._clock
     record = {
         "tool": "mapcoach",
         "version": __version__,
         "command": args.command,
-        "args": {k: str(v) for k, v in vars(args).items() if k not in ("func", "_clock")},
-        "seed": seed,
+        "args": {k: str(v) for k, v in vars(args).items() if k not in ("func", "compute")},
+        "seed": vars(args).get("seed"),
         "started_utc": datetime.fromtimestamp(started, timezone.utc).isoformat(),
         "wall_seconds": round(time.monotonic() - t0, 3),
         "outputs": sorted(files),
     }
-    (directory / manifest).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    manifest.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    print(message)
+    return 0
 
 
 def _listed_outputs(command: str, manifest) -> set[Path]:
@@ -178,7 +185,7 @@ def _load_expert(path) -> "ExpertMap":
 # -- simulate -------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, str]:
     expert = _load_expert(args.expert)
     config = _engine_config(args) if not args.no_engine else None
     profiles = (None if args.profiles is None
@@ -205,9 +212,7 @@ def cmd_simulate(args) -> int:
     files["grouping.json"] = partial(logio.write_grouping, cohort.grouping)
     files["expert-map.json"] = partial(logio.save_map, expert.map)
     files["outcomes.jsonl"] = partial(logio.write_outcomes, outcomes)
-    _write_outputs(args.out, files, args, seed=args.seed)
-    print(f"simulated {len(cohort.sessions)} students into {args.out}")
-    return 0
+    return files, f"simulated {len(cohort.sessions)} students into {args.out}"
 
 
 def _draw_outcome(student_id: str, group: str, cohort_seed: int) -> OutcomeRecord:
@@ -225,7 +230,7 @@ def _draw_outcome(student_id: str, group: str, cohort_seed: int) -> OutcomeRecor
 # -- replay ---------------------------------------------------------------------
 
 
-def cmd_replay(args) -> int:
+def cmd_replay(args) -> tuple[dict, str]:
     expert = _load_expert(args.expert)
     config = _engine_config(args)
     trees = load_trees(args.trees) if args.trees is not None else None
@@ -244,15 +249,13 @@ def cmd_replay(args) -> int:
         files[f"deliveries/{sid}.jsonl"] = partial(logio.write_deliveries, result.deliveries)
     if not logs:
         print(f"warning: no event logs in {args.events}", file=sys.stderr)
-    _write_outputs(args.out, files, args)
-    print(f"replayed {len(logs)} event logs into {args.out}")
-    return 0
+    return files, f"replayed {len(logs)} event logs into {args.out}"
 
 
 # -- mine ------------------------------------------------------------------------
 
 
-def cmd_mine(args) -> int:
+def cmd_mine(args) -> tuple[dict, str]:
     grouping = logio.load_grouping(args.grouping)
     groups: dict[str, list[TokenSequence]] = {}
     for sid, annotated in _student_logs(args.annotated, logio.read_annotated).items():
@@ -272,16 +275,14 @@ def cmd_mine(args) -> int:
         max_len=args.max_len,
     )
     table = dsm_table(patterns, label_a=label_a, label_b=label_b)
-    _write_outputs(args.out.parent, {args.out.name: partial(Path.write_text, data=table)},
-                   args, manifest=f"{args.out.stem}.manifest.json")
-    print(f"wrote {len(patterns)} patterns to {args.out}")
-    return 0
+    return ({args.out.name: partial(Path.write_text, data=table)},
+            f"wrote {len(patterns)} patterns to {args.out}")
 
 
 # -- report ------------------------------------------------------------------------
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple[dict, str]:
     grouping = logio.load_grouping(args.grouping)
     annotated_by_student = _student_logs(args.annotated, logio.read_annotated)
     for sid, annotated in annotated_by_student.items():
@@ -310,10 +311,8 @@ def cmd_report(args) -> int:
     }
     if args.outcomes is not None:
         tables["outcomes.tsv"] = outcomes_table(logio.load_outcomes(args.outcomes), grouping)
-    _write_outputs(args.out, {name: partial(Path.write_text, data=table)
-                              for name, table in tables.items()}, args)
-    print(f"wrote {len(tables)} report tables into {args.out}")
-    return 0
+    return ({name: partial(Path.write_text, data=table) for name, table in tables.items()},
+            f"wrote {len(tables)} report tables into {args.out}")
 
 
 # -- score -------------------------------------------------------------------------
@@ -376,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulate without the scaffold engine in the loop")
     p.add_argument("--out", type=Path, required=True)
     _engine_flags(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=_write_outputs, compute=cmd_simulate)
 
     p = sub.add_parser("replay", help="annotate logs and re-run the engine offline")
     p.add_argument("--events", type=Path, required=True, help="directory of event .jsonl logs")
@@ -385,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coherence lookback in seconds (default: whole session)")
     p.add_argument("--out", type=Path, required=True)
     _engine_flags(p)
-    p.set_defaults(func=cmd_replay)
+    p.set_defaults(func=_write_outputs, compute=cmd_replay)
 
     p = sub.add_parser("mine", help="differential sequence mining between groups")
     p.add_argument("--annotated", type=Path, required=True)
@@ -394,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-threshold", type=float, default=0.5)
     p.add_argument("--max-len", type=int, default=4)
     p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=cmd_mine)
+    p.set_defaults(func=_write_outputs, compute=cmd_mine)
 
     p = sub.add_parser("report", help="emit analysis tables")
     p.add_argument("--annotated", type=Path, required=True)
@@ -403,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grouping", type=Path, required=True)
     p.add_argument("--outcomes", type=Path, default=None)
     p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=_write_outputs, compute=cmd_report)
 
     p = sub.add_parser("score", help="score a student map (and optionally a quiz)")
     p.add_argument("--student-map", type=Path, required=True)
@@ -435,7 +434,6 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(
             _attach_negative_values(sys.argv[1:] if argv is None else argv))
-        args._clock = (time.time(), time.monotonic())
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
