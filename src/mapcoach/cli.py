@@ -121,19 +121,22 @@ def _write_outputs(args: argparse.Namespace) -> int:
     A rerun replaces the earlier run: each file that the manifest already
     there lists, and this run did not write, is removed before the new
     manifest is written; no file it does not list is. Before it computes,
-    the stage raises a ValueError naming the path if the directory, or its
-    nearest existing ancestor, is not a directory, or if that manifest is
-    another command's or lists a name outside the directory."""
+    the stage raises a ValueError naming the path if that manifest, or
+    `mine`'s `--out`, is a directory or lies below a file, or if that
+    manifest is another command's or lists a name outside the directory;
+    before its first write, if an output in `files` is a directory or lies
+    below a file."""
     started, t0 = time.time(), time.monotonic()
     mine = args.command == "mine"
     directory = args.out.parent if mine else args.out
     manifest = directory / (f"{args.out.stem}.manifest.json" if mine else "manifest.json")
-    existing = next(path for path in (directory, *directory.parents) if path.exists())
-    if not existing.is_dir():
-        raise ValueError(f"{existing}: not a directory")
+    for path in (manifest, args.out) if mine else (manifest,):
+        _check_output_path(path)
     listed = (logio.load_document(manifest, partial(_listed_outputs, args.command))
               if manifest.exists() else set())
     files, message = args.compute(args)
+    for name in files:
+        _check_output_path(directory / name)
     for parent in {directory, *((directory / name).parent for name in files)}:
         parent.mkdir(parents=True, exist_ok=True)
     for name, write in files.items():
@@ -153,6 +156,16 @@ def _write_outputs(args: argparse.Namespace) -> int:
     manifest.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(message)
     return 0
+
+
+def _check_output_path(path: Path):
+    """A ValueError naming the path if `path` is a directory, or if its
+    nearest existing ancestor is not."""
+    if path.is_dir():
+        raise ValueError(f"{path}: is a directory")
+    existing = next(parent for parent in path.parents if parent.exists())
+    if not existing.is_dir():
+        raise ValueError(f"{existing}: not a directory")
 
 
 def _listed_outputs(command: str, manifest) -> set[Path]:

@@ -1624,6 +1624,67 @@ def test_a_file_where_an_output_directory_goes_stops_before_any_write(tmp_path):
     assert [path for path in out.rglob("*") if path.is_file()] == [out / "affect"]
 
 
+def tree(root):
+    """Relative name -> bytes of every file under root, None for a directory."""
+    return {path.relative_to(root).as_posix(): path.read_bytes() if path.is_file() else None
+            for path in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize(
+    "argv, taken, kind, problem",
+    [(["mine", "--annotated", "{cohort}/annotated", "--grouping", "{cohort}/grouping.json",
+       "--out", "{out}/dsm.tsv"], "dsm.tsv", "directory", "is a directory"),
+     (["simulate", "--high", 1, "--low", 1, "--budget", 60, "--out", "{out}"], "affect",
+      "file", "not a directory"),
+     (["replay", "--events", "{cohort}/events", "--out", "{out}"], "manifest.json",
+      "directory", "is a directory"),
+     (["replay", "--events", "{cohort}/events", "--out", "{out}"], "annotated/low-000.jsonl",
+      "directory", "is a directory")],
+    ids=["mine-out", "simulate-subdirectory", "replay-manifest", "replay-log"],
+)
+def test_an_output_path_of_the_wrong_kind_is_an_error_line(small_cohort, tmp_path, capsys,
+                                                            argv, taken, kind, problem):
+    out = tmp_path / "out"
+    path = out / taken
+    if kind == "directory":
+        path.mkdir(parents=True)
+    else:
+        out.mkdir()
+        path.write_text("kept")
+    before = tree(tmp_path)
+    assert run([str(arg).format(cohort=small_cohort, out=out) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {problem}\n")
+    assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["simulate", "--high", 40, "--low", 40, "--out", "{file}"], "{file}: not a directory"),
+     (["replay", "--events", "{cohort}/events", "--out", "{cohort}"],
+      "{cohort}/manifest.json: records a run of 'simulate'; replay replaces only its own runs"),
+     (["mine", "--annotated", "{cohort}/annotated", "--grouping", "{cohort}/grouping.json",
+       "--out", "{cohort}/annotated"], "{cohort}/annotated: is a directory"),
+     (["report", "--annotated", "{cohort}/annotated", "--grouping", "{cohort}/grouping.json",
+       "--out", "{file}/report"], "{file}: not a directory")],
+    ids=["simulate-into-a-file", "replay-into-a-simulate-directory", "mine-into-a-directory",
+         "report-below-a-file"],
+)
+def test_a_bad_output_place_stops_the_command_before_it_computes(
+        cohort_copy, tmp_path, capsys, monkeypatch, argv, message):
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before checking where it writes")
+
+    for name in ("simulate_cohort", "replay_events", "mine", "scaffold_impact"):
+        monkeypatch.setattr(cli, name, computed)
+    file = tmp_path / "file"
+    file.write_text("kept")
+    names = {"file": file, "cohort": cohort_copy}
+    before = tree(tmp_path)
+    assert run([str(arg).format(**names) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(**names)}\n")
+    assert tree(tmp_path) == before
+
+
 def test_only_the_output_stage_writes():
     """Every file and directory the commands make goes through
     `_write_outputs`, so each manifest lists what its run wrote."""
