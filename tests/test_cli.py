@@ -1685,6 +1685,44 @@ def test_a_bad_output_place_stops_the_command_before_it_computes(
     assert tree(tmp_path) == before
 
 
+_NODE = {"id": "a", "prompt": "p", "responses": [{"text": "t", "exit": True}]}
+_MINE = ["mine", "--annotated", "{cohort}/annotated"]
+
+
+@pytest.mark.parametrize(
+    "argv, document, message",
+    [(["simulate", "--engine-config", "{doc}"], {"foo": 1}, "{doc}: unknown engine setting 'foo'"),
+     (["simulate", "--hint1-window-events", 0], None, "hint1 follow-up windows must be positive"),
+     (["simulate", "--long-threshold", 0], None, "long_threshold must be positive"),
+     ([*_MINE, "--grouping", "{doc}"], {"high-000": "High"},
+      "need exactly 2 groups in {doc}, found ['High']"),
+     ([*_MINE, "--grouping", "{cohort}/grouping.json", "--max-len", 1], None,
+      "max_len must be >= 2"),
+     ([*_MINE, "--grouping", "{doc}"], [],
+      "{doc}: expected a JSON object of student id to group name"),
+     (["simulate", "--expert", "{doc}"],
+      {"format": logio.MAP_FORMAT, "links": [],
+       "concepts": [{"id": "a", "name": "A", "section": "s"}] * 2},
+      "{doc}: duplicate concept id 'a'"),
+     (["simulate", "--trees", "{doc}"], {"enc1": {"root": "a", "nodes": [_NODE, _NODE]}},
+      "{doc}: duplicate node id 'a'"),
+     (["simulate", "--trees", "{doc}"], {"enc1": {"root": "b", "nodes": [_NODE]}},
+      "{doc}: root 'b' not among nodes")],
+    ids=["unknown-engine-setting", "hint1-window-events", "long-threshold", "one-group",
+         "max-len", "grouping-array", "duplicate-concept", "duplicate-node", "missing-root"],
+)
+def test_a_bad_setting_or_document_is_one_error_line(small_cohort, tmp_path, capsys,
+                                                     argv, document, message):
+    doc, out = tmp_path / "document.json", tmp_path / "out"
+    if document is not None:
+        doc.write_text(json.dumps(document))
+    names = {"doc": doc, "cohort": small_cohort}
+    out_name = out / "dsm.tsv" if argv[0] == "mine" else out
+    assert run([*(str(arg).format(**names) for arg in argv), "--out", out_name]) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(**names)}\n")
+    assert not out.exists()
+
+
 def test_only_the_output_stage_writes():
     """Every file and directory the commands make goes through
     `_write_outputs`, so each manifest lists what its run wrote."""
