@@ -568,10 +568,12 @@ class QuizScope:
 
 @record
 class QuizQuestion:
+    """If `source` increases, what happens to `target`? `expert_answer` is
+    the expert map's answer."""
+
     source: str
     target: str
     expert_answer: QueryAnswer
-    direction: Sign = Sign.INCREASE
 
 
 @record
