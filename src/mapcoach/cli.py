@@ -7,14 +7,16 @@ Subcommands:
   report     time-distribution, delivery-count, impact, and outcome tables
   score      one-shot map scoring / quiz grading for a map file
 
-Every writing command writes its files through one output stage,
-`_write_outputs`, which writes last a manifest recording the arguments,
-seed, version, wall-clock time and the files written.  Outputs other than
-the manifest are byte-stable for identical inputs and seeds.  A rerun into
-the same place replaces the files that the earlier run's manifest lists;
-another command's manifest there is an error.  A command reads and checks
-all of its input, and computes every result, before it writes a file, so
-one that ends in an `error:` line has written nothing.
+Every writing command runs inside one output stage, `_write_outputs`.
+The stage checks where the command writes before it reads any input; the
+command (`cmd_simulate`, `cmd_replay`, `cmd_mine`, `cmd_report`) reads and
+checks its input and computes every result, and returns its files as
+writers with the line to print; only then does the stage write them, and
+last a manifest recording the arguments, seed, version, wall-clock time and
+the files written.  So a command that ends in an `error:` line has written
+nothing.  Outputs other than the manifest are byte-stable for identical
+inputs and seeds.  A rerun into the same place replaces the files that the
+earlier run's manifest lists; another command's manifest there is an error.
 """
 
 from __future__ import annotations
@@ -124,8 +126,8 @@ def _write_outputs(args: argparse.Namespace) -> int:
     the stage raises a ValueError naming the path if that manifest, or
     `mine`'s `--out`, is a directory or lies below a file, or if that
     manifest is another command's or lists a name outside the directory;
-    before its first write, if an output in `files` is a directory or lies
-    below a file."""
+    before its first write, if a file it writes or removes is a directory or
+    lies below a file."""
     started, t0 = time.time(), time.monotonic()
     mine = args.command == "mine"
     directory = args.out.parent if mine else args.out
@@ -135,13 +137,14 @@ def _write_outputs(args: argparse.Namespace) -> int:
     listed = (logio.load_document(manifest, partial(_listed_outputs, args.command))
               if manifest.exists() else set())
     files, message = args.compute(args)
-    for name in files:
+    stale = listed - set(map(Path, files))
+    for name in (*files, *stale):
         _check_output_path(directory / name)
     for parent in {directory, *((directory / name).parent for name in files)}:
         parent.mkdir(parents=True, exist_ok=True)
     for name, write in files.items():
         write(directory / name)
-    for path in listed - set(map(Path, files)):
+    for path in stale:
         (directory / path).unlink(missing_ok=True)
     record = {
         "tool": "mapcoach",

@@ -1558,6 +1558,19 @@ class TestRerun:
         assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
         assert output_files(tmp_path) == before
 
+    def test_a_listed_file_that_is_now_a_directory_stops_the_rerun(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        self.simulate(out, 2)
+        taken = out / "events" / "high-001.jsonl"
+        taken.unlink()
+        taken.mkdir()
+        before = tree(out)
+        capsys.readouterr()
+        assert run(["simulate", "--high", 1, "--low", 1, "--seed", 7, "--budget", 300,
+                    "--out", out]) == 1
+        assert capsys.readouterr() == ("", f"error: {taken}: is a directory\n")
+        assert tree(out) == before
+
     def test_a_rerun_removes_only_what_the_manifest_lists(self, small_cohort, tmp_path):
         tables = tmp_path / "tables"
         tables.mkdir()
