@@ -3,7 +3,6 @@ sign-propagation queries, and quiz generation/grading."""
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -223,28 +222,14 @@ class CausalMap:
         return self._derived(self._concepts, links)
 
 
-@record
-class PathFacts:
-    """What the simple expert paths from one concept to another add up to."""
-
-    count: int  # number of simple paths
-    vote: int  # sum of path signs, +1 or -1 each
-    reached: frozenset[str]  # concepts the paths reach (every link target)
-    multi_signs: frozenset[int]  # signs of the paths with two or more links
-    links: tuple[CausalLink, ...]  # distinct links, in the order the walk first meets them
-
-
-_NO_FACTS = PathFacts(0, 0, frozenset(), frozenset(), ())
-
-
 class ExpertMap:
     """A causal map acting as ground truth, with page provenance per link.
 
     Every link must carry a source page; the derived page index maps each
-    page to the set of link pairs it supports.  Path facts (`paths`),
-    shortcuts (`shortcuts`) and quiz banks (`generate_quiz`) are computed on
-    first use and memoised on the instance, so its map must not change after
-    construction.
+    page to the set of link pairs it supports.  Each source's path counts
+    and votes (`tally`), shortcuts (`shortcuts`) and quiz banks
+    (`generate_quiz`) are computed on first use and memoised on the
+    instance, so its map must not change after construction.
     """
 
     def __init__(self, cmap: CausalMap):
@@ -256,7 +241,7 @@ class ExpertMap:
         for link in cmap.links.values():
             pages.setdefault(link.source_page, set()).add(link.key)
         self.pages: dict[str, set[tuple[str, str]]] = pages
-        self._paths: dict[tuple[str, str], PathFacts] = {}
+        self._walks: dict[int, tuple[list[int], list[int]]] = {}
         self._quizzes: dict[QuizScope, tuple[QuizQuestion, ...]] = {}
         self._shortcuts: Optional[tuple[CausalLink, ...]] = None
 
@@ -280,40 +265,44 @@ class ExpertMap:
             out.setdefault(c.section, set()).add(c.id)
         return out
 
-    def paths(self, source: str, target: str) -> PathFacts:
-        """Facts about every simple expert path source -> target, from one
-        walk per pair; PathExplosion past DEFAULT_MAX_PATHS, as for
-        answer_query."""
-        facts = self._paths.get((source, target))
-        if facts is None:
-            adjacency = self.map._compiled()
-            s, t = adjacency.number.get(source), adjacency.number.get(target)
-            if s is None or t is None:
-                facts = _NO_FACTS
-            else:
-                counts, votes, indices, multi_signs = _walk(adjacency, s, t, DEFAULT_MAX_PATHS)
-                links = tuple(map(adjacency.links.__getitem__, indices))
-                facts = PathFacts(
-                    count=counts[t],
-                    vote=votes[t],
-                    reached=frozenset(link.target for link in links),
-                    multi_signs=frozenset(multi_signs),
-                    links=links,
-                )
-            self._paths[(source, target)] = facts
-        return facts
+    def tally(self, source: str, target: str) -> tuple[int, int]:
+        """The number of simple expert paths source -> target and their vote
+        (sum of path signs), (0, 0) for a concept the map lacks.  One
+        unpruned walk per source counts every target's paths, and is
+        memoised; it raises PathExplosion when the source has more than
+        DEFAULT_MAX_PATHS paths to any concept."""
+        adjacency = self.map._compiled()
+        s, t = adjacency.number.get(source), adjacency.number.get(target)
+        if s is None or t is None:
+            return 0, 0
+        if s not in self._walks:
+            self._walks[s] = _walk(adjacency, s, None, DEFAULT_MAX_PATHS)[:2]
+        counts, votes = self._walks[s]
+        return counts[t], votes[t]
+
+    def path_links(self, source: str, target: str) -> tuple[CausalLink, ...]:
+        """The distinct links of the simple expert paths source -> target, in
+        the order the walk first meets them, from one pruned walk; () for a
+        concept the map lacks.  PathExplosion as for answer_query."""
+        adjacency = self.map._compiled()
+        s, t = adjacency.number.get(source), adjacency.number.get(target)
+        if s is None or t is None:
+            return ()
+        return tuple(map(adjacency.links.__getitem__, _walk(adjacency, s, t, DEFAULT_MAX_PATHS)[2]))
 
     def shortcuts(self) -> tuple[CausalLink, ...]:
-        """One link per net sign of the multi-link paths between each pair
-        with no direct expert link, ordered by (source, target, sign)."""
+        """One link per sign of the paths between each pair with no direct
+        expert link, ordered by (source, target, sign); every such path has
+        two or more links."""
         if self._shortcuts is None:
             concepts = sorted(self.map.concepts)
             self._shortcuts = tuple(
-                CausalLink(source=s, target=t, sign=Sign.INCREASE if sign > 0 else Sign.DECREASE)
+                CausalLink(source=s, target=t, sign=sign)
                 for s in concepts
                 for t in concepts
                 if s != t and (s, t) not in self.map.links
-                for sign in sorted(self.paths(s, t).multi_signs)
+                for sign in (Sign.DECREASE, Sign.INCREASE)
+                if _has_path_of_sign(self.tally(s, t), sign)
             )
         return self._shortcuts
 
@@ -353,9 +342,15 @@ def classify_link(link: CausalLink, expert: ExpertMap) -> LinkClass:
         return LinkClass.INCORRECT
     if expert_link is not None:
         return LinkClass.INCORRECT
-    if link.sign.factor in expert.paths(link.source, link.target).multi_signs:
+    if _has_path_of_sign(expert.tally(link.source, link.target), link.sign):
         return LinkClass.INCORRECT_SHORTCUT
     return LinkClass.INCORRECT
+
+
+def _has_path_of_sign(tally: tuple[int, int], sign: Sign) -> bool:
+    # of count paths with vote v, (count + sign * v) / 2 have the sign
+    count, vote = tally
+    return count + sign.factor * vote > 0
 
 
 # -- sign propagation --------------------------------------------------------
@@ -409,7 +404,7 @@ def _walk(
     source: int,
     target: Optional[int],
     max_paths: int,
-) -> tuple[list[int], list[int], dict[int, None], set[int]]:
+) -> tuple[list[int], list[int], dict[int, None]]:
     """Walk the simple paths from concept number source, depth first in
     sorted link order.
 
@@ -431,18 +426,17 @@ def _walk(
     recursion limit.  Concepts are numbers throughout; their names are
     looked up only for the PathExplosion message.  Returns the path count
     and the vote (sum of path signs) of each concept by number, zero for a
-    concept it did not count, the indices into the compiled links of the
-    paths' links in the order the walk first meets them, and the signs of
-    the multi-link paths; the last two stay empty for an unpruned walk.
+    concept it did not count, and the indices into the compiled links of
+    the paths' links in the order the walk first meets them, which stay
+    empty for an unpruned walk.
     """
     forward = adjacency.forward
     n = len(forward)
     counts = [0] * n
     votes = [0] * n
     links: dict[int, None] = {}
-    multi_signs: set[int] = set()
     if not forward[source] or source == target:
-        return counts, votes, links, multi_signs
+        return counts, votes, links
     if target is None:
         # every concept not on the current path
         open_ = [True] * n
@@ -488,10 +482,8 @@ def _walk(
                     )
                 votes[nxt] += sign
                 if target is not None:
-                    if frames:
-                        multi_signs.add(sign)
-                        for frame in frames:
-                            links[frame[3]] = None
+                    for frame in frames:
+                        links[frame[3]] = None
                     links[index] = None
                     continue
             if forward[nxt]:
@@ -501,7 +493,7 @@ def _walk(
                 break
         else:
             if not frames:
-                return counts, votes, links, multi_signs
+                return counts, votes, links
             links_left, path_sign, left, _ = frames.pop()
             open_[left] = True
 
@@ -539,7 +531,7 @@ def answer_query(
         raise UnknownConcept(target)
     adjacency = cmap._compiled()
     t = adjacency.number[target]
-    _, votes, indices, _ = _walk(adjacency, adjacency.number[source], t, max_paths)
+    _, votes, indices = _walk(adjacency, adjacency.number[source], t, max_paths)
     if not indices:
         return _NO_PATHS
     used = frozenset(map(adjacency.links.__getitem__, indices))
@@ -641,27 +633,33 @@ def generate_quiz(
     """One question per ordered concept pair with a determinate expert answer.
 
     A section-scoped quiz keeps only pairs whose connecting expert paths lie
-    entirely inside the section's concepts.  Question order is lexicographic
-    by (source, target) so quizzes are reproducible.  The bank is memoised
-    per scope on the expert map; each call returns a fresh list.
+    entirely inside the section's concepts: those with as many paths over
+    the section's own links, counted by one walk per source, as over the
+    whole map.  Question order is lexicographic by (source, target) so
+    quizzes are reproducible.  The bank is memoised per scope on the expert
+    map; each call returns a fresh list.
     """
     bank = expert._quizzes.get(scope)
     if bank is not None:
         return list(bank)
+    names, inside = sorted(expert.concepts), None
     if scope.kind == "section":
         sections = expert.sections()
         if scope.section not in sections:
             raise UnknownSection(f"unknown quiz section {scope.section!r}")
         allowed = sections[scope.section]
-    else:
-        allowed = set(expert.concepts)
+        names = sorted(allowed)
+        inside = _Adjacency(names, {key: link for key, link in expert.links.items()
+                                    if key[0] in allowed and key[1] in allowed})
     questions: list[QuizQuestion] = []
-    for source, target in itertools.permutations(sorted(allowed), 2):
-        facts = expert.paths(source, target)
-        if facts.vote == 0 or not facts.reached <= allowed:
-            continue
-        answer = QueryAnswer.TARGET_INCREASES if facts.vote > 0 else QueryAnswer.TARGET_DECREASES
-        questions.append(QuizQuestion(source=source, target=target, expert_answer=answer))
+    for s, source in enumerate(names):
+        tallies = [expert.tally(source, target) for target in names]
+        if inside is not None:
+            inside_counts = _walk(inside, s, None, DEFAULT_MAX_PATHS)[0]
+        for t, (count, vote) in enumerate(tallies):
+            if vote == 0 or inside is not None and inside_counts[t] != count:
+                continue
+            questions.append(QuizQuestion(source, names[t], _answer(vote)))
     if not questions:
         raise EmptyQuiz(f"no determinate concept pairs in scope {scope.display()}")
     expert._quizzes[scope] = tuple(questions)

@@ -710,7 +710,7 @@ class ScaffoldEngine:
         for q, answer in zip(quiz.questions, quiz.answers):
             if answer is q.expert_answer:
                 continue
-            for expert_link in self.expert.paths(q.source, q.target).links:
+            for expert_link in self.expert.path_links(q.source, q.target):
                 student_link = student_map.links.get(expert_link.key)
                 if student_link is None or student_link.sign is not expert_link.sign:
                     return TargetHints(

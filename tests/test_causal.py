@@ -289,17 +289,17 @@ class TestWalk:
         names, number = adjacency.names, adjacency.number
         assert names == ids
         try:
-            counts, votes, links, multi_signs = _walk(adjacency, number[source], None, max_paths)
+            counts, votes, links = _walk(adjacency, number[source], None, max_paths)
         except PathExplosion:
             assert exploded
         else:
             assert not exploded
-            assert not links and not multi_signs
+            assert not links
             got = {names[n]: (counts[n], votes[n]) for n in range(len(names)) if counts[n]}
             assert got == expected
         for t in targets:
             try:
-                counts, votes, _, _ = _walk(adjacency, number[source], number[t], max_paths)
+                counts, votes, _ = _walk(adjacency, number[source], number[t], max_paths)
             except PathExplosion:
                 assert exploded
                 continue
@@ -748,22 +748,20 @@ class TestExpertPathFacts:
         edges = oracles.edge_dict(expert.map)
         for s in expert.concepts:
             for t in expert.concepts:
-                facts = expert.paths(s, t)
-                count, vote, reached, multi_signs, pairs = _brute_facts(edges, s, t)
-                assert (facts.count, facts.vote) == (count, vote)
-                assert facts.reached == reached
-                assert facts.multi_signs == multi_signs
-                assert [link.key for link in facts.links] == pairs
-                assert expert.paths(s, t) is facts
+                count, vote, _, _, pairs = _brute_facts(edges, s, t)
+                assert expert.tally(s, t) == (count, vote)
+                paths = oracles.brute_simple_paths(edges, s, t)
+                signs = [math.prod(edges[pair] for pair in path) for path in paths]
+                for sign in (1, -1):
+                    assert (count + sign * vote) // 2 == signs.count(sign)
+                assert [link.key for link in expert.path_links(s, t)] == pairs
 
     def test_paths_on_a_concept_the_expert_lacks_are_empty(self):
         expert = expert_of(("a", "b", INC), ("b", "c", DEC), ids="abc")
         for source, target in (("zz", "c"), ("a", "zz"), ("zz", "yy")):
-            facts = expert.paths(source, target)
-            assert (facts.count, facts.vote) == (0, 0)
-            assert facts.reached == frozenset() and facts.multi_signs == frozenset()
-            assert facts.links == ()
-        assert expert.paths("a", "c").vote == -1
+            assert expert.tally(source, target) == (0, 0)
+            assert expert.path_links(source, target) == ()
+        assert expert.tally("a", "c") == (1, -1)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))

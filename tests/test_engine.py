@@ -418,7 +418,7 @@ class _ItemsEngine(ScaffoldEngine):
     def _hint6_targets(self, student_map, quiz):
         for item in _incorrect_items(quiz):
             q = item.question
-            for expert_link in self.expert.paths(q.source, q.target).links:
+            for expert_link in self.expert.path_links(q.source, q.target):
                 student_link = student_map.links.get(expert_link.key)
                 if student_link is None or student_link.sign is not expert_link.sign:
                     return TargetHints(
