@@ -9,16 +9,21 @@ import random
 from dataclasses import replace
 from typing import Optional, Sequence
 
+from hypothesis import assume
+from hypothesis import strategies as st
+
 from mapcoach.annotate import ActionEvent, ActionKind, MapEdit, MapEditAction
 from mapcoach.causal import (
     CausalLink,
     CausalMap,
     Concept,
+    EmptyQuiz,
     ExpertMap,
     MapError,
     Sign,
     UnknownConcept,
     UnknownLink,
+    generate_quiz,
 )
 
 
@@ -117,6 +122,30 @@ def random_expert(rng: random.Random, max_concepts: int = 8, max_links: int = 14
         cmap = random_map(rng, max_concepts, max_links, with_pages=True)
         if cmap.links:
             return ExpertMap(cmap)
+
+
+@st.composite
+def expert_maps(draw, max_concepts: int = 12) -> ExpertMap:
+    """Expert maps of 2 to max_concepts concepts in one to three sections and
+    up to two links per concept, each link on one of four pages; only maps
+    whose everything quiz has a question are drawn.  At that size no
+    concept has anywhere near DEFAULT_MAX_PATHS paths."""
+    n = draw(st.integers(2, max_concepts))
+    ids = [f"c{i}" for i in range(n)]
+    concepts = [Concept(id=i, name=i.upper(), section=draw(st.sampled_from("xyz"))) for i in ids]
+    pairs = [(s, t) for s in ids for t in ids if s != t]
+    chosen = draw(st.permutations(pairs))[: draw(st.integers(1, min(2 * n, len(pairs))))]
+    links = [
+        CausalLink(source=s, target=t, sign=draw(st.sampled_from(Sign)),
+                   source_page=draw(st.sampled_from(["p0", "p1", "p2", "p3"])))
+        for s, t in chosen
+    ]
+    expert = ExpertMap(CausalMap(concepts, links))
+    try:
+        generate_quiz(expert)
+    except EmptyQuiz:
+        assume(False)
+    return expert
 
 
 # -- map edits ---------------------------------------------------------------------

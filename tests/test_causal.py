@@ -763,6 +763,26 @@ class TestExpertPathFacts:
             assert expert.path_links(source, target) == ()
         assert expert.tally("a", "c") == (1, -1)
 
+    def test_a_source_past_the_path_bound_raises_wherever_its_paths_are_read(self):
+        # section x = {s, t} with s -> t, and s -> k0 into a 10-clique in
+        # section y: the section quiz's one pair has one path, but s has about
+        # 10^5 paths to each other clique concept, and one walk counts them all
+        clique = [f"k{i}" for i in range(10)]
+        links = [("s", "t"), ("s", "k0")] + [(u, v) for u in clique for v in clique if u != v]
+        expert = ExpertMap(CausalMap(
+            [Concept(i, i.upper(), "x" if i in "st" else "y") for i in ("s", "t", *clique)],
+            [CausalLink(u, v, INC, source_page="p") for u, v in links],
+        ))
+        for read in (
+            lambda: generate_quiz(expert, QuizScope.for_section("x")),
+            lambda: generate_quiz(expert),
+            lambda: classify_link(CausalLink("s", "k1", INC), expert),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(PathExplosion, match="more than 10000 paths from"):
+                read()
+            assert time.perf_counter() - start < 1.0
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
     def test_shortcut_iff_no_direct_link_and_multi_link_path_of_that_sign(self, seed):
@@ -804,6 +824,50 @@ class TestExpertPathFacts:
                 continue
             got = [(q.source, q.target, q.expert_answer.value) for q in generate_quiz(expert, scope)]
             assert got == [(s, t, f"target_{answer}") for s, t, answer in expected]
+
+    @settings(max_examples=100, deadline=None)
+    @given(oracles.expert_maps())
+    def test_quiz_banks_of_generated_maps_match_brute_force(self, expert):
+        """Each scope's bank holds the pairs with a nonzero brute-force vote
+        whose paths all lie in the scope, with the vote's answer."""
+        edges = oracles.edge_dict(expert.map)
+        scopes = [(QuizScope.everything(), set(expert.concepts))]
+        scopes += [(QuizScope.for_section(name), members)
+                   for name, members in sorted(expert.sections().items())]
+        for scope, members in scopes:
+            expected = []
+            for s in sorted(members):
+                for t in sorted(members):
+                    _, vote, reached, _, _ = _brute_facts(edges, s, t)
+                    if vote != 0 and reached <= members:
+                        answer = "increases" if vote > 0 else "decreases"
+                        expected.append(QuizQuestion(s, t, QueryAnswer(f"target_{answer}")))
+            if expected:
+                assert generate_quiz(expert, scope) == expected
+            else:
+                with pytest.raises(EmptyQuiz):
+                    generate_quiz(expert, scope)
+
+    @settings(max_examples=100, deadline=None)
+    @given(oracles.expert_maps())
+    def test_shortcuts_of_generated_maps_match_brute_force(self, expert):
+        """A link is a shortcut iff the expert has no link for its pair and
+        a brute-force path of its sign."""
+        edges = oracles.edge_dict(expert.map)
+        ids = sorted(expert.concepts)
+        expected = []
+        for s in ids:
+            for t in ids:
+                paths = oracles.brute_simple_paths(edges, s, t)
+                signs = {math.prod(edges[pair] for pair in path) for path in paths}
+                for sign in (DEC, INC):
+                    shortcut = (s, t) not in edges and sign.factor in signs
+                    if s != t:
+                        cls = classify_link(CausalLink(s, t, sign), expert)
+                        assert (cls is LinkClass.INCORRECT_SHORTCUT) == shortcut
+                    if shortcut:
+                        expected.append(CausalLink(s, t, sign))
+        assert expert.shortcuts() == tuple(expected)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import trigger_scripts as scripts
 from mapcoach import causal, pipeline, verify
 from mapcoach.annotate import ActionKind, Effectiveness, MapEdit, MapEditAction
@@ -241,6 +242,24 @@ class TestConfigSpace:
             assert result.deliveries == session.deliveries
             assert not {d.kind for d in result.deliveries} & config.disabled_kinds
             assert verify_session(result.annotated, result.deliveries, pack, config) == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        expert=oracles.expert_maps(),
+        config=engine_configs(),
+        seed=st.integers(0, 10**6),
+        budget=st.floats(300.0, 1200.0),
+    )
+    def test_on_generated_expert_maps_replay_gives_the_in_loop_deliveries_and_they_verify(
+        self, expert, config, seed, budget
+    ):
+        cohort = simulate_cohort(
+            2, 2, seed=seed, expert=expert, duration_budget=budget, engine_config=config
+        )
+        for session in cohort.sessions:
+            result = replay_events(session.student_id, session.events, expert, config)
+            assert result.deliveries == session.deliveries
+            assert verify_session(result.annotated, result.deliveries, expert, config) == []
 
     @settings(max_examples=40, deadline=None)
     @given(
