@@ -118,7 +118,11 @@ def _write_outputs(args: argparse.Namespace) -> int:
     each name, relative to that directory, to a writer of its path. It
     makes every parent directory of `files`, calls each writer, writes last
     the manifest, whose `outputs` are the names in `files`, and prints
-    `message`.
+    `message`.  `mine` writes beside other runs' files, so before it
+    computes the stage also refuses an `--out` that is the `--grouping`
+    file, or a file of the run that a mapcoach `manifest.json` in its
+    directory or the one above records: the depths where the other
+    commands write.
 
     A rerun replaces the earlier run: each file that the manifest already
     there lists, and this run did not write, is removed before the new
@@ -134,6 +138,8 @@ def _write_outputs(args: argparse.Namespace) -> int:
     manifest = directory / (f"{args.out.stem}.manifest.json" if mine else "manifest.json")
     for path in (manifest, args.out) if mine else (manifest,):
         _check_output_path(path)
+    if mine:
+        _check_not_another_runs(args.out, args.grouping)
     listed = (logio.load_document(manifest, partial(_listed_outputs, args.command))
               if manifest.exists() else set())
     files, message = args.compute(args)
@@ -169,6 +175,26 @@ def _check_output_path(path: Path):
     existing = next(parent for parent in path.parents if parent.exists())
     if not existing.is_dir():
         raise ValueError(f"{existing}: not a directory")
+
+
+def _check_not_another_runs(out: Path, grouping: Path):
+    """A ValueError naming `out` if it is the `grouping` file, or a file of
+    the run that a manifest.json in its directory or the one above records."""
+    if out.exists() and grouping.exists() and out.samefile(grouping):
+        raise ValueError(f"{out}: is the --grouping input")
+    for directory in dict.fromkeys((out.parent, out.parent.parent)):
+        manifest = directory / "manifest.json"
+        if manifest.is_file() and out.relative_to(directory) in logio.load_document(
+                manifest, _run_files):
+            raise ValueError(f"{out}: belongs to the run that {manifest} records")
+
+
+def _run_files(manifest) -> set[Path]:
+    """The files of the run a mapcoach manifest records, relative to its
+    directory: its outputs and the manifest; none for another document."""
+    if type(manifest) is not dict or manifest.get("tool") != "mapcoach":
+        return set()
+    return {Path("manifest.json"), *_listed_outputs(manifest.get("command"), manifest)}
 
 
 def _listed_outputs(command: str, manifest) -> set[Path]:

@@ -1751,3 +1751,65 @@ def test_only_the_output_stage_writes():
                                                      or name == "save_map")):
                 writers.add(getattr(top, "name", "<module>"))
     assert writers == {"_write_outputs"}
+
+
+class TestMineOutOfAnotherRun:
+    """`mine` writes beside other runs' files but not over one of them or
+    over its `--grouping` input; the stage refuses such an `--out` before
+    mine computes."""
+
+    @pytest.fixture
+    def runs(self, tmp_path):
+        assert run(["simulate", "--high", 2, "--low", 2, "--seed", 7, "--budget", 300,
+                    "--out", tmp_path / "sim"]) == 0
+        assert run(["replay", "--events", tmp_path / "sim" / "events",
+                    "--out", tmp_path / "rep"]) == 0
+        shutil.copy(tmp_path / "sim" / "grouping.json", tmp_path / "grouping.json")
+        return tmp_path
+
+    def mine(self, runs, grouping, out):
+        return run(["mine", "--annotated", runs / "rep" / "annotated",
+                    "--grouping", grouping, "--out", out])
+
+    def test_its_grouping_input_is_an_error_line_and_report_still_reads_it(self, runs, capsys):
+        grouping = runs / "sim" / "grouping.json"
+        before = tree(runs)
+        capsys.readouterr()
+        assert self.mine(runs, grouping, grouping) == 1
+        assert capsys.readouterr() == ("", f"error: {grouping}: is the --grouping input\n")
+        assert tree(runs) == before
+        assert run(["report", "--annotated", runs / "rep" / "annotated", "--grouping", grouping,
+                    "--out", runs / "report"]) == 0
+
+    @pytest.mark.parametrize(
+        "out, manifest",
+        [("sim/grouping.json", "sim/manifest.json"),
+         ("sim/manifest.json", "sim/manifest.json"),
+         ("rep/annotated/low-000.jsonl", "rep/manifest.json"),
+         ("rep/deliveries/high-001.jsonl", "rep/manifest.json")],
+        ids=["simulate-grouping", "simulate-manifest", "replay-annotated", "replay-deliveries"],
+    )
+    def test_a_file_of_another_run_is_an_error_line(self, runs, capsys, monkeypatch,
+                                                   out, manifest):
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before checking where it writes")
+
+        monkeypatch.setattr(cli, "mine", computed)
+        before = tree(runs)
+        capsys.readouterr()
+        assert self.mine(runs, runs / "grouping.json", runs / out) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {runs / out}: belongs to the run that {runs / manifest} records\n")
+        assert tree(runs) == before
+
+    def test_beside_another_run_and_over_its_own_table_it_writes(self, runs):
+        table = runs / "sim" / "dsm.tsv"
+        for _ in range(2):
+            assert self.mine(runs, runs / "sim" / "grouping.json", table) == 0
+        assert table.read_text().startswith("pattern\t")
+        manifest = json.loads((runs / "sim" / "dsm.manifest.json").read_text())
+        assert manifest["outputs"] == ["dsm.tsv"]
+
+    def test_a_manifest_json_of_another_tool_lists_nothing(self, runs):
+        (runs / "manifest.json").write_text('{"outputs": ["tables/dsm.tsv"]}')
+        assert self.mine(runs, runs / "grouping.json", runs / "tables" / "dsm.tsv") == 0
