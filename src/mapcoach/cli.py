@@ -119,9 +119,9 @@ def _write_outputs(args: argparse.Namespace) -> int:
     makes every parent directory of `files`, calls each writer, writes last
     the manifest, whose `outputs` are the names in `files`, and prints
     `message`.  `mine` writes beside other runs' files, so before it
-    computes the stage also refuses an `--out` that is the `--grouping`
-    file, or a file of the run that a mapcoach `manifest.json` in its
-    directory or the one above records: the depths where the other
+    computes the stage also refuses an `--out` named like a manifest, the
+    `--grouping` file, or an output that a mapcoach `manifest.json` in the
+    directory of `--out` or the one above lists: the depths where the other
     commands write.
 
     A rerun replaces the earlier run: each file that the manifest already
@@ -139,7 +139,7 @@ def _write_outputs(args: argparse.Namespace) -> int:
     for path in (manifest, args.out) if mine else (manifest,):
         _check_output_path(path)
     if mine:
-        _check_not_another_runs(args.out, args.grouping)
+        _check_not_taken(args.out, args.grouping)
     listed = (logio.load_document(manifest, partial(_listed_outputs, args.command))
               if manifest.exists() else set())
     files, message = args.compute(args)
@@ -177,24 +177,27 @@ def _check_output_path(path: Path):
         raise ValueError(f"{existing}: not a directory")
 
 
-def _check_not_another_runs(out: Path, grouping: Path):
-    """A ValueError naming `out` if it is the `grouping` file, or a file of
-    the run that a manifest.json in its directory or the one above records."""
+def _check_not_taken(out: Path, grouping: Path):
+    """A ValueError naming `out` if it is named like a manifest, is the
+    `grouping` file, or is an output of the run that a manifest.json in its
+    directory or the one above records."""
+    if out.name.endswith("manifest.json"):
+        raise ValueError(f"{out}: is named like a manifest")
     if out.exists() and grouping.exists() and out.samefile(grouping):
         raise ValueError(f"{out}: is the --grouping input")
     for directory in dict.fromkeys((out.parent, out.parent.parent)):
         manifest = directory / "manifest.json"
         if manifest.is_file() and out.relative_to(directory) in logio.load_document(
-                manifest, _run_files):
+                manifest, _run_outputs):
             raise ValueError(f"{out}: belongs to the run that {manifest} records")
 
 
-def _run_files(manifest) -> set[Path]:
-    """The files of the run a mapcoach manifest records, relative to its
-    directory: its outputs and the manifest; none for another document."""
+def _run_outputs(manifest) -> set[Path]:
+    """The outputs a mapcoach manifest lists, relative to its directory;
+    none for another document."""
     if type(manifest) is not dict or manifest.get("tool") != "mapcoach":
         return set()
-    return {Path("manifest.json"), *_listed_outputs(manifest.get("command"), manifest)}
+    return _listed_outputs(manifest.get("command"), manifest)
 
 
 def _listed_outputs(command: str, manifest) -> set[Path]:

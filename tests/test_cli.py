@@ -1784,10 +1784,9 @@ class TestMineOutOfAnotherRun:
     @pytest.mark.parametrize(
         "out, manifest",
         [("sim/grouping.json", "sim/manifest.json"),
-         ("sim/manifest.json", "sim/manifest.json"),
          ("rep/annotated/low-000.jsonl", "rep/manifest.json"),
          ("rep/deliveries/high-001.jsonl", "rep/manifest.json")],
-        ids=["simulate-grouping", "simulate-manifest", "replay-annotated", "replay-deliveries"],
+        ids=["simulate-grouping", "replay-annotated", "replay-deliveries"],
     )
     def test_a_file_of_another_run_is_an_error_line(self, runs, capsys, monkeypatch,
                                                    out, manifest):
@@ -1800,6 +1799,16 @@ class TestMineOutOfAnotherRun:
         assert self.mine(runs, runs / "grouping.json", runs / out) == 1
         assert capsys.readouterr() == (
             "", f"error: {runs / out}: belongs to the run that {runs / manifest} records\n")
+        assert tree(runs) == before
+
+    @pytest.mark.parametrize("out", ["sim/manifest.json", "sim/dsm.manifest.json",
+                                     "tables/manifest.json"])
+    def test_a_manifest_name_is_an_error_line(self, runs, capsys, out):
+        assert self.mine(runs, runs / "grouping.json", runs / "sim" / "dsm.tsv") == 0
+        before = tree(runs)
+        capsys.readouterr()
+        assert self.mine(runs, runs / "grouping.json", runs / out) == 1
+        assert capsys.readouterr() == ("", f"error: {runs / out}: is named like a manifest\n")
         assert tree(runs) == before
 
     def test_beside_another_run_and_over_its_own_table_it_writes(self, runs):
