@@ -125,12 +125,14 @@ def random_expert(rng: random.Random, max_concepts: int = 8, max_links: int = 14
 
 
 @st.composite
-def expert_maps(draw, max_concepts: int = 12) -> ExpertMap:
-    """Expert maps of 2 to max_concepts concepts in one to three sections and
-    up to two links per concept, each link on one of four pages; only maps
-    whose everything quiz has a question are drawn.  At that size no
-    concept has anywhere near DEFAULT_MAX_PATHS paths."""
-    n = draw(st.integers(2, max_concepts))
+def expert_maps(draw) -> ExpertMap:
+    """Expert maps of 2 to 12 concepts in one to three sections and up to
+    two links per concept, each link on one of four pages; only maps whose
+    everything quiz has a question are drawn.  No walk on them meets
+    DEFAULT_MAX_PATHS: a simple path takes one out-link at each concept it
+    leaves, and 24 links out of 11 concepts allow at most 2^9 * 3^2 = 4,608
+    paths to a target."""
+    n = draw(st.integers(2, 12))
     ids = [f"c{i}" for i in range(n)]
     concepts = [Concept(id=i, name=i.upper(), section=draw(st.sampled_from("xyz"))) for i in ids]
     pairs = [(s, t) for s in ids for t in ids if s != t]
