@@ -13,14 +13,6 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, fields
 
 
-class _Factory:
-    def __repr__(self) -> str:
-        return "<factory>"
-
-
-_FACTORY = _Factory()  # default of a parameter whose field has a default_factory
-
-
 def record(cls: type) -> type:
     """cls as a frozen, slotted dataclass whose __init__ stores each field
     through its slot descriptor."""
@@ -31,22 +23,17 @@ def record(cls: type) -> type:
         for cell in getattr(value, "__closure__", None) or ():
             if cell.cell_contents is cls:
                 cell.cell_contents = slotted
-    env = {"__name__": slotted.__module__, "_FACTORY": _FACTORY}
+    env = {"__name__": slotted.__module__}
     params, body = ["self"], []
     for f in fields(slotted):
         name = f.name
         env[f"_set_{name}"] = vars(slotted)[name].__set__
-        value = name
         if f.default is not MISSING:
             env[f"_default_{name}"] = f.default
             params.append(f"{name}=_default_{name}")
-        elif f.default_factory is not MISSING:
-            env[f"_factory_{name}"] = f.default_factory
-            params.append(f"{name}=_FACTORY")
-            value = f"_factory_{name}() if {name} is _FACTORY else {name}"
         else:
             params.append(name)
-        body.append(f"    _set_{name}(self, {value})\n")
+        body.append(f"    _set_{name}(self, {name})\n")
     if hasattr(slotted, "__post_init__"):
         body.append("    self.__post_init__()\n")
     exec(f"def __init__({', '.join(params)}):\n{''.join(body)}", env)

@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 import statistics
 from bisect import bisect_left, bisect_right
-from dataclasses import field
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
@@ -56,11 +55,6 @@ class MedianSplit:
     high: frozenset[str]
     low: frozenset[str]
     excluded: frozenset[str]
-
-    def grouping(self) -> dict[str, str]:
-        out = {s: "High" for s in self.high}
-        out.update({s: "Low" for s in self.low})
-        return out
 
 
 def median_split(final_scores: Mapping[str, float], band: float = 1.0) -> MedianSplit:
@@ -216,7 +210,7 @@ class ImpactCell:
     phase: Phase
     mean_slope: Optional[float]
     n_intervals: int
-    affect_means: dict[Emotion, float] = field(default_factory=dict)
+    affect_means: dict[Emotion, float]
 
 
 class _Timeline:

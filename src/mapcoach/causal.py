@@ -87,10 +87,6 @@ class CausalLink:
     marking: Marking = Marking.UNMARKED
     source_page: Optional[str] = None
 
-    def __hash__(self) -> int:
-        # equal links share a pair, and a pair's hash skips the enum fields
-        return hash((self.source, self.target))
-
     @property
     def key(self) -> tuple[str, str]:
         return (self.source, self.target)

@@ -24,10 +24,9 @@ can fire):
 from __future__ import annotations
 
 import math
-from dataclasses import field
 from enum import Enum
 from string import Template
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._record import record
 from .annotate import (
@@ -177,34 +176,19 @@ class TranscriptStep:
     response: str
 
 
-Responder = Callable[[ConversationNode], int]
-
-
-def first_option(node: ConversationNode) -> int:
-    return 0
-
-
 def run_conversation(
     tree: ConversationTree,
-    responder: Responder = first_option,
     template_vars: Optional[dict[str, str]] = None,
 ) -> list[TranscriptStep]:
-    """Walk a tree under a response policy, rendering prompt templates.
-
-    The walk ends at the first exit response; a revisit (impossible on a
-    validated tree) raises MalformedTree as a guard."""
+    """Walk a tree taking each node's first response, rendering prompt
+    templates; the walk ends at the first exit response."""
     variables = dict(_TEMPLATE_DEFAULTS)
     if template_vars:
         variables.update({k: v for k, v in template_vars.items() if v is not None})
     transcript: list[TranscriptStep] = []
-    seen: set[str] = set()
     node = tree.nodes[tree.root]
     while True:
-        if node.id in seen:
-            raise MalformedTree(f"walk revisited node {node.id!r}")
-        seen.add(node.id)
-        choice = responder(node)
-        option = node.responses[choice]
+        option = node.responses[0]
         prompt = node.prompt
         if "$" in prompt:
             prompt = Template(prompt).safe_substitute(variables)
@@ -401,7 +385,7 @@ class TriggerContext:
     cur_index: Optional[int]
     prev_time: Optional[float]
     cur_time: Optional[float]
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
 
 @record
@@ -471,13 +455,11 @@ class ScaffoldEngine:
         expert: ExpertMap,
         config: EngineConfig = EngineConfig(),
         trees: Optional[dict[ScaffoldKind, ConversationTree]] = None,
-        responder: Responder = first_option,
     ):
         self.student_id = student_id
         self.expert = expert
         self.config = config
         self.trees = trees if trees is not None else default_trees()
-        self.responder = responder
         self._index = 0
         self._prev: Optional[AnnotatedEvent] = None
         self._prev_time = -math.inf
@@ -765,7 +747,6 @@ class ScaffoldEngine:
             return None
         transcript = run_conversation(
             self.trees[kind],
-            self.responder,
             hints.template_vars() if hints is not None else None,
         )
         return ScaffoldDelivery(

@@ -36,7 +36,7 @@ def delivery(t, kind=ScaffoldKind.HINT2, student="s"):
         kind=kind,
         agent=kind.agent,
         timestamp=t,
-        trigger=TriggerContext("x", None, None, None, None),
+        trigger=TriggerContext("x", None, None, None, None, {}),
         transcript=(),
     )
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mapcoach.engine
 import oracles
 import trigger_scripts as scripts
 from mapcoach.annotate import (
@@ -46,7 +47,6 @@ from mapcoach.engine import (
     _link_hints,
     default_trees,
     delivery_counts,
-    first_option,
     run_conversation,
 )
 from mapcoach.pipeline import SessionStep, replay_events
@@ -119,7 +119,7 @@ class TestConversationTrees:
     def test_hint5_walk_progresses_to_specifics(self):
         tree = default_trees()[ScaffoldKind.HINT5]
         transcript = run_conversation(
-            tree, first_option, {"concept": "heat_loss", "source": "heat_loss", "target": "body_temperature"}
+            tree, {"concept": "heat_loss", "source": "heat_loss", "target": "body_temperature"}
         )
         assert [s.node for s in transcript] == ["h5-1", "h5-2", "h5-3"]
         assert "heat_loss" in transcript[1].prompt
@@ -132,8 +132,8 @@ class TestConversationTrees:
 
     def test_walk_is_deterministic(self):
         tree = default_trees()[ScaffoldKind.HINT5]
-        a = run_conversation(tree, first_option, {"concept": "x"})
-        b = run_conversation(tree, first_option, {"concept": "x"})
+        a = run_conversation(tree, {"concept": "x"})
+        b = run_conversation(tree, {"concept": "x"})
         assert a == b
 
     def test_prompts_render_as_template_substitution(self):
@@ -156,7 +156,7 @@ class TestConversationTrees:
                 for i, prompt in enumerate(prompts)
             ],
         )
-        transcript = run_conversation(tree, first_option, {"concept": "heat"})
+        transcript = run_conversation(tree, {"concept": "heat"})
         assert [step.prompt for step in transcript] == [
             "It costs $5 to ask about heat.",
             "heat and ${missing}, then $",
@@ -496,19 +496,19 @@ class TestEngineProperties:
         hint6_filtered = filtered[0]
         assert hint6_base.timestamp == hint6_filtered.timestamp
 
-    def test_a_disabled_kind_runs_no_conversation(self, expert, golden):
+    def test_a_disabled_kind_runs_no_conversation(self, expert, golden, monkeypatch):
+        asked = []
+
+        def recording(tree, template_vars=None):
+            transcript = run_conversation(tree, template_vars)
+            asked.extend(step.node for step in transcript)
+            return transcript
+
+        monkeypatch.setattr(mapcoach.engine, "run_conversation", recording)
         for kind, (events, config) in golden.items():
             for disabled in (frozenset(), frozenset({kind})):
-                asked = []
-
-                def responder(node):
-                    asked.append(node.id)
-                    return 0
-
-                engine = ScaffoldEngine(
-                    scripts.SID, expert, replace(config, disabled_kinds=disabled),
-                    responder=responder,
-                )
+                asked.clear()
+                engine = ScaffoldEngine(scripts.SID, expert, replace(config, disabled_kinds=disabled))
                 step = SessionStep(expert, engine)
                 released = [d for event in events for d in step.feed(event)[1]]
                 released += step.finish(events[-1].end)

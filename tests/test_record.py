@@ -11,9 +11,7 @@ from dataclasses import MISSING, FrozenInstanceError, field, fields, is_dataclas
 import pytest
 
 import mapcoach
-from mapcoach.analytics import ImpactCell
-from mapcoach.causal import CausalLink, Sign
-from mapcoach.engine import EngineConfig, TriggerContext
+from mapcoach.engine import EngineConfig
 from mapcoach.simulate import DurationModel, StudentProfile, bundled_profiles
 
 
@@ -139,16 +137,6 @@ class TestRecordContract:
             assert _type_error(lambda: call(cls)) == _type_error(lambda: call(twin))
 
 
-def test_default_factory_is_fresh_per_instance():
-    first = TriggerContext("rule", None, None, None, None)
-    second = TriggerContext("rule", None, None, None, None)
-    assert first.detail == {} and first.detail is not second.detail
-    given = {"k": 1}
-    assert TriggerContext("rule", None, None, None, None, given).detail is given
-    cells = [ImpactCell("High", None, None, None, None, 0) for _ in range(2)]
-    assert cells[0].affect_means == {} and cells[0].affect_means is not cells[1].affect_means
-
-
 def test_post_init_checks_still_raise():
     with pytest.raises(ValueError, match="^min_inter_scaffold_seconds must be positive$"):
         EngineConfig(min_inter_scaffold_seconds=0)
@@ -157,9 +145,3 @@ def test_post_init_checks_still_raise():
     with pytest.raises(ValueError, match=r"^read_effectiveness=2 outside \[0, 1\]$"):
         replace(bundled_profiles()["high"], read_effectiveness=2)
 
-
-def test_causal_link_keeps_its_own_hash():
-    link = CausalLink("a", "b", Sign.INCREASE)
-    assert hash(link) == hash(("a", "b"))
-    assert hash(replace(link, sign=Sign.DECREASE)) == hash(link)
-    assert link != replace(link, sign=Sign.DECREASE)
