@@ -237,7 +237,8 @@ class ExpertMap:
         for link in cmap.links.values():
             pages.setdefault(link.source_page, set()).add(link.key)
         self.pages: dict[str, set[tuple[str, str]]] = pages
-        self._walks: dict[int, tuple[list[int], list[int]]] = {}
+        # per source: its (counts, votes), or the message of its PathExplosion
+        self._walks: dict[int, tuple[list[int], list[int]] | str] = {}
         self._quizzes: dict[QuizScope, tuple[QuizQuestion, ...]] = {}
         self._shortcuts: Optional[tuple[CausalLink, ...]] = None
 
@@ -266,14 +267,23 @@ class ExpertMap:
         (sum of path signs), (0, 0) for a concept the map lacks.  One
         unpruned walk per source counts every target's paths, and is
         memoised; it raises PathExplosion when the source has more than
-        DEFAULT_MAX_PATHS paths to any concept."""
+        DEFAULT_MAX_PATHS paths to any concept, and the memo keeps that
+        message, so a later read raises again without walking."""
         adjacency = self.map._compiled()
         s, t = adjacency.number.get(source), adjacency.number.get(target)
         if s is None or t is None:
             return 0, 0
-        if s not in self._walks:
-            self._walks[s] = _walk(adjacency, s, None, DEFAULT_MAX_PATHS)[:2]
-        counts, votes = self._walks[s]
+        walk = self._walks.get(s)
+        if walk is None:
+            try:
+                walk = _walk(adjacency, s, None, DEFAULT_MAX_PATHS)[:2]
+            except PathExplosion as exc:
+                walk = str(exc)
+            self._walks[s] = walk
+        if isinstance(walk, str):
+            # a new exception per read: re-raising one would grow its traceback
+            raise PathExplosion(walk)
+        counts, votes = walk
         return counts[t], votes[t]
 
     def path_links(self, source: str, target: str) -> tuple[CausalLink, ...]:

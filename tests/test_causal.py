@@ -783,6 +783,29 @@ class TestExpertPathFacts:
                 read()
             assert time.perf_counter() - start < 1.0
 
+    def test_a_source_past_the_path_bound_is_walked_once(self, monkeypatch):
+        from mapcoach import causal
+
+        # s -> k0 into a 10-clique: s has about 10^5 paths to each other
+        # clique concept
+        clique = [f"k{i}" for i in range(10)]
+        links = [("s", "k0")] + [(u, v) for u in clique for v in clique if u != v]
+        expert = ExpertMap(CausalMap(
+            [Concept(i, i.upper(), "x") for i in ("s", *clique)],
+            [CausalLink(u, v, INC, source_page="p") for u, v in links],
+        ))
+        walked = []
+
+        def counting(adjacency, source, *args):
+            walked.append(source)
+            return _walk(adjacency, source, *args)
+
+        monkeypatch.setattr(causal, "_walk", counting)
+        for _ in range(20):
+            with pytest.raises(PathExplosion, match="more than 10000 paths from"):
+                classify_link(CausalLink("s", "k1", INC), expert)
+        assert len(walked) == 1
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
     def test_shortcut_iff_no_direct_link_and_multi_link_path_of_that_sign(self, seed):
