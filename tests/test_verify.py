@@ -291,51 +291,65 @@ class TestConfigSpace:
             assert eager.deliveries == lazy.deliveries
 
 
+def _every_single_delivery_mutation_is_a_violation(expert, config, seed, how, data):
+    cohort = simulate_cohort(1, 1, seed=seed, expert=expert, duration_budget=900.0,
+                             engine_config=config)
+    result = max(
+        (replay_events(s.student_id, s.events, expert, config) for s in cohort.sessions),
+        key=lambda r: len(r.deliveries),
+    )
+    annotated, deliveries = list(result.annotated), list(result.deliveries)
+    assert verify_session(annotated, deliveries, expert, config) == []
+    assume(len(deliveries) >= (2 if how == "move" else 1))
+    k = data.draw(st.integers(1 if how == "move" else 0, len(deliveries) - 1), label="k")
+    target = deliveries[k]
+    if how == "drop":
+        mutated = deliveries[:k] + deliveries[k + 1:]
+    elif how == "duplicate":
+        mutated = deliveries[: k + 1] + deliveries[k:]
+    elif how == "move":
+        # onto another pair of events inside the predecessor's window
+        start = deliveries[k - 1].timestamp
+        window = [
+            m for m in range(1, len(annotated))
+            if start <= annotated[m].timestamp < start + config.min_inter_scaffold_seconds
+            and m != target.trigger.cur_index
+        ]
+        assume(window)
+        m = data.draw(st.sampled_from(window), label="m")
+        mutated = deliveries[:k] + [moved(target, annotated, m - 1, m)] + deliveries[k + 1:]
+    else:
+        swap = {ScaffoldKind.HINT5: ScaffoldKind.ENC3, ScaffoldKind.ENC3: ScaffoldKind.HINT5}
+        kind = swap.get(target.kind) or data.draw(
+            st.sampled_from([kind for kind in ScaffoldKind if kind is not target.kind]),
+            label="kind",
+        )
+        mutated = deliveries[:k] + [rekinded(target, kind)] + deliveries[k + 1:]
+    assert verify_session(annotated, mutated, expert, config) != []
+
+
+MUTATION = dict(
+    config=engine_configs(),
+    seed=st.integers(0, 10**6),
+    how=st.sampled_from(["drop", "duplicate", "move", "rekind"]),
+    data=st.data(),
+)
+
+
 class TestMutations:
     """A single changed delivery in a verified record never verifies."""
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        config=engine_configs(),
-        seed=st.integers(0, 10**6),
-        how=st.sampled_from(["drop", "duplicate", "move", "rekind"]),
-        data=st.data(),
-    )
+    @given(**MUTATION)
     def test_every_single_delivery_mutation_is_a_violation(self, pack, config, seed, how, data):
-        cohort = simulate_cohort(1, 1, seed=seed, expert=pack, duration_budget=900.0,
-                                 engine_config=config)
-        result = max(
-            (replay_events(s.student_id, s.events, pack, config) for s in cohort.sessions),
-            key=lambda r: len(r.deliveries),
-        )
-        annotated, deliveries = list(result.annotated), list(result.deliveries)
-        assert verify_session(annotated, deliveries, pack, config) == []
-        assume(len(deliveries) >= (2 if how == "move" else 1))
-        k = data.draw(st.integers(1 if how == "move" else 0, len(deliveries) - 1), label="k")
-        target = deliveries[k]
-        if how == "drop":
-            mutated = deliveries[:k] + deliveries[k + 1:]
-        elif how == "duplicate":
-            mutated = deliveries[: k + 1] + deliveries[k:]
-        elif how == "move":
-            # onto another pair of events inside the predecessor's window
-            start = deliveries[k - 1].timestamp
-            window = [
-                m for m in range(1, len(annotated))
-                if start <= annotated[m].timestamp < start + config.min_inter_scaffold_seconds
-                and m != target.trigger.cur_index
-            ]
-            assume(window)
-            m = data.draw(st.sampled_from(window), label="m")
-            mutated = deliveries[:k] + [moved(target, annotated, m - 1, m)] + deliveries[k + 1:]
-        else:
-            swap = {ScaffoldKind.HINT5: ScaffoldKind.ENC3, ScaffoldKind.ENC3: ScaffoldKind.HINT5}
-            kind = swap.get(target.kind) or data.draw(
-                st.sampled_from([kind for kind in ScaffoldKind if kind is not target.kind]),
-                label="kind",
-            )
-            mutated = deliveries[:k] + [rekinded(target, kind)] + deliveries[k + 1:]
-        assert verify_session(annotated, mutated, pack, config) != []
+        _every_single_delivery_mutation_is_a_violation(pack, config, seed, how, data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(expert=oracles.expert_maps(), **MUTATION)
+    def test_on_generated_expert_maps_every_single_delivery_mutation_is_a_violation(
+        self, expert, config, seed, how, data
+    ):
+        _every_single_delivery_mutation_is_a_violation(expert, config, seed, how, data)
 
 
 def test_verify_imports_no_engine_or_pipeline_code():
