@@ -21,14 +21,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mapcoach
+import oracles
 from mapcoach import cli, logio
 from mapcoach.analytics import Emotion
 from mapcoach.annotate import ActionEvent, ActionKind, MapEdit, MapEditAction
 from mapcoach.causal import CausalLink, PathExplosion, QuizScope, Sign
 from mapcoach.cli import main
+from mapcoach.engine import EngineConfig
 from mapcoach.pack import default_expert_map
 from mapcoach.pipeline import SessionStep
 from mapcoach.simulate import simulate_cohort
+from mapcoach.verify import verify_session
 
 
 def run(argv):
@@ -100,6 +103,27 @@ class TestReplay:
         for path in sorted((sim_dir / "deliveries").glob("*.jsonl")):
             replayed = out / "deliveries" / path.name
             assert replayed.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(expert=oracles.expert_maps(), seed=st.integers(0, 10**6))
+    def test_on_generated_expert_maps_replay_reproduces_simulated_deliveries(self, expert, seed):
+        # a directory per example: one tmp_path is shared by every example
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            logio.save_map(expert.map, tmp / "expert.json")
+            sim, out = tmp / "sim", tmp / "replay"
+            assert run(["simulate", "--high", 1, "--low", 1, "--budget", 600, "--seed", seed,
+                        "--expert", tmp / "expert.json", "--out", sim]) == 0
+            assert run(["replay", "--events", sim / "events",
+                        "--expert", sim / "expert-map.json", "--out", out]) == 0
+            logs = sorted((sim / "deliveries").glob("*.jsonl"))
+            assert [p.name for p in logs] == sorted(p.name for p in (out / "deliveries").glob("*.jsonl"))
+            read_back = logio.load_expert_map(sim / "expert-map.json")
+            for path in logs:
+                assert (out / "deliveries" / path.name).read_bytes() == path.read_bytes()
+                annotated = logio.read_annotated(out / "annotated" / path.name)
+                deliveries = logio.read_deliveries(path)
+                assert verify_session(annotated, deliveries, read_back, EngineConfig()) == []
 
     @pytest.mark.parametrize(
         "lookback, logs",
