@@ -116,11 +116,11 @@ class TestReplay:
                         "--expert", tmp / "expert.json", "--out", sim]) == 0
             assert run(["replay", "--events", sim / "events",
                         "--expert", sim / "expert-map.json", "--out", out]) == 0
-            logs = sorted((sim / "deliveries").glob("*.jsonl"))
-            assert [p.name for p in logs] == sorted(p.name for p in (out / "deliveries").glob("*.jsonl"))
+            simulated = sorted((sim / "deliveries").glob("*.jsonl"))
+            assert {p.name: p.read_bytes() for p in simulated} == {
+                p.name: p.read_bytes() for p in (out / "deliveries").glob("*.jsonl")}
             read_back = logio.load_expert_map(sim / "expert-map.json")
-            for path in logs:
-                assert (out / "deliveries" / path.name).read_bytes() == path.read_bytes()
+            for path in simulated:
                 annotated = logio.read_annotated(out / "annotated" / path.name)
                 deliveries = logio.read_deliveries(path)
                 assert verify_session(annotated, deliveries, read_back, EngineConfig()) == []

@@ -508,7 +508,9 @@ class TestEngineProperties:
         for kind, (events, config) in golden.items():
             for disabled in (frozenset(), frozenset({kind})):
                 asked.clear()
-                engine = ScaffoldEngine(scripts.SID, expert, replace(config, disabled_kinds=disabled))
+                engine = ScaffoldEngine(
+                    scripts.SID, expert, replace(config, disabled_kinds=disabled),
+                )
                 step = SessionStep(expert, engine)
                 released = [d for event in events for d in step.feed(event)[1]]
                 released += step.finish(events[-1].end)
